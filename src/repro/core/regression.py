@@ -58,6 +58,25 @@ class DomainViolation:
         )
 
 
+def _outside_band(
+    X: np.ndarray,
+    ranges: Sequence[tuple[float, float]],
+    factor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(over, under)`` element masks of ``X`` against the allowed band.
+
+    The one place the FIT004 bound arithmetic lives: a value ``v`` of
+    feature ``j`` is *over* when ``v > factor * max_j`` and *under* when
+    ``v < min_j / factor`` for a strictly positive ``min_j`` (a column
+    whose fitted minimum is ``<= 0`` has no lower bound).
+    """
+    if factor <= 0:
+        raise ValueError("extrapolation factor must be positive")
+    lo, hi = np.asarray(ranges, dtype=np.float64).reshape(-1, 2).T
+    lower = np.where(lo > 0, lo / factor, -np.inf)
+    return X > factor * hi, X < lower
+
+
 def range_violations(
     X: np.ndarray,
     ranges: Sequence[tuple[float, float]],
@@ -72,8 +91,6 @@ def range_violations(
     or (for strictly positive fitted columns) ``v < min_j / factor``.
     Returns one aggregated :class:`DomainViolation` per offending feature.
     """
-    if factor <= 0:
-        raise ValueError("extrapolation factor must be positive")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -82,24 +99,17 @@ def range_violations(
             f"query has {X.shape[1]} columns, fitted ranges cover "
             f"{len(ranges)}"
         )
+    over, under = _outside_band(X, ranges, factor)
+    bad = over | under
     violations: list[DomainViolation] = []
-    for j, (lo, hi) in enumerate(ranges):
+    for j in np.flatnonzero(bad.any(axis=0)).tolist():
+        lo, hi = ranges[j]
         col = X[:, j]
-        upper = factor * hi
-        over = col > upper
-        under = (
-            col < lo / factor if lo > 0 else np.zeros_like(col, bool)
-        )
-        bad = over | under
-        if not bad.any():
-            continue
         # Worst offender: largest multiple beyond its violated bound.
-        excess_over = np.where(
-            over, col / upper, 0.0
-        )
+        excess_over = np.where(over[:, j], col / (factor * hi), 0.0)
         with np.errstate(divide="ignore"):
             excess_under = np.where(
-                under, (lo / factor) / np.maximum(col, 1e-300), 0.0
+                under[:, j], (lo / factor) / np.maximum(col, 1e-300), 0.0
             )
         excess = np.maximum(excess_over, excess_under)
         worst = int(np.argmax(excess))
@@ -110,7 +120,7 @@ def range_violations(
                 fitted_min=lo,
                 fitted_max=hi,
                 excess=float(excess[worst] * factor),
-                n_rows=int(bad.sum()),
+                n_rows=int(bad[:, j].sum()),
             )
         )
     return violations
@@ -251,6 +261,25 @@ class LinearModel:
         return range_violations(
             X, self.feature_ranges, self.feature_labels(n_cols), factor
         )
+
+    def out_of_domain(
+        self, X: np.ndarray, factor: float = 10.0
+    ) -> np.ndarray:
+        """Boolean mask of the rows of a 2-D ``X`` that
+        :meth:`domain_violations` reports on, alone or in any batch.
+
+        The same band, tested for every row and column in one vectorised
+        pass, so a batch can be screened before any per-row rendering;
+        all ``False`` when the model has no recorded ranges.
+        """
+        if self.feature_ranges is None:
+            if factor <= 0:
+                raise ValueError("extrapolation factor must be positive")
+            return np.zeros(len(X), dtype=bool)
+        over, under = _outside_band(
+            np.asarray(X, dtype=np.float64), self.feature_ranges, factor
+        )
+        return (over | under).any(axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef is None:

@@ -53,6 +53,7 @@ from repro.baselines.protocol import LearnedPredictor
 from repro.benchdata.records import ConvNetFeatures, TimingRecord
 from repro.core.features import forward_row
 from repro.core.forward import ForwardModel
+from repro.core.regression import LinearModel
 from repro.core.scalability import node_scaling_curve
 from repro.core.training import TrainingStepModel
 from repro.caching import LRUCache
@@ -62,7 +63,7 @@ from repro.hardware.device import DEVICE_PRESETS
 from repro.hardware.memory import fits
 from repro.hardware.roofline import CostProfile, zoo_profile
 from repro.serve.registry import SERVABLE_KINDS, ArtifactEntry
-from repro.zoo import available_models
+from repro.zoo import get_entry
 
 #: Protocol version echoed in every response.
 PROTOCOL_VERSION = 1
@@ -126,7 +127,9 @@ class PredictQuery:
         network = obj.get("network")
         if not isinstance(network, str) or not network:
             raise ProtocolError("query field 'network' (string) is required")
-        if network not in available_models():
+        try:
+            get_entry(network)
+        except KeyError:
             raise ProtocolError(
                 f"unknown network {network!r}; see `repro models`", status=404
             )
@@ -268,26 +271,30 @@ class FeatureCache:
 # -- vectorized prediction ---------------------------------------------------
 
 
-def predict_forward_batch(
+def _forward_batch(
     model: ForwardModel,
     features: Sequence[ConvNetFeatures],
     batches: Sequence[int],
-) -> np.ndarray:
-    """Forward times for N queries from one stacked design matrix."""
+    factor: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward times for N queries from one stacked design matrix, and
+    the FIT004 screen of that matrix (see :func:`_screen`)."""
     X = np.empty((len(batches), len(model.metric_names) + 1))
     for i, (f, b) in enumerate(zip(features, batches)):
         X[i] = forward_row(f, b, model.metric_names)
-    return model.model.predict(X)
+    return model.model.predict(X), _screen(model.model, X, factor)
 
 
-def predict_step_batch(
+def _step_batch(
     model: TrainingStepModel,
     features: Sequence[ConvNetFeatures],
     batches: Sequence[int],
     devices: Sequence[int],
     nodes: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(forward, backward+update) times for N queries, vectorized.
+    factor: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(forward, backward+update) times for N queries and their FIT004
+    screen over every regression a query's answer touches.
 
     The combined model is piecewise (single-node vs multi-node rows), so
     the batch is partitioned by regime, each partition answered with one
@@ -296,7 +303,7 @@ def predict_step_batch(
     """
     from repro.core.features import combined_bwd_grad_row
 
-    fwd = predict_forward_batch(model.forward, features, batches)
+    fwd, flagged = _forward_batch(model.forward, features, batches, factor)
     bwd = np.empty(len(batches), dtype=np.float64)
     single = [i for i, n in enumerate(nodes) if n == 1]
     multi = [i for i, n in enumerate(nodes) if n > 1]
@@ -311,6 +318,7 @@ def predict_step_batch(
         for j, i in enumerate(single):
             rows[j] = model.bwd_grad._single_row(features[i], batches[i])
         bwd[single] = model.bwd_grad.single.predict(rows)
+        flagged[single] |= _screen(model.bwd_grad.single, rows, factor)
     if multi:
         if not model.bwd_grad.multi.is_fitted:
             raise ProtocolError(
@@ -324,10 +332,65 @@ def predict_step_batch(
                 features[i], batches[i], devices[i]
             )
         bwd[multi] = model.bwd_grad.multi.predict(rows)
+        flagged[multi] |= _screen(model.bwd_grad.multi, rows, factor)
+    return fwd, bwd, flagged
+
+
+def _screen(
+    regression: LinearModel, X: np.ndarray, factor: float | None
+) -> np.ndarray:
+    """Rows of a stacked design matrix that carry FIT004 warnings.
+
+    One vectorised bound test per regression (the arithmetic
+    :func:`~repro.core.regression.range_violations` uses), so only the
+    flagged queries pay for :func:`prediction_warnings`, whose rendered
+    text stays the single source of the served warnings.
+    """
+    if factor is None:
+        return np.zeros(len(X), dtype=bool)
+    return regression.out_of_domain(X, factor)
+
+
+def predict_forward_batch(
+    model: ForwardModel,
+    features: Sequence[ConvNetFeatures],
+    batches: Sequence[int],
+) -> np.ndarray:
+    """Forward times for N queries from one stacked design matrix."""
+    return _forward_batch(model, features, batches, None)[0]
+
+
+def predict_step_batch(
+    model: TrainingStepModel,
+    features: Sequence[ConvNetFeatures],
+    batches: Sequence[int],
+    devices: Sequence[int],
+    nodes: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward+update) times for N queries, vectorized and
+    exactly equal to N ``predict_one`` calls."""
+    fwd, bwd, _ = _step_batch(model, features, batches, devices, nodes,
+                              None)
     return fwd, bwd
 
 
 # -- request answering -------------------------------------------------------
+
+
+def _fit004(
+    flagged: bool,
+    model: ForwardModel | TrainingStepModel,
+    features: ConvNetFeatures,
+    query: PredictQuery,
+    factor: float | None,
+) -> list[str]:
+    """Rendered FIT004 warnings of one screened plain query."""
+    if not flagged:
+        return []
+    return prediction_warnings(
+        model, features, query.batch,
+        devices=query.devices, nodes=query.nodes, factor=factor,
+    )
 
 
 def _memory_note(
@@ -472,10 +535,11 @@ def answer_request(
         if isinstance(model, TrainingStepModel):
             devices = [resolved[i][0].devices for i in plain]
             nodes = [resolved[i][0].nodes for i in plain]
-            fwd, bwd = predict_step_batch(
-                model, feats, batches, devices, nodes
+            fwd, bwd, flagged = _step_batch(
+                model, feats, batches, devices, nodes, factor
             )
             fwd_times, bwd_times = fwd.tolist(), bwd.tolist()
+            screened = flagged.tolist()
             for j, i in enumerate(plain):
                 query, profile, features, fused = resolved[i]
                 total = fwd_times[j] + bwd_times[j]
@@ -493,15 +557,14 @@ def answer_request(
                         "backward_plus_update": bwd_times[j],
                     },
                     "throughput": query.batch * query.devices / total,
-                    "warnings": prediction_warnings(
-                        model, features, query.batch,
-                        devices=query.devices, nodes=query.nodes,
-                        factor=factor,
+                    "warnings": _fit004(
+                        screened[j], model, features, query, factor
                     )
                     + _memory_note(query, profile, True),
                 }
         elif isinstance(model, ForwardModel):
-            times = predict_forward_batch(model, feats, batches).tolist()
+            times, flagged = _forward_batch(model, feats, batches, factor)
+            times, screened = times.tolist(), flagged.tolist()
             for j, i in enumerate(plain):
                 query, profile, features, fused = resolved[i]
                 t = times[j]
@@ -515,10 +578,8 @@ def answer_request(
                     "fuse": fused,
                     "t_seconds": t,
                     "throughput": query.batch / t,
-                    "warnings": prediction_warnings(
-                        model, features, query.batch,
-                        devices=query.devices, nodes=query.nodes,
-                        factor=factor,
+                    "warnings": _fit004(
+                        screened[j], model, features, query, factor
                     )
                     + _memory_note(query, profile, False),
                 }

@@ -9,6 +9,7 @@ the architecture and device memory allow.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass
 from typing import Callable
@@ -68,6 +69,9 @@ def register_model(
     )
 
 
+# Imports the zoo once; later register_model calls land in _REGISTRY.  No
+# arguments means one cache entry: nothing to bound or count (DET002).
+@functools.cache  # repro-lint: disable=DET002
 def _ensure_loaded() -> None:
     for module in _ZOO_MODULES:
         importlib.import_module(module)

@@ -23,19 +23,26 @@ and ``http.client`` requests against it.  The suites cover
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import shutil
+import socket
+import sys
 import tempfile
 import threading
 from http.client import HTTPConnection
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis.audit import prediction_warnings
 from repro.cli import main as cli_main
+from repro.core.features import combined_bwd_grad_row, forward_row
 from repro.core.forward import ForwardModel
 from repro.core.persistence import save_model
+from repro.core.regression import LinearModel, range_violations
 from repro.core.training import GradientUpdateModel, TrainingStepModel
 from repro.serve import (
     ModelRegistry,
@@ -43,6 +50,18 @@ from repro.serve import (
     UnknownArtifactError,
     make_server,
     write_manifest,
+)
+from repro.serve.protocol import (
+    FeatureCache,
+    PredictQuery,
+    PredictRequest,
+    answer_request,
+)
+from repro.serve.registry import ArtifactEntry
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
+    PredictionHandler,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -901,6 +920,368 @@ class TestLearnedArtifacts:
         registry = ModelRegistry(root)
         entry = registry.get("default")
         assert entry.audit_errors == 1
+
+
+# -- FIT004 screen -------------------------------------------------------------
+
+
+def _screen_matches_per_query(model, kind, queries, factor):
+    """Answer ``queries`` in one batched request and assert each query's
+    warnings equal the per-query :func:`prediction_warnings` list.
+
+    Returns the per-query warning lists so callers can pin which rows the
+    case was built to flag.
+    """
+    entry = ArtifactEntry(name="m", path=Path("m.json"), kind=kind,
+                          format=2, model=model)
+    request = PredictRequest(
+        model=None, queries=tuple(PredictQuery(**q) for q in queries),
+        batched=True,
+    )
+    cache = FeatureCache()
+    body = answer_request(request, entry, cache,
+                          default_domain_factor=factor)
+    served = [p["warnings"] for p in body["predictions"]]
+    expected = []
+    for query in request.queries:
+        _, features = cache.lookup(query.network, query.image, "")
+        expected.append(prediction_warnings(
+            model, features, query.batch, devices=query.devices,
+            nodes=query.nodes, factor=factor,
+        ))
+    assert served == expected
+    return served
+
+
+#: Inside, near and far past the small fits' domains.
+SCREEN_QUERIES = [
+    {"network": n, "image": i, "batch": b}
+    for n in ("alexnet", "resnet50", "mobilenet_v2")
+    for i in (64, 224)
+    for b in (1, 64, 65536)
+]
+
+
+class TestFit004Screen:
+    FACTOR = 8.0
+    QUERY = {"network": "resnet18", "image": 128, "batch": 16}
+
+    @pytest.fixture(scope="class")
+    def forward(self, small_inference_data):
+        return ForwardModel().fit(small_inference_data)
+
+    @pytest.mark.parametrize("factor", [10.0, 2.0, None])
+    def test_forward_artifact(self, forward, factor):
+        served = _screen_matches_per_query(forward, "forward",
+                                           SCREEN_QUERIES, factor)
+        if factor is None:
+            assert not any(served)
+        else:
+            assert any(served) and not all(served)
+
+    @pytest.mark.parametrize("factor", [10.0, None])
+    def test_step_artifact_single_and_multi_node(
+        self, small_distributed_data, factor
+    ):
+        step = TrainingStepModel().fit(small_distributed_data)
+        queries = [
+            {**q, "nodes": nodes, "devices": 4 * nodes}
+            for q in SCREEN_QUERIES for nodes in (1, 2, 64)
+        ]
+        served = _screen_matches_per_query(step, "training_step", queries,
+                                           factor)
+        assert any(served) == (factor is not None)
+
+    def test_step_artifact_with_unfitted_multi_half(
+        self, small_training_data
+    ):
+        step = TrainingStepModel().fit(small_training_data)
+        assert not step.bwd_grad.multi.is_fitted
+        assert any(_screen_matches_per_query(step, "training_step",
+                                             SCREEN_QUERIES, 10.0))
+
+    def test_step_artifact_with_unfitted_single_half(
+        self, small_distributed_data
+    ):
+        multi_only = [r for r in small_distributed_data if r.nodes > 1]
+        step = TrainingStepModel().fit(multi_only)
+        assert not step.bwd_grad.single.is_fitted
+        queries = [{**q, "nodes": 2, "devices": 8} for q in SCREEN_QUERIES]
+        assert any(_screen_matches_per_query(step, "training_step",
+                                             queries, 10.0))
+
+    @pytest.mark.parametrize("bound, flagged", [
+        # v == factor * hi: on the upper edge, inside the band.
+        (lambda v: (0.0, v / 8.0), False),
+        # v one ulp above factor * hi.
+        (lambda v: (0.0, np.nextafter(v, -np.inf) / 8.0), True),
+        # v == lo / factor: on the lower edge, inside the band.
+        (lambda v: (v * 8.0, v * 8.0), False),
+        # v one ulp below lo / factor.
+        (lambda v: (np.nextafter(v, np.inf) * 8.0, v * 8.0), True),
+        # lo <= 0: no lower bound, however far below the range v lies.
+        (lambda v: (0.0, v * 8.0e6), False),
+        (lambda v: (-1.0, v * 8.0e6), False),
+    ], ids=["at-upper", "ulp-over", "at-lower", "ulp-under", "lo-zero",
+            "lo-negative"])
+    def test_rows_on_the_band_edges(self, forward, bound, flagged):
+        # Fitted ranges that put the query's row exactly on (or one ulp
+        # past) a band edge; at factor 8 scaling by the factor is exact.
+        features = FeatureCache().lookup("resnet18", 128, "")[1]
+        pinned = copy.deepcopy(forward)
+        pinned.model.feature_ranges = tuple(
+            bound(float(v))
+            for v in forward_row(features, 16, forward.metric_names)
+        )
+        served = _screen_matches_per_query(
+            pinned, "forward", [self.QUERY] + SCREEN_QUERIES, self.FACTOR
+        )
+        assert bool(served[0]) == flagged
+
+    @pytest.mark.parametrize("half, nodes", [("single", 1), ("multi", 2)])
+    def test_backward_half_flags_on_its_own(self, small_distributed_data,
+                                            half, nodes):
+        step = TrainingStepModel().fit(small_distributed_data)
+        features = FeatureCache().lookup("resnet18", 128, "")[1]
+        row = (
+            step.bwd_grad._single_row(features, 16) if half == "single"
+            else combined_bwd_grad_row(features, 16, 4 * nodes)
+        )
+        getattr(step.bwd_grad, half).feature_ranges = tuple(
+            (0.0, np.nextafter(float(v), -np.inf) / 8.0) for v in row
+        )
+        query = {**self.QUERY, "nodes": nodes, "devices": 4 * nodes}
+        (served,) = _screen_matches_per_query(
+            step, "training_step", [query], self.FACTOR
+        )
+        assert served
+        assert all(f"query.{half}:" in w for w in served)
+
+    def test_mask_equals_per_row_violations(self):
+        ranges = ((1.0, 10.0), (0.0, 5.0), (-2.0, 3.0), (4.0, 4.0))
+        labels = ("a", "b", "c", "d")
+        factor = 8.0
+        rng = np.random.default_rng(5)
+        edges = np.array([
+            [1.0 / 8.0, 40.0, -100.0, 0.5],
+            [np.nextafter(1.0 / 8.0, -np.inf), 40.0, 24.0, 32.0],
+            [80.0, np.nextafter(40.0, np.inf), 0.0, 0.5],
+            [np.nextafter(80.0, np.inf), -1e9, np.nextafter(24.0, np.inf),
+             np.nextafter(0.5, -np.inf)],
+        ])
+        X = np.vstack([edges, rng.uniform(-50.0, 120.0, size=(64, 4))])
+        mask = LinearModel(feature_ranges=ranges).out_of_domain(X, factor)
+        expected = [
+            bool(range_violations(X[i], ranges, labels, factor))
+            for i in range(len(X))
+        ]
+        assert mask.tolist() == expected
+        assert mask[:4].tolist() == [False, True, True, True]
+
+
+# -- transport ---------------------------------------------------------------
+
+
+def _exchange(server, data, timeout=5.0):
+    """Send raw bytes on a fresh connection and read until the server
+    closes it (a reset after the response counts as a close)."""
+    sock = socket.create_connection(server.server_address[:2],
+                                    timeout=timeout)
+    try:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        sock.close()
+
+
+def _http(method, path, body=b"", headers=()):
+    lines = [f"{method} {path} HTTP/1.1", "Host: test"]
+    lines += [f"{k}: {v}" for k, v in headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _post_close(body):
+    data = json.dumps(body).encode()
+    return _http("POST", "/predict", data, [
+        ("Content-Type", "application/json"),
+        ("Content-Length", len(data)), ("Connection", "close"),
+    ])
+
+
+@pytest.fixture
+def server_sends(monkeypatch, server):
+    """Every socket send the server makes, in order, as bytes."""
+    port = server.server_address[1]
+    sent: list[bytes] = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def counted(sock, data, *args, _original=original):
+            if sock.getsockname()[1] == port:
+                sent.append(bytes(data))
+            return _original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, counted)
+    return sent
+
+
+def _counters(server):
+    return dict(server.metrics()["counters"])
+
+
+def _deltas(before, after):
+    return {
+        name: after.get(name, 0.0) - before.get(name, 0.0)
+        for name in set(before) | set(after)
+        if after.get(name, 0.0) != before.get(name, 0.0)
+    }
+
+
+class TestTransport:
+    @pytest.mark.parametrize("data, status", [
+        (_post_close({"network": "alexnet", "batch": 1}), 200),
+        (_post_close({"queries": [{"network": "alexnet", "batch": 1},
+                                  {"network": "vgg11", "batch": 65536}]}),
+         200),
+        (_post_close({"network": "no-such-net"}), 404),
+        (_http("GET", "/healthz", headers=[("Connection", "close")]), 200),
+        (_http("GET", "/metrics", headers=[("Connection", "close")]), 200),
+        (_http("GET", "/metrics", headers=[("Connection", "close"),
+                                           ("Accept", "text/plain")]), 200),
+        # http.server's own send_error paths: a malformed request line
+        # and a method without a do_* handler.
+        (b"GET /predict extra HTTP/1.1\r\n\r\n", 400),
+        (_http("PUT", "/predict"), 501),
+    ], ids=["predict", "predict-batched", "predict-404", "healthz",
+            "metrics-json", "metrics-prometheus", "send-error-400",
+            "send-error-501"])
+    def test_each_response_leaves_in_one_send(self, server, server_sends,
+                                              data, status):
+        response = _exchange(server, data)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert server_sends == [response]
+
+    def test_expect_100_continue_is_not_buffered(self, server,
+                                                 server_sends):
+        body = json.dumps({"network": "alexnet", "batch": 1}).encode()
+        head = _http("POST", "/predict", headers=[
+            ("Content-Length", len(body)), ("Expect", "100-continue"),
+            ("Connection", "close"),
+        ])
+        sock = socket.create_connection(server.server_address[:2],
+                                        timeout=5.0)
+        try:
+            sock.sendall(head)
+            interim = sock.recv(65536)
+            assert interim.startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.sendall(body)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        finally:
+            sock.close()
+        assert b"".join(chunks).startswith(b"HTTP/1.1 200 ")
+        assert len(server_sends) == 2
+
+
+class TestKeepAliveHygiene:
+    SMUGGLED = _http("GET", "/healthz")
+
+    @pytest.mark.parametrize("head, status", [
+        (_http("POST", "/predict",
+               headers=[("Content-Length", MAX_BODY_BYTES + 1)]), 413),
+        (_http("POST", "/predict",
+               headers=[("Transfer-Encoding", "chunked")]), 411),
+        (_http("POST", "/healthz",
+               headers=[("Content-Length", len(SMUGGLED))]), 405),
+    ], ids=["oversized", "chunked", "post-elsewhere"])
+    def test_unread_body_is_never_parsed_as_a_request(self, server, head,
+                                                      status):
+        before = _counters(server)
+        response = _exchange(server, head + self.SMUGGLED)
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close\r\n" in response
+        expected = {"http_requests_total": 1.0, "errors_total": 1.0,
+                    f"http_{status}_total": 1.0}
+        if status != 405:
+            expected["predict_requests_total"] = 1.0
+        assert _deltas(before, _counters(server)) == expected
+
+    def test_consumed_body_keeps_the_connection(self, server):
+        host, port = server.server_address[:2]
+        conn = HTTPConnection(host, port)
+        try:
+            for raw in (b"{not json", json.dumps({"network": "alexnet"})):
+                conn.request("POST", "/predict", body=raw)
+                response = conn.getresponse()
+                response.read()
+                assert response.getheader("Connection") is None
+        finally:
+            conn.close()
+
+
+@pytest.fixture
+def stall_server(monkeypatch, registry_dir):
+    """A server with a short socket timeout that records every error its
+    handler threads would print as a traceback."""
+    monkeypatch.setattr(PredictionHandler, "timeout", 0.2)
+    server, thread = _boot(ModelRegistry(registry_dir))
+    leaked: list[BaseException] = []
+    server.handle_error = lambda request, address: leaked.append(
+        sys.exc_info()[1]
+    )
+    yield server, leaked
+    _shutdown(server, thread)
+
+
+class TestStalledClients:
+    BODY = json.dumps({"network": "alexnet", "batch": 1}).encode()
+
+    def test_handler_times_out_by_default(self):
+        assert PredictionHandler.timeout == REQUEST_TIMEOUT_S
+        assert 0 < REQUEST_TIMEOUT_S < float("inf")
+
+    @pytest.mark.parametrize("data, status", [
+        (b"POST /pred", None),
+        (b"POST /predict HTTP/1.1\r\nHost: test\r\nContent-Le", None),
+        (_http("POST", "/predict", BODY[:10],
+               [("Content-Length", len(BODY))]), 408),
+    ], ids=["partial-request-line", "partial-headers", "partial-body"])
+    def test_stalled_client_is_dropped(self, stall_server, data, status):
+        server, leaked = stall_server
+        before = _counters(server)
+        response = _exchange(server, data)
+        expected = {}
+        if status is None:
+            assert response == b""
+        else:
+            assert response.count(b"HTTP/1.1 ") == 1
+            assert response.startswith(f"HTTP/1.1 {status} ".encode())
+            assert b"\r\nConnection: close\r\n" in response
+            expected = {"http_requests_total": 1.0,
+                        "predict_requests_total": 1.0,
+                        "errors_total": 1.0, f"http_{status}_total": 1.0}
+        assert _deltas(before, _counters(server)) == expected
+        assert leaked == []
+
+    def test_idle_keep_alive_connection_is_closed(self, stall_server):
+        server, leaked = stall_server
+        response = _exchange(server, _http("POST", "/predict", self.BODY, [
+            ("Content-Length", len(self.BODY)),
+        ]))
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert leaked == []
 
 
 if __name__ == "__main__":  # pragma: no cover - snapshot regeneration

@@ -74,6 +74,29 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_model("resnet50", lambda i, n: None)
 
+    def test_zoo_modules_import_once(self, monkeypatch):
+        from repro.zoo import registry
+
+        available_models()
+
+        def no_import(name):
+            raise AssertionError(f"re-imported {name}")
+
+        monkeypatch.setattr(registry.importlib, "import_module", no_import)
+        assert "alexnet" in available_models()
+        assert get_entry("alexnet").name == "alexnet"
+
+    def test_model_registered_later_is_seen(self, monkeypatch):
+        from repro.serve.protocol import PredictQuery, ProtocolError
+        from repro.zoo import registry
+
+        with pytest.raises(ProtocolError, match="unknown network"):
+            PredictQuery.parse({"network": "late_net"})
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        registry.register_model("late_net", get_entry("alexnet").builder)
+        assert PredictQuery.parse({"network": "late_net"}).network == "late_net"
+        assert "late_net" in available_models()
+
 
 class TestArchitecturalFidelity:
     @pytest.mark.parametrize("name,expected", sorted(PUBLISHED_PARAMS.items()))
