@@ -12,12 +12,6 @@ from repro.benchdata.records import (
     TimingRecord,
     aggregate_reps,
 )
-from repro.benchdata.bench import (
-    CAMPAIGN_BENCH_SCHEMA,
-    campaign_bench_payload,
-    validate_campaign_bench_payload,
-    write_campaign_bench,
-)
 from repro.benchdata.cost import CampaignCost, campaign_cost
 from repro.benchdata.engine import (
     VERIFY_MODES,
@@ -43,10 +37,6 @@ from repro.benchdata.campaign import (
 )
 
 __all__ = [
-    "CAMPAIGN_BENCH_SCHEMA",
-    "campaign_bench_payload",
-    "validate_campaign_bench_payload",
-    "write_campaign_bench",
     "ConvNetFeatures",
     "TimingRecord",
     "Dataset",

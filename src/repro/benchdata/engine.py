@@ -39,23 +39,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.benchdata.records import ConvNetFeatures, Dataset, TimingRecord
 from repro.caching import CacheStats, LRUCache
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.trainer import DistributedTrainer
+from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
 from repro.hardware.device import DeviceSpec
-from repro.hardware.executor import (
-    SimulatedExecutor,
-    _BWD_BYTES_FACTOR,
-    _BWD_FLOPS_OTHER,
-    _BWD_FLOPS_PARAM,
-    _OPT_BYTES_PER_PARAM,
-    _OPT_FLOPS_PER_PARAM,
-)
-from repro.hardware.memory import fits
+from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.roofline import (
     PROFILE_CACHE,
     CostProfile,
@@ -94,9 +85,7 @@ def engine_cache_stats() -> CacheStats:
     """Combined counters of the profile caches the engine draws from.
 
     Deliberately excludes :data:`CLEAN_TIME_CACHE`: campaign stats have
-    always reported *profile*-cache behaviour, and the perf-trajectory
-    benchmark compares runs with grid caching on and off against the same
-    counter definition.
+    always reported *profile*-cache behaviour.
     """
     return PROFILE_CACHE.stats() + BLOCK_PROFILE_CACHE.stats()
 
@@ -114,22 +103,11 @@ CLEAN_TIME_CACHE: LRUCache[
 ] = LRUCache(maxsize=512)
 
 
-def _spec_backend(spec: CampaignSpec):
-    """The spec's :class:`ExecutionBackend`, or ``None`` for the default.
-
-    ``None`` (rather than an explicit :class:`RooflineBackend`) keeps the
-    default construction path identical to the pre-backend engine; every
-    consumer treats ``backend=None`` as the roofline policy.
-    """
-    if not spec.backend:
-        return None
-    from repro.hardware.backend import get_backend
-
-    return get_backend(spec.backend, spec.device)
-
-
 def _clean_time_grid(
-    spec: CampaignSpec, point: SweepPoint, profile: CostProfile
+    spec: CampaignSpec,
+    point: SweepPoint,
+    profile: CostProfile,
+    executor: SimulatedExecutor,
 ) -> dict[int, tuple[float, ...]]:
     """Cached clean-time components for every batch in the spec's sweep."""
     key = (
@@ -143,9 +121,6 @@ def _clean_time_grid(
     )
 
     def build() -> dict[int, tuple[float, ...]]:
-        executor = SimulatedExecutor(
-            spec.device, seed=spec.seed, backend=_spec_backend(spec)
-        )
         return executor.clean_time_grids(
             profile,
             spec.batch_sizes,
@@ -220,8 +195,6 @@ class CampaignSpec:
 
             resolve_transform(self.transform)  # KeyError on unknown passes
         if self.backend:
-            from repro.hardware.backend import get_backend
-
             # Builds once to validate the name *and* the device pairing
             # (e.g. fp16 on a device without fp16 support) at spec
             # construction, not mid-campaign.
@@ -440,7 +413,8 @@ def _gated(
     spec: CampaignSpec,
     point: SweepPoint,
     profile: CostProfile,
-    clean: tuple[float, ...] | None = None,
+    backend: ExecutionBackend,
+    clean: tuple[float, ...] | None,
 ) -> str:
     """Why a point is excluded: ``"oom"`` (does not fit device memory),
     ``"budget"`` (over the runtime budget), or ``""`` (measurable).
@@ -448,61 +422,48 @@ def _gated(
     Gating depends only on ``(spec, point)``, never on whether the point is
     being measured or traced — which is what makes the per-point OOM
     markers in the store deterministic across workers and resume splits.
-    ``clean`` supplies the point's grid-cached clean-time components
-    (forward first, backward second for training), which are bit-identical
-    to the per-point computation they replace."""
+    ``clean`` is the point's row of the clean-time grid (forward first,
+    backward second for training; ``None`` for distributed points, which
+    have no runtime budget)."""
     training = spec.scenario in ("training", "distributed")
-    backend = _spec_backend(spec)
-    if not fits(
-        profile, point.batch, spec.device, training=training, backend=backend
-    ):
+    if not backend.fits(profile, point.batch, training=training):
         return "oom"
-    if spec.max_seconds is None or spec.scenario == "distributed":
+    if spec.max_seconds is None or clean is None:
         return ""
-    if clean is not None:
-        estimate = clean[0]
-        if spec.scenario == "training":
-            estimate += clean[1]
-        return "budget" if estimate > spec.max_seconds else ""
-    executor = SimulatedExecutor(spec.device, seed=spec.seed, backend=backend)
-    estimate = executor.forward_time_clean(profile, point.batch)
+    estimate = clean[0]
     if spec.scenario == "training":
-        estimate += executor.backward_time_clean(profile, point.batch)
+        estimate += clean[1]
     return "budget" if estimate > spec.max_seconds else ""
 
 
 def point_counters(
-    spec: CampaignSpec, point: SweepPoint, profile: CostProfile
+    spec: CampaignSpec,
+    point: SweepPoint,
+    profile: CostProfile,
+    backend: ExecutionBackend,
 ) -> dict[str, float]:
     """Analytic work counters of one measured point (per-rank quantities).
 
     Always on — a handful of vectorised sums per point, independent of
     tracing — so campaign stats and store manifests are identical whether
-    or not a trace was requested.  Mirrors the accounting the span layer
-    records: forward work for inference, plus backward/optimizer work for
-    training scenarios, plus all-reduce volume when more than one rank
+    or not a trace was requested.  Sums the same per-phase accounting the
+    span layer records (:func:`~repro.hardware.backend.phase_work`):
+    forward work for inference, plus backward/optimizer work for training
+    scenarios, plus all-reduce volume when more than one rank
     participates.
     """
-    b = float(point.batch)
-    act = float(profile.act_bytes.sum())
-    weights = float(profile.weight_bytes.sum())
-    flops = float(profile.flops.sum()) * b
-    nbytes = act * b + weights
+    phases = ("forward",)
     if spec.scenario in ("training", "distributed"):
-        factor = np.where(
-            profile.has_params, _BWD_FLOPS_PARAM, _BWD_FLOPS_OTHER
-        )
-        flops += float((profile.flops * factor).sum()) * b
-        nbytes += act * (b * _BWD_BYTES_FACTOR) + weights
-        params = float(profile.param_counts.sum())
-        flops += _OPT_FLOPS_PER_PARAM * params
-        nbytes += _OPT_BYTES_PER_PARAM * params
+        phases = ("forward", "backward", "grad_update")
+    flops = nbytes = 0.0
+    for phase in phases:
+        f, b = phase_work(profile, point.batch, phase)
+        flops += float(f.sum())
+        nbytes += float(b.sum())
     counters = {"flops": flops, "bytes": nbytes}
     if spec.scenario == "distributed":
         ranks = point.nodes * spec.gpus_per_node
-        backend = _spec_backend(spec)
-        grad_elem_bytes = 4.0 if backend is None else backend.float_bytes
-        grad_bytes = grad_elem_bytes * float(
+        grad_bytes = backend.spec.float_bytes * float(
             profile.param_counts[profile.has_params].sum()
         )
         if ranks > 1 and grad_bytes > 0.0:
@@ -514,7 +475,6 @@ def _measure_point(
     spec: CampaignSpec,
     point: SweepPoint,
     tracer: "Tracer | None" = None,
-    grid_cache: bool = True,
 ) -> tuple[list[TimingRecord], dict[str, float], str]:
     """Measure one sweep point: ``(records, counters, gate_status)``.
 
@@ -526,23 +486,20 @@ def _measure_point(
     spans the executor and trainer emit; the recorded values are identical
     either way.
 
-    ``grid_cache`` (the default) sources the deterministic clean-time
-    components from :data:`CLEAN_TIME_CACHE` — one batched roofline
-    evaluation per ``(model, image_size)`` instead of one per point — and
-    skips the redundant memory re-check (gating already proved the fit).
-    Records are bit-identical either way; ``grid_cache=False`` exists so
-    the perf-trajectory benchmark can measure the ungridded baseline and
-    the equivalence suite can prove the identity.
+    The deterministic clean-time components come from
+    :data:`CLEAN_TIME_CACHE` — one batched roofline evaluation per
+    ``(model, image_size)`` instead of one per point — and the executor
+    skips its memory re-check, since gating already proved the fit.
     """
     profile = _point_profile(spec, point)
-    clean: tuple[float, ...] | None = None
-    if grid_cache and spec.scenario != "distributed":
-        clean = _clean_time_grid(spec, point, profile).get(point.batch)
-    gate = _gated(spec, point, profile, clean)
+    backend = get_backend(spec.backend, spec.device)
+    executor = SimulatedExecutor(seed=spec.seed, backend=backend)
+    clean = None
+    if spec.scenario != "distributed":
+        clean = _clean_time_grid(spec, point, profile, executor)[point.batch]
+    gate = _gated(spec, point, profile, backend, clean)
     if gate:
         return [], {}, gate
-    backend = _spec_backend(spec)
-    features = ConvNetFeatures.from_profile(profile)
     tracing = tracer is not None and tracer.enabled
     if tracing:
         tracer.begin(
@@ -557,93 +514,58 @@ def _measure_point(
             },
         )
 
+    devices = 1
     if spec.scenario in ("inference", "blocks"):
-        executor = SimulatedExecutor(
-            spec.device, seed=spec.seed, backend=backend
-        )
         t = executor.measure_inference(
             profile,
             point.batch,
             rep=point.rep,
             tracer=tracer,
-            enforce_memory=clean is None,
-            clean_time=None if clean is None else clean[0],
+            enforce_memory=False,
+            clean_time=clean[0],
         )
-        records = [
-            TimingRecord(
-                model=point.model,
-                device=spec.device.name,
-                image_size=point.image_size,
-                batch=point.batch,
-                nodes=1,
-                devices=1,
-                scenario="inference",
-                features=features,
-                t_fwd=t,
-                rep=point.rep,
-                backend=spec.backend,
-            )
-        ]
+        times = (t, 0.0, 0.0)
     elif spec.scenario == "training":
-        executor = SimulatedExecutor(
-            spec.device, seed=spec.seed, backend=backend
-        )
         phases = executor.measure_training_step(
             profile,
             point.batch,
             rep=point.rep,
             tracer=tracer,
-            enforce_memory=clean is None,
-            clean_times=None if clean is None else clean,
+            enforce_memory=False,
+            clean_times=clean,
         )
-        records = [
-            TimingRecord(
-                model=point.model,
-                device=spec.device.name,
-                image_size=point.image_size,
-                batch=point.batch,
-                nodes=1,
-                devices=1,
-                scenario="training",
-                features=features,
-                t_fwd=phases.forward,
-                t_bwd=phases.backward,
-                t_grad=phases.grad_update,
-                rep=point.rep,
-                backend=spec.backend,
-            )
-        ]
+        times = (phases.forward, phases.backward, phases.grad_update)
     else:
         cluster = ClusterSpec(
             nodes=point.nodes,
             gpus_per_node=spec.gpus_per_node,
             device=spec.device,
         )
-        trainer = DistributedTrainer(cluster, seed=spec.seed, backend=backend)
-        phases = trainer.measure_step(
-            profile, point.batch, rep=point.rep, tracer=tracer
-        )
-        records = [
-            TimingRecord(
-                model=point.model,
-                device=spec.device.name,
-                image_size=point.image_size,
-                batch=point.batch,
-                nodes=point.nodes,
-                devices=cluster.total_devices,
-                scenario="distributed",
-                features=features,
-                t_fwd=phases.forward,
-                t_bwd=phases.backward,
-                t_grad=phases.grad_update,
-                rep=point.rep,
-                backend=spec.backend,
-            )
-        ]
+        devices = cluster.total_devices
+        phases = DistributedTrainer(
+            cluster, seed=spec.seed, backend=backend
+        ).measure_step(profile, point.batch, rep=point.rep, tracer=tracer)
+        times = (phases.forward, phases.backward, phases.grad_update)
 
     if tracing:
         tracer.end()
-    return records, point_counters(spec, point, profile), ""
+    record = TimingRecord(
+        model=point.model,
+        device=spec.device.name,
+        image_size=point.image_size,
+        batch=point.batch,
+        nodes=point.nodes,
+        devices=devices,
+        # Block points are forward passes of a network fragment.
+        scenario="inference" if spec.scenario == "blocks" else spec.scenario,
+        features=ConvNetFeatures.from_profile(profile),
+        t_fwd=times[0],
+        t_bwd=times[1],
+        t_grad=times[2],
+        rep=point.rep,
+        backend=spec.backend,
+    )
+    return [record], point_counters(spec, point, profile, backend), ""
 
 
 def execute_point(spec: CampaignSpec, point: SweepPoint) -> list[TimingRecord]:
@@ -660,7 +582,6 @@ def trace_campaign(
     spec: CampaignSpec,
     tracer: "Tracer",
     points: list[SweepPoint] | None = None,
-    grid_cache: bool = True,
 ) -> None:
     """Re-execute a campaign's sweep serially under ``tracer``.
 
@@ -684,7 +605,7 @@ def trace_campaign(
     # amortised through CLEAN_TIME_CACHE.
     for point in points:
         _measure_point(  # repro-lint: disable=PERF006
-            spec, point, tracer=tracer, grid_cache=grid_cache
+            spec, point, tracer=tracer
         )
     tracer.end()
 
@@ -692,13 +613,11 @@ def trace_campaign(
 # -- process-pool plumbing ---------------------------------------------------
 
 _WORKER_SPEC: CampaignSpec | None = None
-_WORKER_GRID_CACHE: bool = True
 
 
-def _init_worker(spec: CampaignSpec, grid_cache: bool = True) -> None:
-    global _WORKER_SPEC, _WORKER_GRID_CACHE
+def _init_worker(spec: CampaignSpec) -> None:
+    global _WORKER_SPEC
     _WORKER_SPEC = spec
-    _WORKER_GRID_CACHE = grid_cache
 
 
 def _run_point_task(
@@ -710,9 +629,7 @@ def _run_point_task(
     index, point = task
     assert _WORKER_SPEC is not None, "worker pool not initialised"
     before = engine_cache_stats()
-    records, counters, gate = _measure_point(
-        _WORKER_SPEC, point, grid_cache=_WORKER_GRID_CACHE
-    )
+    records, counters, gate = _measure_point(_WORKER_SPEC, point)
     return (
         index, point.key, records, counters,
         engine_cache_stats() - before, gate,
@@ -798,7 +715,6 @@ def run_campaign(
     progress: Callable[[int, int], None] | None = None,
     verify: str = "warn",
     tracer: "Tracer | None" = None,
-    grid_cache: bool = True,
 ) -> CampaignResult:
     """Execute a campaign and assemble its dataset in enumeration order.
 
@@ -819,11 +735,6 @@ def run_campaign(
     :func:`trace_campaign` after measuring — a serial post-pass, so the
     trace (and the record stream, and the stats counters) is identical
     for any ``workers`` value and any resume split.
-
-    ``grid_cache`` (the default) amortises the deterministic clean-time
-    components across the sweep through :data:`CLEAN_TIME_CACHE`; the
-    record stream is bit-identical with it off, just slower — the switch
-    exists for the perf-trajectory baseline and the equivalence tests.
     """
     n_verify_errors = _run_verification(spec, verify)
     points = enumerate_points(spec)
@@ -841,7 +752,7 @@ def run_campaign(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(spec, grid_cache),
+            initargs=(spec,),
         ) as pool:
             chunksize = max(1, len(pending) // (workers * 8))
             outcomes = pool.map(_run_point_task, pending, chunksize=chunksize)
@@ -865,7 +776,7 @@ def run_campaign(
         for index, point in pending:
             before = engine_cache_stats()
             records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006
-                spec, point, grid_cache=grid_cache
+                spec, point
             )
             cache_delta += engine_cache_stats() - before
             results[index] = records
@@ -885,7 +796,7 @@ def run_campaign(
             dataset.extend(results[i])
 
     if tracer is not None and tracer.enabled:
-        trace_campaign(spec, tracer, points, grid_cache=grid_cache)
+        trace_campaign(spec, tracer, points)
 
     merge_counters(counters, cache_delta.as_counters())
     stats = CampaignStats(

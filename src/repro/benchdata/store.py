@@ -11,14 +11,18 @@ empty record list, so a resumed run restores the *decision*, not just the
 measurements, and never re-profiles a configuration it already rejected.
 
 A truncated trailing line — the signature of a killed process — is ignored
-on load; that point is simply re-measured.  Because every measurement is
-seeded by point identity (:func:`repro.hardware.noise.point_seed`), an
+on load and cut off before the next append, so that point is simply
+re-measured onto a clean line.  Because every measurement is seeded by
+point identity (:func:`repro.hardware.noise.point_seed`), an
 interrupted-then-resumed campaign is byte-identical to an uninterrupted one.
+The manifest is replaced atomically, so a crash while writing it leaves
+the previous version in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, IO
 
@@ -34,6 +38,26 @@ _VERSION = 1
 
 class StoreMismatch(ValueError):
     """The store on disk was written by a different campaign spec."""
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    """Replace ``path`` whole: readers see the old manifest or the new one,
+    never a torn write."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(manifest, indent=2))
+    os.replace(tmp, path)
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate ``path`` after its last newline, dropping a torn record."""
+    if not path.exists() or path.stat().st_size == 0:
+        return
+    with path.open("rb+") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 class CampaignStore:
@@ -75,16 +99,14 @@ class CampaignStore:
                 )
         else:
             store.directory.mkdir(parents=True, exist_ok=True)
-            manifest_path.write_text(
-                json.dumps(
-                    {
-                        "version": _VERSION,
-                        "fingerprint": spec.fingerprint(),
-                        "spec": spec.manifest(),
-                        "complete": False,
-                    },
-                    indent=2,
-                )
+            _write_manifest(
+                manifest_path,
+                {
+                    "version": _VERSION,
+                    "fingerprint": spec.fingerprint(),
+                    "spec": spec.manifest(),
+                    "complete": False,
+                },
             )
         return store
 
@@ -112,6 +134,10 @@ class CampaignStore:
             return done
         with self.records_path.open() as fh:
             for line in fh:
+                # A line without its newline is a torn write, even when it
+                # happens to parse: append() cuts it before writing on.
+                if not line.endswith("\n"):
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -139,6 +165,7 @@ class CampaignStore:
         deterministic: gating depends only on ``(spec, point)``.
         """
         if self._handle is None:
+            _cut_torn_tail(self.records_path)
             self._handle = self.records_path.open("a")
         entry: dict = {"key": key, "records": [r.to_dict() for r in records]}
         if status:
@@ -154,4 +181,4 @@ class CampaignStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["complete"] = True
         manifest["stats"] = stats.to_dict()
-        manifest_path.write_text(json.dumps(manifest, indent=2))
+        _write_manifest(manifest_path, manifest)

@@ -41,14 +41,8 @@ from repro.distributed.fusion import (
     FusionBucket,
     fuse_tensors,
 )
-from repro.hardware.backend import ExecutionBackend, RooflineBackend
-from repro.hardware.executor import (
-    PhaseTimes,
-    SimulatedExecutor,
-    _BWD_BYTES_FACTOR,
-    _OPT_BYTES_PER_PARAM,
-    _OPT_FLOPS_PER_PARAM,
-)
+from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
+from repro.hardware.executor import PhaseTimes, SimulatedExecutor
 from repro.hardware.noise import lognormal_factor, lognormal_vector, point_seed
 from repro.hardware.roofline import CostProfile
 
@@ -116,7 +110,8 @@ class DistributedTrainer:
         self.fusion_threshold = fusion_threshold
         self.algorithm = algorithm
         self.backend = (
-            backend if backend is not None else RooflineBackend(cluster.device)
+            backend if backend is not None
+            else get_backend("", cluster.device)
         )
         # One backend per distinct node device type, the primary first —
         # the same backend policy bound to each node's silicon.
@@ -213,14 +208,10 @@ class DistributedTrainer:
         # Each layer's gradient is cluster-complete only when the slowest
         # node type finishes that layer, so mixed clusters take the
         # element-wise maximum of the per-device noisy sweeps.
-        flops_factor = self.backend.backward_flops_factor(profile)
         bwd_layer_times = None
         for b in backends:
             layer_noisy = b.layer_times(
-                profile,
-                per_device_batch,
-                flops_factor=flops_factor,
-                bytes_factor=_BWD_BYTES_FACTOR,
+                profile, per_device_batch, backward=True
             )[::-1] * lognormal_vector(
                 self._sync_sigma(b.noise_sigma),
                 profile.n_layers,
@@ -239,24 +230,22 @@ class DistributedTrainer:
         if tracing:
             from repro.trace.tracer import record_layer_phase
 
+            flops, nbytes = phase_work(profile, per_device_batch, "backward")
             record_layer_phase(
                 tracer,
                 "backward",
                 profile.span_names()[::-1],
                 bwd_layer_times,
-                (profile.flops * (per_device_batch * flops_factor))[::-1],
-                (
-                    profile.act_bytes
-                    * (per_device_batch * _BWD_BYTES_FACTOR)
-                    + profile.weight_bytes
-                )[::-1],
+                flops[::-1],
+                nbytes[::-1],
                 bwd_end,
             )
 
         # Gradient tensors become ready as their layer's backward completes.
         grad_mask = profile.has_params[::-1]
         grad_sizes = (
-            profile.param_counts[::-1][grad_mask] * self.backend.float_bytes
+            profile.param_counts[::-1][grad_mask]
+            * self.backend.spec.float_bytes
         ).tolist()
         grad_ready = completion[grad_mask].tolist()
 
@@ -312,21 +301,9 @@ class DistributedTrainer:
                     attrs={"bytes": b.bucket.nbytes, "ranks": n_ranks},
                 )
                 tracer.count("allreduce_bytes", b.bucket.nbytes)
-            params = float(profile.param_counts.sum())
-            opt_flops = _OPT_FLOPS_PER_PARAM * params
-            opt_bytes = _OPT_BYTES_PER_PARAM * params
-            tracer.begin("grad_update", category="phase")
-            if exposed_comm > 0.0:
-                tracer.add("exposed_comm", exposed_comm, category="comm")
-            tracer.add(
-                "optimizer",
-                opt_noisy,
-                category="optimizer",
-                attrs={"flops": opt_flops, "bytes": opt_bytes},
+            self.executor._trace_grad_update(
+                tracer, profile, opt_noisy, exposed_comm
             )
-            tracer.count("flops", opt_flops)
-            tracer.count("bytes", opt_bytes)
-            tracer.end(grad_phase)
 
         phases = PhaseTimes(
             forward=fwd, backward=bwd_end, grad_update=grad_phase

@@ -21,10 +21,8 @@ from repro.hardware.device import (
 )
 from repro.hardware.backend import (
     BACKEND_REGISTRY,
-    EdgeGpuBackend,
+    BackendSpec,
     ExecutionBackend,
-    MixedPrecisionBackend,
-    RooflineBackend,
     get_backend,
 )
 from repro.hardware.roofline import CostProfile, layer_times, profile_graph
@@ -45,10 +43,8 @@ __all__ = [
     "JETSON_XAVIER_NX",
     "DEVICE_PRESETS",
     "get_device",
+    "BackendSpec",
     "ExecutionBackend",
-    "RooflineBackend",
-    "EdgeGpuBackend",
-    "MixedPrecisionBackend",
     "BACKEND_REGISTRY",
     "get_backend",
     "CostProfile",

@@ -73,50 +73,22 @@ def training_memory_bytes(
 
 
 def check_fits(
-    profile: CostProfile,
-    batch: int,
-    device: DeviceSpec,
-    training: bool,
-    backend=None,
+    profile: CostProfile, batch: int, device: DeviceSpec, training: bool
 ) -> None:
     """Raise :class:`OutOfDeviceMemory` if the configuration cannot run.
 
-    With a ``backend`` (an :class:`~repro.hardware.backend.ExecutionBackend`),
-    its memory accounting decides: element widths, workspace policy, and
-    reserved carve-outs all come from the backend instead of the bare
-    fp32-on-``device`` defaults.
+    Checked under the default roofline accounting; other platforms gate
+    through :meth:`repro.hardware.backend.ExecutionBackend.check_fits`.
     """
-    if backend is not None:
-        needed = (
-            backend.training_memory_bytes(profile, batch)
-            if training
-            else backend.inference_memory_bytes(profile, batch)
-        )
-        available = backend.memory_available()
-    else:
-        needed = (
-            training_memory_bytes(profile, batch)
-            if training
-            else inference_memory_bytes(profile, batch)
-        )
-        available = device.memory_bytes * _HEADROOM
-    if needed > available:
-        mode = "training step" if training else "inference"
-        raise OutOfDeviceMemory(
-            needed, available, f"{profile.graph_name} batch={batch} {mode}"
-        )
+    from repro.hardware.backend import get_backend
+
+    get_backend("", device).check_fits(profile, batch, training)
 
 
 def fits(
-    profile: CostProfile,
-    batch: int,
-    device: DeviceSpec,
-    training: bool,
-    backend=None,
+    profile: CostProfile, batch: int, device: DeviceSpec, training: bool
 ) -> bool:
     """Boolean form of :func:`check_fits` for campaign filtering."""
-    try:
-        check_fits(profile, batch, device, training, backend=backend)
-    except OutOfDeviceMemory:
-        return False
-    return True
+    from repro.hardware.backend import get_backend
+
+    return get_backend("", device).fits(profile, batch, training)

@@ -246,10 +246,8 @@ def validate_bench_payload(payload: Any) -> list[str]:
     """Schema check of a bench document, dispatched on ``$.schema``.
 
     Validates ``BENCH_serve.json`` (``repro/serve-bench/v1``) directly
-    and delegates ``BENCH_campaign.json`` (``repro/campaign-bench/v1``)
-    to :func:`repro.benchdata.bench.validate_campaign_bench_payload` and
-    ``BENCH_leaderboard.json`` (``repro/leaderboard-bench/v1``) to
-    :func:`repro.baselines.eval.validate_leaderboard_payload`, so CI and
+    and delegates ``BENCH_leaderboard.json`` (``repro/leaderboard-bench/v1``)
+    to :func:`repro.baselines.eval.validate_leaderboard_payload`, so CI and
     tests share one entry point for every bench artifact instead of
     duplicating key lists.
 
@@ -259,16 +257,7 @@ def validate_bench_payload(payload: Any) -> list[str]:
         LEADERBOARD_SCHEMA,
         validate_leaderboard_payload,
     )
-    from repro.benchdata.bench import (
-        CAMPAIGN_BENCH_SCHEMA,
-        validate_campaign_bench_payload,
-    )
 
-    if (
-        isinstance(payload, dict)
-        and payload.get("schema") == CAMPAIGN_BENCH_SCHEMA
-    ):
-        return validate_campaign_bench_payload(payload)
     if (
         isinstance(payload, dict)
         and payload.get("schema") == LEADERBOARD_SCHEMA

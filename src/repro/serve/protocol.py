@@ -60,7 +60,6 @@ from repro.caching import LRUCache
 from repro.graph.passes import resolve_transform
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 from repro.hardware.device import DEVICE_PRESETS
-from repro.hardware.memory import fits
 from repro.hardware.roofline import CostProfile, zoo_profile
 from repro.serve.registry import SERVABLE_KINDS, ArtifactEntry
 from repro.zoo import get_entry
@@ -404,17 +403,15 @@ def _memory_note(
     """
     if not query.device and not query.backend:
         return []
-    backend = None
-    if query.backend:
-        preset = DEVICE_PRESETS[query.device] if query.device else None
-        backend = get_backend(query.backend, preset)
-        device = backend.device
-    else:
-        device = DEVICE_PRESETS[query.device]
-    if fits(profile, query.batch, device, training=training, backend=backend):
+    preset = DEVICE_PRESETS[query.device] if query.device else None
+    backend = get_backend(query.backend, preset)
+    if backend.fits(profile, query.batch, training=training):
         return []
-    under = f"{query.backend} backend on {device.name}" if query.backend \
+    under = (
+        f"{query.backend} backend on {backend.device.name}"
+        if query.backend
         else query.device
+    )
     return [
         f"configuration exceeds {under} memory at batch "
         f"{query.batch}; the prediction extrapolates past what the device "

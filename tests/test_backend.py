@@ -19,10 +19,7 @@ from repro.distributed.trainer import DistributedTrainer
 from repro.hardware.backend import (
     BACKEND_REGISTRY,
     EDGE_DEVICE_NAMES,
-    EdgeGpuBackend,
     ExecutionBackend,
-    MixedPrecisionBackend,
-    RooflineBackend,
     edge_backends,
     get_backend,
 )
@@ -53,11 +50,12 @@ class TestRegistry:
             assert info.name == name
             backend = get_backend(name)
             assert isinstance(backend, ExecutionBackend)
+            assert backend.spec is info
             assert backend.device == info.default_device
 
     def test_empty_name_is_default_roofline(self):
         backend = get_backend("")
-        assert isinstance(backend, RooflineBackend)
+        assert backend.spec is BACKEND_REGISTRY["roofline"]
         assert backend.device == A100_80GB
 
     def test_unknown_backend_raises_with_catalogue(self):
@@ -88,7 +86,7 @@ class TestRooflineBitIdentity:
     def test_executor_with_explicit_backend_is_identical(self, profile):
         plain = SimulatedExecutor(A100_80GB, seed=5)
         via_backend = SimulatedExecutor(
-            seed=5, backend=RooflineBackend(A100_80GB)
+            seed=5, backend=get_backend("roofline", A100_80GB)
         )
         for batch in (1, 8, 256):
             assert plain.measure_inference(profile, batch) == \
@@ -99,13 +97,13 @@ class TestRooflineBitIdentity:
                 (b.forward, b.backward, b.grad_update)
 
     def test_roofline_noise_tag_is_the_device_name(self):
-        backend = RooflineBackend(A100_80GB)
+        backend = get_backend("roofline", A100_80GB)
         assert backend.noise_tag == A100_80GB.name
 
     def test_executor_rejects_conflicting_device_and_backend(self):
         with pytest.raises(ValueError, match="device"):
             SimulatedExecutor(
-                XEON_GOLD_5318Y_CORE, backend=RooflineBackend(A100_80GB)
+                XEON_GOLD_5318Y_CORE, backend=get_backend("", A100_80GB)
             )
         with pytest.raises(ValueError):
             SimulatedExecutor()
@@ -149,32 +147,30 @@ class TestRooflineBitIdentity:
 
 class TestMixedPrecision:
     def test_fp16_forward_is_faster(self, profile):
-        fp32 = RooflineBackend(A100_80GB)
-        fp16 = MixedPrecisionBackend(A100_80GB, "fp16")
+        fp32 = get_backend("roofline", A100_80GB)
+        fp16 = get_backend("fp16", A100_80GB)
         for batch in (1, 64):
             assert fp16.forward_time_clean(profile, batch) < \
                 fp32.forward_time_clean(profile, batch)
 
     def test_fp16_noise_stream_differs_from_fp32(self, profile):
-        a = SimulatedExecutor(seed=5, backend=RooflineBackend(A100_80GB))
-        b = SimulatedExecutor(
-            seed=5, backend=MixedPrecisionBackend(A100_80GB, "fp16")
-        )
+        a = SimulatedExecutor(seed=5, backend=get_backend("", A100_80GB))
+        b = SimulatedExecutor(seed=5, backend=get_backend("fp16", A100_80GB))
         assert a.measure_inference(profile, 8) != b.measure_inference(
             profile, 8
         )
 
     def test_fp16_inference_memory_halves_activations(self, profile):
-        fp32 = RooflineBackend(A100_80GB)
-        fp16 = MixedPrecisionBackend(A100_80GB, "fp16")
+        fp32 = get_backend("roofline", A100_80GB)
+        fp16 = get_backend("fp16", A100_80GB)
         assert fp16.inference_memory_bytes(profile, 64) < \
             fp32.inference_memory_bytes(profile, 64)
 
     def test_fp16_training_memory_keeps_fp32_master_state(self, profile):
         # fp16 weights+grads plus fp32 master+moments total 16 B/param —
         # the same as fp32 Adam — so only the activation term shrinks.
-        fp32 = RooflineBackend(A100_80GB)
-        fp16 = MixedPrecisionBackend(A100_80GB, "fp16")
+        fp32 = get_backend("roofline", A100_80GB)
+        fp16 = get_backend("fp16", A100_80GB)
         assert fp16.training_memory_bytes(profile, 64) < \
             fp32.training_memory_bytes(profile, 64)
 
@@ -189,11 +185,9 @@ class TestMixedPrecision:
 
     def test_unsupported_precision_is_rejected(self):
         with pytest.raises(ValueError, match="does not support"):
-            MixedPrecisionBackend(XEON_GOLD_5318Y_CORE, "fp16")
-        with pytest.raises(ValueError):
-            MixedPrecisionBackend(
-                DEVICE_PRESETS["jetson-xavier-nx"], "bf16"
-            )
+            get_backend("fp16", XEON_GOLD_5318Y_CORE)
+        with pytest.raises(ValueError, match="does not support bf16"):
+            get_backend("bf16", DEVICE_PRESETS["jetson-xavier-nx"])
 
     def test_campaign_spec_validates_backend_device_pairing(self):
         with pytest.raises(ValueError):
@@ -212,7 +206,7 @@ class TestEdgeOOMBoundary:
     @pytest.mark.parametrize("training", (False, True),
                              ids=("inference", "training"))
     def test_first_failing_batch_is_exact(self, preset, training, profile):
-        backend = EdgeGpuBackend(DEVICE_PRESETS[preset])
+        backend = get_backend("edge", DEVICE_PRESETS[preset])
         available = backend.memory_available()
         need = (
             backend.training_memory_bytes
@@ -243,18 +237,20 @@ class TestEdgeOOMBoundary:
     def test_training_cliff_lands_inside_the_default_sweep(self, profile):
         # The smallest preset must OOM within the paper's batch range,
         # otherwise the campaign OOM machinery is never exercised.
-        smallest = EdgeGpuBackend(DEVICE_PRESETS[EDGE_DEVICE_NAMES[-1]])
+        smallest = get_backend(
+            "edge", DEVICE_PRESETS[EDGE_DEVICE_NAMES[-1]]
+        )
         assert not smallest.fits(
             profile, DEFAULT_BATCH_SIZES[-1], training=True
         )
 
     def test_edge_requires_a_gpu_device(self):
-        with pytest.raises(ValueError, match="GPU"):
-            EdgeGpuBackend(XEON_GOLD_5318Y_CORE)
+        with pytest.raises(ValueError, match="edge backend models GPUs"):
+            get_backend("edge", XEON_GOLD_5318Y_CORE)
 
     def test_edge_is_slower_and_noisier_than_plain_roofline(self, profile):
-        plain = RooflineBackend(JETSON_ORIN)
-        edge = EdgeGpuBackend(JETSON_ORIN)
+        plain = get_backend("roofline", JETSON_ORIN)
+        edge = get_backend("edge", JETSON_ORIN)
         assert edge.forward_time_clean(profile, 8) > \
             plain.forward_time_clean(profile, 8)
         assert edge.noise_sigma > plain.noise_sigma

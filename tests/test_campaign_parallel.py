@@ -172,6 +172,77 @@ class TestResume:
         assert second.stats.n_restored == second.stats.n_points
         assert second.dataset.records == first.dataset.records
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        spec = CampaignSpec(
+            scenario="inference",
+            models=("alexnet",),
+            device=A100_80GB,
+            batch_sizes=(1, 2, 4, 8),
+            image_sizes=(64,),
+            seed=17,
+        )
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, spec) as store:
+            fresh = run_campaign(spec, workers=1, store=store)
+        log = directory / "records.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        assert len(lines) == 4
+        log.write_text("".join(lines[:-1]) + lines[-1][:20])
+
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            first = run_campaign(spec, workers=1, store=store)
+        assert first.stats.n_executed == 1
+        # The re-measured point starts a line of its own, so the log is
+        # exactly the uninterrupted one and a further resume finds it all.
+        assert log.read_text() == "".join(lines)
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            second = run_campaign(spec, workers=1, store=store)
+        assert second.stats.n_executed == 0
+        assert first.dataset.records == fresh.dataset.records
+        assert second.dataset.records == fresh.dataset.records
+
+    def test_line_missing_its_newline_is_remeasured(self, tmp_path):
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, REFERENCE_SPEC) as store:
+            fresh = run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        log = directory / "records.jsonl"
+        complete = log.read_text()
+        log.write_text(complete.rstrip("\n"))  # parseable, unfinished
+        with CampaignStore.open(
+            directory, REFERENCE_SPEC, resume=True
+        ) as store:
+            resumed = run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        assert resumed.stats.n_executed == 1
+        assert resumed.dataset.records == fresh.dataset.records
+        assert log.read_text() == complete
+
+    def test_failed_manifest_write_keeps_previous_manifest(
+        self, tmp_path, monkeypatch, serial_result
+    ):
+        directory = tmp_path / "run"
+        real_write_text = Path.write_text
+
+        def crash_mid_write(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        store = CampaignStore.open(directory, REFERENCE_SPEC)
+        monkeypatch.setattr(Path, "write_text", crash_mid_write)
+        with pytest.raises(OSError, match="disk full"), store:
+            run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        monkeypatch.undo()
+
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        with CampaignStore.open(
+            directory, REFERENCE_SPEC, resume=True
+        ) as store:
+            resumed = run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        assert resumed.stats.n_executed == 0
+        assert resumed.dataset.records == serial_result.dataset.records
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["complete"] is True
+
     def test_parallel_resume_matches_serial_fresh(
         self, tmp_path, serial_result
     ):

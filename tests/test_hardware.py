@@ -235,8 +235,8 @@ class TestSimulatedExecutor:
 
     def test_backward_slower_than_forward(self, resnet_profile):
         ex = SimulatedExecutor(A100_80GB, seed=3)
-        clean_f = ex.forward_time_clean(resnet_profile, 64)
-        clean_b = ex.backward_time_clean(resnet_profile, 64)
+        clean_f = ex.backend.forward_time_clean(resnet_profile, 64)
+        clean_b = ex.backend.backward_time_clean(resnet_profile, 64)
         assert clean_b > clean_f
 
     def test_memory_enforcement(self):
@@ -256,9 +256,9 @@ class TestSimulatedExecutor:
         ex = SimulatedExecutor(A100_80GB)
         # DenseNet has ~30x the parameter tensors but ~8x fewer weights;
         # per-tensor launches must make it the slower update despite that.
-        assert ex.grad_update_time_clean(deep) > ex.grad_update_time_clean(
-            shallow
-        )
+        assert ex.backend.grad_update_time_clean(
+            deep
+        ) > ex.backend.grad_update_time_clean(shallow)
 
     def test_phase_times_backward_plus_update(self):
         p = PhaseTimes(forward=1.0, backward=2.0, grad_update=0.5)

@@ -19,6 +19,7 @@ from repro.analysis.perf import (
 )
 from repro.cli import main
 from repro.diagnostics import Severity
+from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 
 
 def rules_of(source: str, **kwargs) -> list[str]:
@@ -956,57 +957,107 @@ class TestTriageByteIdentity:
                 profile, batch, device
             ).tolist()
 
-    def test_clean_time_grids_vs_clean_components(self):
-        from repro.hardware.device import get_device
+    @pytest.mark.parametrize("backend", sorted(BACKEND_REGISTRY))
+    def test_clean_time_grids_vs_clean_components(self, backend):
         from repro.hardware.executor import SimulatedExecutor
         from repro.hardware.roofline import zoo_profile
 
         profile = zoo_profile("alexnet", 64)
-        executor = SimulatedExecutor(get_device("a100-80gb"), seed=3)
+        executor = SimulatedExecutor(seed=3, backend=get_backend(backend))
+        clean = executor.backend
         batches = (1, 8, 64)
         inference = executor.clean_time_grids(profile, batches)
         training = executor.clean_time_grids(profile, batches, training=True)
         for batch in batches:
             assert inference[batch] == (
-                executor.forward_time_clean(profile, batch),
+                clean.forward_time_clean(profile, batch),
             )
             assert training[batch] == (
-                executor.forward_time_clean(profile, batch),
-                executor.backward_time_clean(profile, batch),
-                executor.grad_update_time_clean(profile),
+                clean.forward_time_clean(profile, batch),
+                clean.backward_time_clean(profile, batch),
+                clean.grad_update_time_clean(profile),
             )
 
-    def test_campaign_grid_cache_records_identical(self):
-        from repro.benchdata import CampaignSpec, run_campaign
-        from repro.benchdata.engine import (
-            BLOCK_PROFILE_CACHE,
-            CLEAN_TIME_CACHE,
-            VERIFY_CACHE,
-        )
-        from repro.hardware.device import get_device
-        from repro.hardware.roofline import PROFILE_CACHE
+    @pytest.mark.parametrize(
+        "scenario", ("inference", "blocks", "training", "distributed")
+    )
+    @pytest.mark.parametrize("backend", sorted(BACKEND_REGISTRY))
+    def test_campaign_vs_point_reference(self, backend, scenario):
+        """The grid-cached campaign equals direct per-point measurements:
+        no clean-time grid, memory enforced by the executor itself."""
+        from repro.benchdata import CampaignSpec, enumerate_points, run_campaign
+        from repro.benchdata.engine import block_profile
+        from repro.distributed.cluster import ClusterSpec
+        from repro.distributed.trainer import DistributedTrainer
+        from repro.hardware.executor import SimulatedExecutor
+        from repro.hardware.memory import OutOfDeviceMemory
+        from repro.hardware.roofline import zoo_profile
 
+        device = BACKEND_REGISTRY[backend].default_device
         spec = CampaignSpec(
-            scenario="training",
-            models=("alexnet",),
-            device=get_device("a100-80gb"),
-            batch_sizes=(1, 8, 32),
-            image_sizes=(64,),
+            scenario=scenario,
+            models=("Bottleneck1",) if scenario == "blocks" else ("vgg16",),
+            device=device,
+            batch_sizes=(1, 8, 65536),
+            image_sizes=(64, 224),
             seed=37,
+            reps=2,
+            node_counts=(1, 2),
+            backend=backend,
         )
+        executor = SimulatedExecutor(
+            seed=spec.seed, backend=get_backend(backend, device)
+        )
+        expected = []
+        for point in enumerate_points(spec):
+            if scenario == "blocks":
+                profile = block_profile(point.model, point.image_size)
+            else:
+                profile = zoo_profile(point.model, point.image_size)
+            try:
+                if scenario in ("inference", "blocks"):
+                    times = (
+                        executor.measure_inference(
+                            profile, point.batch, rep=point.rep,
+                            clean_time=None,
+                        ),
+                        0.0,
+                        0.0,
+                    )
+                elif scenario == "training":
+                    phases = executor.measure_training_step(
+                        profile, point.batch, rep=point.rep, clean_times=None
+                    )
+                    times = (
+                        phases.forward, phases.backward, phases.grad_update
+                    )
+                else:
+                    cluster = ClusterSpec(
+                        nodes=point.nodes, gpus_per_node=spec.gpus_per_node,
+                        device=device,
+                    )
+                    phases = DistributedTrainer(
+                        cluster, seed=spec.seed, backend=executor.backend
+                    ).measure_step(profile, point.batch, rep=point.rep)
+                    times = (
+                        phases.forward, phases.backward, phases.grad_update
+                    )
+            except OutOfDeviceMemory:
+                continue
+            expected.append(
+                (point.model, point.image_size, point.batch, point.nodes,
+                 point.rep, *times)
+            )
 
-        def cold_run(grid_cache):
-            for cache in (
-                PROFILE_CACHE, BLOCK_PROFILE_CACHE, CLEAN_TIME_CACHE,
-                VERIFY_CACHE,
-            ):
-                cache.clear()
-            return run_campaign(spec, verify="off", grid_cache=grid_cache)
-
-        uncached = cold_run(grid_cache=False)
-        cached = cold_run(grid_cache=True)
-        assert cached.dataset.records == uncached.dataset.records
-        assert cached.stats.counters == uncached.stats.counters
+        result = run_campaign(spec, verify="off")
+        got = [
+            (r.model, r.image_size, r.batch, r.nodes, r.rep,
+             r.t_fwd, r.t_bwd, r.t_grad)
+            for r in result.dataset
+        ]
+        assert got == expected
+        n_oom = len(enumerate_points(spec)) - len(got)
+        assert result.stats.n_oom == n_oom > 0
 
     def test_pipeline_memoization_identical_and_idempotent(self):
         from repro.graph.passes import (

@@ -111,8 +111,8 @@ class TestRandomGraphInvariants:
         graph, _ = _build_random_graph(stages)
         ex = SimulatedExecutor(A100_80GB, seed=0)
         profile = profile_graph(graph)
-        assert ex.backward_time_clean(profile, 8) >= (
-            ex.forward_time_clean(profile, 8) - profile.n_layers * 1e-9
+        assert ex.backend.backward_time_clean(profile, 8) >= (
+            ex.backend.forward_time_clean(profile, 8) - profile.n_layers * 1e-9
         )
 
 
