@@ -39,7 +39,7 @@ IR009     INFO       edge-memory advisory: training the graph at the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.graph.graph import ComputeGraph, Node
@@ -55,6 +55,9 @@ from repro.graph.layers import (
     MaxPool2d,
 )
 from repro.graph.metrics import CostSummary, summarize_costs
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.hardware.roofline import CostProfile
 
 
 class GraphVerificationError(ValueError):
@@ -250,12 +253,18 @@ def _topology_broken(graph: ComputeGraph) -> bool:
 
 
 def check_metric_accounting(
-    graph: ComputeGraph, summary: CostSummary | None
+    graph: ComputeGraph,
+    summary: CostSummary | None,
+    costs: Callable[[], CostSummary] | None = None,
 ) -> Iterator[Diagnostic]:
+    """``costs`` returns the production-path summary
+    (:func:`summarize_costs`) — :func:`verify_graph` passes one memoised
+    thunk to both IR004 and IR006 so a graph is summarised once."""
     if _topology_broken(graph):
         return
     recomputed = _recompute_summary(graph)
-    candidates = [("summarize_costs", summarize_costs(graph))]
+    computed = costs() if costs is not None else summarize_costs(graph)
+    candidates = [("summarize_costs", computed)]
     if summary is not None:
         candidates.append(("supplied summary", summary))
     for source, candidate in candidates:
@@ -421,11 +430,16 @@ _PROBE_BATCHES = (2, 3, 7)
 
 
 def check_batch_scaling(
-    graph: ComputeGraph, summary: CostSummary | None
+    graph: ComputeGraph,
+    summary: CostSummary | None,
+    costs: Callable[[], CostSummary] | None = None,
 ) -> Iterator[Diagnostic]:
     if summary is None and _topology_broken(graph):
         return
-    base = summary if summary is not None else summarize_costs(graph)
+    if summary is not None:
+        base = summary
+    else:
+        base = costs() if costs is not None else summarize_costs(graph)
     linear = (
         "flops", "conv_input_elems", "conv_output_elems",
         "total_output_elems",
@@ -507,6 +521,7 @@ def check_edge_memory(
     graph: ComputeGraph,
     summary: CostSummary | None,
     min_batch: int = 1,
+    profile: "CostProfile | None" = None,
 ) -> Iterator[Diagnostic]:
     """Advisory: no registered edge-GPU preset can train this graph.
 
@@ -515,16 +530,19 @@ def check_edge_memory(
     would attempt.  When even that fails on every Jetson-class preset, an
     ``--backend edge`` campaign of this graph records nothing but OOM
     markers; the advisory says so before the sweep is paid for.  One INFO
-    per graph, like IR007.
+    per graph, like IR007.  ``profile`` is the graph's raw
+    :class:`~repro.hardware.roofline.CostProfile` when the caller already
+    holds it; otherwise the graph is profiled here.
     """
     from repro.hardware.backend import edge_backends
     from repro.hardware.roofline import profile_graph
 
-    try:
-        profile = profile_graph(graph)
-    except (ValueError, KeyError, TypeError):
-        # An uncostable graph is IR001-IR004 territory; nothing to add.
-        return
+    if profile is None:
+        try:
+            profile = profile_graph(graph)
+        except (ValueError, KeyError, TypeError):
+            # An uncostable graph is IR001-IR004 territory; nothing to add.
+            return
     backends = edge_backends()
     if any(b.fits(profile, min_batch, training=True) for b in backends):
         return
@@ -667,6 +685,7 @@ def verify_graph(
     summary: CostSummary | None = None,
     ignore: Iterable[str] = (),
     edge_batch: int = 1,
+    profile: "CostProfile | None" = None,
 ) -> list[Diagnostic]:
     """Run every IR rule over a graph; most severe findings first.
 
@@ -676,15 +695,32 @@ def verify_graph(
     against stale or corrupted caches.  ``ignore`` suppresses whole rule
     ids, the verifier's suppression mechanism.  ``edge_batch`` is the
     smallest batch size the caller would measure — IR009's coordinate
-    (campaigns pass ``min(spec.batch_sizes)``).
+    (campaigns pass ``min(spec.batch_sizes)``).  ``profile`` is the
+    graph's raw cost profile for IR009 when the caller already built it
+    (campaigns measure that same profile).
     """
     skip = frozenset(ignore)
+    summaries: list[CostSummary] = []
+
+    def costs() -> CostSummary:
+        # One production-path summary per call, shared by IR004 and IR006
+        # and computed on first use.
+        if not summaries:
+            summaries.append(summarize_costs(graph))
+        return summaries[0]
+
     found: list[Diagnostic] = []
     for rule in IR_RULES:
         if rule.rule in skip:
             continue
-        if rule.rule == "IR009":
-            found.extend(check_edge_memory(graph, summary, edge_batch))
+        if rule.rule == "IR004":
+            found.extend(check_metric_accounting(graph, summary, costs))
+        elif rule.rule == "IR006":
+            found.extend(check_batch_scaling(graph, summary, costs))
+        elif rule.rule == "IR009":
+            found.extend(
+                check_edge_memory(graph, summary, edge_batch, profile)
+            )
         else:
             found.extend(rule.check(graph, summary))
     return sort_diagnostics(found)

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, IO
 
 from repro.benchdata.records import TimingRecord
+from repro.fileio import write_text_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids cycle
     from repro.benchdata.engine import CampaignSpec, CampaignStats
@@ -38,14 +39,6 @@ _VERSION = 1
 
 class StoreMismatch(ValueError):
     """The store on disk was written by a different campaign spec."""
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    """Replace ``path`` whole: readers see the old manifest or the new one,
-    never a torn write."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, path)
 
 
 def _cut_torn_tail(path: Path) -> None:
@@ -99,15 +92,13 @@ class CampaignStore:
                 )
         else:
             store.directory.mkdir(parents=True, exist_ok=True)
-            _write_manifest(
-                manifest_path,
-                {
-                    "version": _VERSION,
-                    "fingerprint": spec.fingerprint(),
-                    "spec": spec.manifest(),
-                    "complete": False,
-                },
-            )
+            manifest = {
+                "version": _VERSION,
+                "fingerprint": spec.fingerprint(),
+                "spec": spec.manifest(),
+                "complete": False,
+            }
+            write_text_atomic(manifest_path, json.dumps(manifest, indent=2))
         return store
 
     def close(self) -> None:
@@ -181,4 +172,4 @@ class CampaignStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["complete"] = True
         manifest["stats"] = stats.to_dict()
-        _write_manifest(manifest_path, manifest)
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2))

@@ -31,6 +31,7 @@ from repro.core.training import (
     GradientUpdateModel,
     TrainingStepModel,
 )
+from repro.fileio import write_text_atomic
 
 _FORMAT_VERSION = 2
 _SUPPORTED_FORMATS = (1, 2)
@@ -231,7 +232,7 @@ def save_model(model: object, path: str | Path, audit: str = "warn") -> None:
             RuntimeWarning,
             stacklevel=2,
         )
-    Path(path).write_text(json.dumps(state, indent=2))
+    write_text_atomic(path, json.dumps(state, indent=2))
 
 
 def load_model(path: str | Path) -> object:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls as _scipy_nnls
 
 
 class ExtrapolationWarning(RuntimeWarning):
@@ -215,7 +214,11 @@ class LinearModel:
         if self.method == "ols":
             coef_s, *_ = np.linalg.lstsq(Xs, yw, rcond=None)
         elif self.method == "nnls":
-            coef_s, _ = _scipy_nnls(Xs, yw)
+            # Imported here: scipy.optimize is most of `import repro.cli`,
+            # and the default solver never needs it.
+            from scipy.optimize import nnls
+
+            coef_s, _ = nnls(Xs, yw)
         else:
             raise ValueError(f"unknown method {self.method!r}")
         self.coef = coef_s / scale

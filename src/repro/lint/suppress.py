@@ -62,6 +62,9 @@ class SuppressionIndex:
     def __init__(self, source: str) -> None:
         self._rules_by_line: dict[int, set[str]] = {}
         self._used: set[tuple[int, str]] = set()
+        if "repro-lint" not in source:
+            # SUPPRESS_PATTERN cannot match; skip tokenizing the file.
+            return
         for lineno, comment in iter_comment_tokens(source):
             match = SUPPRESS_PATTERN.search(comment)
             if match:

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.persistence import model_from_dict
+from repro.fileio import write_text_atomic
 
 #: Manifest schema version understood by this registry.
 MANIFEST_VERSION = 1
@@ -350,12 +351,13 @@ def write_manifest(
 ) -> Path:
     """Write a registry manifest; ``models`` maps name -> {file, device?}."""
     path = Path(root) / MANIFEST_NAME
-    path.write_text(
+    write_text_atomic(
+        path,
         json.dumps(
             {"version": MANIFEST_VERSION, "models": models},
             indent=2,
             sort_keys=True,
         )
-        + "\n"
+        + "\n",
     )
     return path

@@ -403,3 +403,98 @@ class TestStatsCounters:
         text = serial_result.stats.summary()
         assert "points/s" in text
         assert "hits" in text
+
+
+def _fresh_profile_caches(monkeypatch):
+    """Swap in empty profile and verdict caches: a cold process."""
+    from repro.benchdata import engine
+    from repro.caching import LRUCache
+    from repro.hardware import roofline
+
+    profiles = LRUCache(maxsize=512)
+    monkeypatch.setattr(roofline, "PROFILE_CACHE", profiles)
+    monkeypatch.setattr(engine, "PROFILE_CACHE", profiles)
+    monkeypatch.setattr(engine, "BLOCK_PROFILE_CACHE", LRUCache(maxsize=256))
+    monkeypatch.setattr(engine, "VERIFY_CACHE", LRUCache(maxsize=512))
+
+
+SMALL = dict(
+    device=A100_80GB, batch_sizes=(1, 32), image_sizes=(64, 128), seed=5
+)
+VERIFY_EQUIVALENCE_SPECS = {
+    "training": CampaignSpec(
+        scenario="training", models=("alexnet", "resnet18"), **SMALL
+    ),
+    "inference": CampaignSpec(
+        scenario="inference", models=("mobilenet_v2", "resnet18"), **SMALL
+    ),
+    "blocks": CampaignSpec(
+        scenario="blocks", models=("BasicBlock7", "MBConv"), **SMALL
+    ),
+    "fused": CampaignSpec(
+        scenario="inference", models=("resnet18", "mobilenet_v2"),
+        transform="inference", **SMALL
+    ),
+}
+
+
+class TestVerifiedGraphsAreMeasured:
+    """Verification builds and profiles each graph once; the sweep measures
+    those very profiles."""
+
+    def test_one_build_per_graph_and_no_profiling_in_the_sweep(
+        self, monkeypatch
+    ):
+        import repro.zoo
+        from repro.benchdata import engine
+        from repro.hardware import roofline
+
+        _fresh_profile_caches(monkeypatch)
+        builds: list[tuple[str, int]] = []
+        measuring_profiles = []
+        measuring = []
+        build_model = repro.zoo.build_model
+        profile_graph = roofline.profile_graph
+        run_verification = engine._run_verification
+
+        def counting_build(name, image_size=224, *args, **kwargs):
+            builds.append((name, image_size))
+            return build_model(name, image_size, *args, **kwargs)
+
+        def counting_profile(*args, **kwargs):
+            if measuring:
+                measuring_profiles.append(args[0].name)
+            return profile_graph(*args, **kwargs)
+
+        def verification_then_measure(*args, **kwargs):
+            errors = run_verification(*args, **kwargs)
+            measuring.append(True)
+            return errors
+
+        monkeypatch.setattr(repro.zoo, "build_model", counting_build)
+        monkeypatch.setattr(roofline, "profile_graph", counting_profile)
+        monkeypatch.setattr(engine, "profile_graph", counting_profile)
+        monkeypatch.setattr(
+            engine, "_run_verification", verification_then_measure
+        )
+        spec = VERIFY_EQUIVALENCE_SPECS["training"]
+        result = run_campaign(spec, workers=1, verify="warn")
+        unique = {(p.model, p.image_size) for p in enumerate_points(spec)}
+        assert sorted(builds) == sorted(unique)
+        assert measuring_profiles == []
+        assert result.stats.cache.hit_rate == 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(VERIFY_EQUIVALENCE_SPECS))
+    def test_records_identical_with_and_without_verification(
+        self, monkeypatch, name, workers
+    ):
+        spec = VERIFY_EQUIVALENCE_SPECS[name]
+        _fresh_profile_caches(monkeypatch)
+        verified = run_campaign(spec, workers=workers, verify="warn")
+        _fresh_profile_caches(monkeypatch)
+        unverified = run_campaign(spec, workers=workers, verify="off")
+        assert verified.dataset.records
+        assert _dataset_bytes(verified.dataset) == _dataset_bytes(
+            unverified.dataset
+        )

@@ -103,6 +103,35 @@ class TestLinearModel:
         model = LinearModel(method="nnls", weighting="none").fit(X, y)
         assert model.coef[0] == 0.0
 
+    def test_nnls_matches_scipy_on_the_scaled_design(self):
+        # The solver is imported at its call site; the fit must equal a
+        # direct scipy call on the same column-scaled, weighted system.
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(3)
+        X = np.hstack([rng.uniform(1, 1e9, (40, 2)), np.ones((40, 1))])
+        y = X @ np.array([2e-9, 5e-10, 0.3]) + rng.uniform(0, 0.1, 40)
+        model = LinearModel(method="nnls").fit(X, y)
+        w = 1.0 / y
+        Xw, yw = X * w[:, None], y * w
+        scale = np.abs(Xw).max(axis=0)
+        coef_s, _ = nnls(Xw / scale, yw)
+        np.testing.assert_array_equal(model.coef, coef_s / scale)
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_relative_weighting_balances_scales(self):
         # Two regimes: tiny and huge targets from the same relation plus a
         # constant bias on the huge ones.  Plain OLS chases the huge rows;

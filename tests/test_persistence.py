@@ -191,3 +191,64 @@ class TestErrors:
     def test_unserialisable_type(self):
         with pytest.raises(TypeError):
             model_to_dict(object())
+
+
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """Make every ``Path.write_text`` write half its text, then fail."""
+
+    def torn(self, data, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+
+
+class TestAtomicWrites:
+    """A write that dies midway leaves the previous document intact."""
+
+    @staticmethod
+    def _only(directory: Path, name: str) -> None:
+        assert sorted(p.name for p in directory.iterdir()) == [name]
+
+    def test_save_model_keeps_previous_artifact(self, data, tmp_path,
+                                                request):
+        path = tmp_path / "model.json"
+        save_model(ForwardModel().fit(data), path)
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            save_model(ForwardModel(metric_names=("flops",)).fit(data), path)
+        assert path.read_bytes() == before
+        self._only(tmp_path, "model.json")
+
+    def test_registry_manifest_survives(self, tmp_path, request):
+        from repro.serve.registry import MANIFEST_NAME, write_manifest
+
+        path = write_manifest(tmp_path, {"default": {"file": "a.json"}})
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            write_manifest(tmp_path, {"other": {"file": "b.json"}})
+        assert path.read_bytes() == before
+        self._only(tmp_path, MANIFEST_NAME)
+
+    def test_store_manifest_survives_finalize(self, tmp_path, request):
+        from repro.benchdata.engine import CampaignSpec, run_campaign
+        from repro.benchdata.store import CampaignStore
+        from repro.hardware.device import A100_80GB
+
+        spec = CampaignSpec(
+            scenario="inference", models=("alexnet",), device=A100_80GB,
+            batch_sizes=(1, 2), image_sizes=(64,),
+        )
+        store = CampaignStore.open(tmp_path / "store", spec)
+        manifest = tmp_path / "store" / "manifest.json"
+        before = manifest.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(spec, store=store)
+        assert manifest.read_bytes() == before
+        assert not json.loads(before)["complete"]
+        assert not (tmp_path / "store" / ".manifest.json.tmp").exists()

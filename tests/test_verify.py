@@ -189,6 +189,53 @@ class TestMutationsFireExactRules:
         assert verify_graph(g, ignore=["IR005"]) == []
 
 
+class TestSharedWork:
+    """verify_graph summarises a graph once and reuses a supplied profile."""
+
+    def test_summarize_costs_runs_once(self, monkeypatch):
+        from repro.analysis.verify import rules
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.name)
+            return summarize_costs(graph)
+
+        monkeypatch.setattr(rules, "summarize_costs", counting)
+        verify_graph(small_graph())
+        assert calls == ["tiny"]
+
+    def test_ir004_still_checks_the_production_summary(self, monkeypatch):
+        from repro.analysis.verify import rules
+
+        monkeypatch.setattr(
+            rules,
+            "summarize_costs",
+            lambda g: dataclasses.replace(
+                summarize_costs(g), flops=2 * summarize_costs(g).flops
+            ),
+        )
+        diags = verify_graph(small_graph())
+        ir004 = [d for d in diags if d.rule == "IR004"]
+        assert len(ir004) == 1
+        assert "FLOPs (F) from summarize_costs" in ir004[0].message
+
+    def test_ir009_uses_the_supplied_profile(self, monkeypatch):
+        from repro.hardware import roofline
+        from repro.zoo import build_model
+
+        big = roofline.profile_graph(build_model("vgg16", 224))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("IR009 re-profiled a supplied profile")
+
+        monkeypatch.setattr(roofline, "profile_graph", refuse)
+        # The small graph fits every edge preset on its own; the supplied
+        # (vgg16) profile is what IR009 judges.
+        diags = verify_graph(small_graph(), edge_batch=2048, profile=big)
+        assert [d.rule for d in diags if d.rule == "IR009"] == ["IR009"]
+
+
 class TestVerifyModelEntryPoint:
     def test_unknown_model_reports_diagnostic_not_exception(self):
         diags = verify_model("no-such-net")
@@ -378,6 +425,23 @@ class TestCampaignVerification:
     def test_strict_refuses_broken_graph(self, monkeypatch):
         name = _register_broken_model(monkeypatch, "brokennet-strict")
         with pytest.raises(GraphVerificationError, match="IR001"):
+            run_campaign(self._spec(name), verify="strict")
+
+    def test_strict_refuses_uncostable_graph(self, monkeypatch):
+        # Verification profiles the graph it verifies; a graph that cannot
+        # be costed must still end in diagnostics, not a bare KeyError.
+        def builder(image_size: int, num_classes: int = 1000):
+            g = small_graph()
+            node = g.node("fc")
+            g._nodes["fc"] = dataclasses.replace(node, inputs=("ghost",))
+            return g
+
+        name = "ghostnet-strict"
+        monkeypatch.setitem(
+            registry._REGISTRY, name,
+            registry.ModelEntry(name, builder, 8, "test", name),
+        )
+        with pytest.raises(GraphVerificationError, match="IR003"):
             run_campaign(self._spec(name), verify="strict")
 
     def test_warn_measures_but_counts_errors(self, monkeypatch):
