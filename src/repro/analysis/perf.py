@@ -80,6 +80,7 @@ _HOT_ROOT_NAMES: dict[str, str] = {
     "trace_campaign": "campaign trace driver",
     "profile_graph": "graph profiling",
     "zoo_profile": "zoo profiling",
+    "graph_record": "graph record lookup",
     "layer_times": "roofline kernel",
     "measure_inference": "simulated measurement",
     "measure_training_step": "simulated measurement",
@@ -157,6 +158,9 @@ _BATCHABLE: dict[str, str] = {
     "zoo_profile":
         "profile once per model outside the sweep loop (the profile "
         "cache hides the cost only after the first miss)",
+    "graph_record":
+        "look the record up once per graph outside the sweep loop (the "
+        "record cache hides the cost only after the first miss)",
     "profile_graph":
         "profile once per graph outside the sweep loop",
     "measure_inference":

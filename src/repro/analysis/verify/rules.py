@@ -255,31 +255,28 @@ def _topology_broken(graph: ComputeGraph) -> bool:
 def check_metric_accounting(
     graph: ComputeGraph,
     summary: CostSummary | None,
-    costs: Callable[[], CostSummary] | None = None,
+    source: str = "supplied summary",
 ) -> Iterator[Diagnostic]:
-    """``costs`` returns the production-path summary
-    (:func:`summarize_costs`) — :func:`verify_graph` passes one memoised
-    thunk to both IR004 and IR006 so a graph is summarised once."""
+    """The production summary — ``summary``, or :func:`summarize_costs`
+    without one — must equal independent recomputation.  ``source`` names
+    it in the message."""
     if _topology_broken(graph):
         return
+    if summary is None:
+        summary, source = summarize_costs(graph), "summarize_costs"
     recomputed = _recompute_summary(graph)
-    computed = costs() if costs is not None else summarize_costs(graph)
-    candidates = [("summarize_costs", computed)]
-    if summary is not None:
-        candidates.append(("supplied summary", summary))
-    for source, candidate in candidates:
-        for attr, label in _METRIC_FIELDS:
-            got, want = getattr(candidate, attr), getattr(recomputed, attr)
-            if got != want:
-                yield Diagnostic(
-                    "IR004",
-                    Severity.ERROR,
-                    _loc(graph),
-                    f"{label} from {source} is {got}, but independent "
-                    f"per-layer recomputation gives {want}",
-                    hint="a layer is double-counted or dropped "
-                    "(fused-block accounting is the usual culprit)",
-                )
+    for attr, label in _METRIC_FIELDS:
+        got, want = getattr(summary, attr), getattr(recomputed, attr)
+        if got != want:
+            yield Diagnostic(
+                "IR004",
+                Severity.ERROR,
+                _loc(graph),
+                f"{label} from {source} is {got}, but independent "
+                f"per-layer recomputation gives {want}",
+                hint="a layer is double-counted or dropped "
+                "(fused-block accounting is the usual culprit)",
+            )
 
 
 # -- IR005: parameter sanity ---------------------------------------------------
@@ -430,16 +427,12 @@ _PROBE_BATCHES = (2, 3, 7)
 
 
 def check_batch_scaling(
-    graph: ComputeGraph,
-    summary: CostSummary | None,
-    costs: Callable[[], CostSummary] | None = None,
+    graph: ComputeGraph, summary: CostSummary | None
 ) -> Iterator[Diagnostic]:
-    if summary is None and _topology_broken(graph):
-        return
-    if summary is not None:
-        base = summary
-    else:
-        base = costs() if costs is not None else summarize_costs(graph)
+    if summary is None:
+        if _topology_broken(graph):
+            return
+        summary = summarize_costs(graph)
     linear = (
         "flops", "conv_input_elems", "conv_output_elems",
         "total_output_elems",
@@ -447,7 +440,7 @@ def check_batch_scaling(
     invariant = ("weights", "layers")
     for batch in _PROBE_BATCHES:
         try:
-            scaled = base.at_batch(batch)
+            scaled = summary.at_batch(batch)
         except (ValueError, TypeError) as exc:
             yield Diagnostic(
                 "IR006",
@@ -457,26 +450,26 @@ def check_batch_scaling(
             )
             return
         for attr in linear:
-            if getattr(scaled, attr) != batch * getattr(base, attr):
+            if getattr(scaled, attr) != batch * getattr(summary, attr):
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
                     _loc(graph),
                     f"{attr} is not linear in the batch size: "
                     f"at_batch({batch}) gives {getattr(scaled, attr)}, "
-                    f"expected {batch * getattr(base, attr)}",
+                    f"expected {batch * getattr(summary, attr)}",
                     hint="ConvMeter's b·(c1·F + c2·I + c3·O) regression "
                     "requires exact linearity",
                 )
         for attr in invariant:
-            if getattr(scaled, attr) != getattr(base, attr):
+            if getattr(scaled, attr) != getattr(summary, attr):
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
                     _loc(graph),
                     f"{attr} changed under batching: at_batch({batch}) "
                     f"gives {getattr(scaled, attr)}, expected the "
-                    f"batch-invariant {getattr(base, attr)}",
+                    f"batch-invariant {getattr(summary, attr)}",
                 )
 
 
@@ -689,34 +682,34 @@ def verify_graph(
 ) -> list[Diagnostic]:
     """Run every IR rule over a graph; most severe findings first.
 
-    ``summary`` optionally supplies an externally cached metric summary
-    (for example derived from a :class:`~repro.hardware.roofline.
-    CostProfile`) to cross-check against fresh recomputation — the defence
-    against stale or corrupted caches.  ``ignore`` suppresses whole rule
-    ids, the verifier's suppression mechanism.  ``edge_batch`` is the
-    smallest batch size the caller would measure — IR009's coordinate
-    (campaigns pass ``min(spec.batch_sizes)``).  ``profile`` is the
-    graph's raw cost profile for IR009 when the caller already built it
-    (campaigns measure that same profile).
+    ``summary`` is the production metric summary when the caller holds
+    one — a campaign passes the summary of the cached
+    :class:`~repro.hardware.roofline.GraphRecord` it measures.  IR004
+    checks it against independent per-layer recomputation (the defence
+    against stale or corrupted caches) and IR006 scales it; only without
+    one does the verifier compute :func:`summarize_costs` itself.
+    ``ignore`` suppresses whole rule ids, the verifier's suppression
+    mechanism.  ``edge_batch`` is the smallest batch size the caller would
+    measure — IR009's coordinate (campaigns pass
+    ``min(spec.batch_sizes)``).  ``profile`` is the graph's raw cost
+    profile for IR009 when the caller already built it (campaigns measure
+    that same profile).
     """
     skip = frozenset(ignore)
-    summaries: list[CostSummary] = []
-
-    def costs() -> CostSummary:
-        # One production-path summary per call, shared by IR004 and IR006
-        # and computed on first use.
-        if not summaries:
-            summaries.append(summarize_costs(graph))
-        return summaries[0]
-
+    source = "supplied summary"
+    if (
+        summary is None
+        and not {"IR004", "IR006"} <= skip
+        and not _topology_broken(graph)
+    ):
+        # One production-path summary, shared by IR004 and IR006.
+        summary, source = summarize_costs(graph), "summarize_costs"
     found: list[Diagnostic] = []
     for rule in IR_RULES:
         if rule.rule in skip:
             continue
         if rule.rule == "IR004":
-            found.extend(check_metric_accounting(graph, summary, costs))
-        elif rule.rule == "IR006":
-            found.extend(check_batch_scaling(graph, summary, costs))
+            found.extend(check_metric_accounting(graph, summary, source))
         elif rule.rule == "IR009":
             found.extend(
                 check_edge_memory(graph, summary, edge_batch, profile)

@@ -26,7 +26,7 @@ from repro.graph.layers import Activation, Concat, Conv2d
 from repro.hardware.device import A100_80GB, DeviceSpec
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.memory import fits
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo.registry import build_model
 
 
@@ -119,8 +119,8 @@ class DippmSurrogate:
                 check_graph_supported(graph)
             except GraphUnsupportedError:
                 continue
-            profile = zoo_profile(name, self.TRAIN_IMAGE)
-            features = ConvNetFeatures.from_profile(profile)
+            record = graph_record("model", name, self.TRAIN_IMAGE, graph=graph)
+            profile, features = record.profile, record.features
             for batch in self.TRAIN_BATCHES:
                 if not fits(profile, batch, self.device, training=False):
                     continue
@@ -150,8 +150,7 @@ class DippmSurrogate:
         image = image_size if image_size is not None else self.TRAIN_IMAGE
         graph = build_model(model_name, image)
         check_graph_supported(graph)
-        profile = zoo_profile(model_name, image)
-        features = ConvNetFeatures.from_profile(profile)
+        features = graph_record("model", model_name, image, graph=graph).features
         x = _feature_vector(features, batch)
         mean, std = self._norm
         xn = (x - mean) / std

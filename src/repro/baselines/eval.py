@@ -39,6 +39,7 @@ from repro.benchdata.campaign import (
 )
 from repro.benchdata.records import Dataset, TimingRecord
 from repro.core.loo import LeaveOneOutResult, leave_one_out
+from repro.fileio import write_text_atomic
 
 #: Schema identifier stamped into every leaderboard payload.
 LEADERBOARD_SCHEMA = "repro/leaderboard-bench/v1"
@@ -370,8 +371,8 @@ def write_leaderboard(payload: dict[str, Any], path: str | Path) -> None:
             "refusing to write an invalid leaderboard payload: "
             + "; ".join(problems)
         )
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_text_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
 

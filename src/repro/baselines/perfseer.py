@@ -45,7 +45,9 @@ BUCKETS = ("conv", "conv_dw", "conv_pw", "linear", "other")
 _COMPONENTS = ("flops", "inputs", "outputs")
 
 #: Bounded cache of per-(model, image, rounds) structural features — the
-#: graph walk runs once per architecture/image, not once per record.
+#: graph walk runs once per architecture/image, not once per record.  It
+#: cannot read the shared graph record: message passing needs the graph's
+#: edges, which a record does not keep.
 STRUCTURE_CACHE: LRUCache[
     tuple[str, int, int], tuple[dict[str, tuple[float, float, float]],
                                 float, float]

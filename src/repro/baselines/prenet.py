@@ -30,7 +30,7 @@ from repro.extensions.transformer import (
     transformer_features,
     workload_decomposition,
 )
-from repro.zoo.registry import build_model
+from repro.hardware.roofline import zoo_profile
 
 _MAGNITUDE_FEATURES = (
     "b*flops", "b*inputs", "b*outputs", "weights", "batch", "image",
@@ -39,7 +39,7 @@ _SHARE_FEATURES = tuple(f"share.{g}" for g in WORKLOAD_GROUPS)
 _FORWARD_FEATURES = ("b*flops", "b*inputs", "b*outputs")
 
 #: Bounded cache of per-(model, image) transformer-aware features and
-#: workload shares — one graph build per architecture/image.
+#: workload shares, derived from the shared graph record's profile.
 WORKLOAD_CACHE: LRUCache[
     tuple[str, int], tuple[tuple[float, float, float, float], tuple[float, ...]]
 ] = LRUCache(maxsize=256)
@@ -47,9 +47,9 @@ WORKLOAD_CACHE: LRUCache[
 
 def _workload(model: str, image: int):
     def build():
-        graph = build_model(model, image)
-        f = transformer_features(graph)
-        shares = workload_decomposition(graph)
+        profile = zoo_profile(model, image)
+        f = transformer_features(profile)
+        shares = workload_decomposition(profile)
         return (
             (f.flops, f.inputs, f.outputs, f.weights),
             tuple(shares[g] for g in WORKLOAD_GROUPS),

@@ -14,17 +14,17 @@ sweep into an explicit point list and executes it through one engine:
   point index, so parallel runs are byte-identical to serial ones; all
   measurement noise is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
-* **Memoisation** — graph profiles are built once per ``(model, image)``
-  per process through the bounded caches here and in
-  :mod:`repro.hardware.roofline`; per-point cache deltas are aggregated
-  across workers so the reported hit rate covers the whole campaign.
+* **Memoisation** — each graph is built and costed once per process into
+  :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`; per-point cache
+  deltas are aggregated across workers so the reported hit rate covers
+  the whole campaign.
 * **Resume** — with a :class:`repro.benchdata.store.CampaignStore`
   attached, each point's records (including the empty record lists of
   memory-gated points) are appended to a JSONL log as they complete;
   rerunning skips everything already on disk and appends only the rest.
 * **Verification** — before measuring, :func:`run_campaign` runs the graph
   IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
-  sweep will touch, and leaves each verified graph's profile in the cache
+  sweep will touch, and leaves each verified graph's record in the cache
   the sweep reads.  ``verify="strict"`` refuses to measure a graph with
   ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
   warning and records the error count in :class:`CampaignStats`.
@@ -40,23 +40,25 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.benchdata.records import ConvNetFeatures, Dataset, TimingRecord
+from repro.benchdata.records import Dataset, TimingRecord
 from repro.caching import CacheStats, LRUCache
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.trainer import DistributedTrainer
 from repro.graph.graph import ComputeGraph
+from repro.graph.passes import resolve_transform
+from repro.hardware import roofline
 from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
 from repro.hardware.device import DeviceSpec
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.roofline import (
-    PROFILE_CACHE,
     CostProfile,
-    profile_graph,
-    zoo_profile,
+    GraphRecord,
+    build_graph,
+    graph_record,
 )
 from repro.trace.tracer import merge_counters
-from repro.zoo.blocks import BLOCK_CATALOGUE, build_block
+from repro.zoo.blocks import BLOCK_CATALOGUE
 from repro.zoo.registry import get_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
@@ -65,34 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
 
 SCENARIOS = ("inference", "training", "distributed", "blocks")
 
-#: Bounded cache of Table 2 block profiles, keyed ``(block, image_size)``.
-BLOCK_PROFILE_CACHE: LRUCache[tuple[str, int], CostProfile] = LRUCache(
-    maxsize=256
-)
-
-
-def _build_block(block_name: str, image_size: int) -> ComputeGraph:
-    for spec in BLOCK_CATALOGUE:
-        if spec.name == block_name:
-            return build_block(spec, image_size)
-    raise KeyError(f"unknown block {block_name!r}")
-
 
 def block_profile(block_name: str, image_size: int) -> CostProfile:
     """Cached cost profile of a Table 2 block at a given parent image size."""
-    return BLOCK_PROFILE_CACHE.get_or_compute(
-        (block_name, image_size),
-        lambda: profile_graph(_build_block(block_name, image_size)),
-    )
-
-
-def engine_cache_stats() -> CacheStats:
-    """Combined counters of the profile caches the engine draws from.
-
-    Deliberately excludes :data:`CLEAN_TIME_CACHE`: campaign stats have
-    always reported *profile*-cache behaviour.
-    """
-    return PROFILE_CACHE.stats() + BLOCK_PROFILE_CACHE.stats()
+    return graph_record("block", block_name, image_size).profile
 
 
 #: Bounded cache of clean-time grids, keyed by everything the noise-free
@@ -101,7 +79,8 @@ def engine_cache_stats() -> CacheStats:
 #: One entry holds the whole batch sweep of a ``(model, image_size)`` pair,
 #: computed from a single batched roofline evaluation per phase — so a
 #: campaign pays the per-layer arithmetic once per model, not once per
-#: point.
+#: point.  Kept apart from the graph record cache: its key adds the device,
+#: backend and batch sweep.
 CLEAN_TIME_CACHE: LRUCache[
     tuple[str, str, str, str, str, int, tuple[int, ...]],
     dict[int, tuple[float, ...]],
@@ -196,8 +175,6 @@ class CampaignSpec:
                 raise ValueError(
                     "transform is not supported for the blocks scenario"
                 )
-            from repro.graph.passes import resolve_transform
-
             resolve_transform(self.transform)  # KeyError on unknown passes
         if self.backend:
             # Builds once to validate the name *and* the device pairing
@@ -286,27 +263,27 @@ def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
 
 VERIFY_MODES = ("off", "warn", "strict")
 
-#: Cached verification verdicts, keyed like the profile caches so a sweep
-#: verifies each unique graph once per process, not once per point.  The
-#: key carries the transform string and the IR007 gate, so raw and fused
-#: sweeps of the same graph cache separate verdicts.
+#: Cached verification verdicts: a sweep verifies each unique graph once
+#: per process.  Kept apart from the graph record cache: verdicts depend on
+#: campaign policy (transform, IR007 gate and IR009 edge batch are in the
+#: key) and need the graph, which a record does not hold.
 VERIFY_CACHE: LRUCache[
     tuple[str, str, int, str, bool, int], tuple[Diagnostic, ...]
 ] = LRUCache(maxsize=512)
 
 
-def _profile_into(
-    cache: LRUCache, key: tuple, graph: ComputeGraph
-) -> CostProfile | None:
-    """Profile ``graph`` into the cache slot the measuring loop reads.
+def _verify_with_record(
+    graph: ComputeGraph, record: Callable[[], GraphRecord], **kwargs
+) -> list[Diagnostic]:
+    """Verify ``graph`` against the record the sweep will measure; an
+    uncostable graph has none, and IR001–IR004 report why."""
+    from repro.analysis.verify import verify_graph
 
-    ``None`` when the graph cannot be costed: IR001–IR004 report why, and
-    the measuring loop raises on its own if it gets that far.
-    """
     try:
-        return cache.get_or_compute(key, lambda: profile_graph(graph))
+        r = record()
     except (ValueError, KeyError, TypeError):
-        return None
+        return verify_graph(graph, **kwargs)
+    return verify_graph(graph, summary=r.summary, profile=r.profile, **kwargs)
 
 
 def _verify_graph_cached(
@@ -320,51 +297,38 @@ def _verify_graph_cached(
     def build() -> tuple[Diagnostic, ...]:
         # Imported lazily: repro.analysis pulls in repro.core, which imports
         # this package's records module — a cycle at module-import time.
-        from repro.analysis.verify import verify_graph, verify_transform
+        from repro.analysis.verify import verify_transform
 
         # The verified graph instance is the one the sweep measures: its
-        # profile goes into the slot _point_profile reads, so a verified
-        # cold campaign builds and profiles each graph once.
-        if kind == "block":
-            graph = _build_block(name, image_size)
-            profile = _profile_into(
-                BLOCK_PROFILE_CACHE, (name, image_size), graph
-            )
-        else:
-            from repro.zoo import build_model
-
-            graph = build_model(name, image_size)
-            profile = _profile_into(
-                PROFILE_CACHE, (name, image_size, ""), graph
-            )
+        # record goes into the slot _measure_point reads, so a verified
+        # cold campaign builds and costs each graph once.
+        graph = build_graph(kind, name, image_size)
         # IR007 (fold your BatchNorms) is only actionable advice for raw
         # inference sweeps; training needs live BatchNorm and a fused sweep
         # already took the advice.
-        ignore = () if advise_fusion else ("IR007",)
-        found = list(
-            verify_graph(
-                graph, ignore=ignore, edge_batch=edge_batch, profile=profile
-            )
+        found = _verify_with_record(
+            graph,
+            lambda: graph_record(kind, name, image_size, graph=graph),
+            ignore=() if advise_fusion else ("IR007",),
+            edge_batch=edge_batch,
         )
-        if transform:
-            from repro.graph.passes import resolve_transform
-
-            pipeline = resolve_transform(transform)
-            assert pipeline is not None
-            # PassPipeline.run is memoised, so this is the very graph
-            # zoo_profile(name, image_size, pipeline) would cost.
+        pipeline = resolve_transform(transform)
+        if pipeline is not None:
+            # PassPipeline.run is memoised, so this is the very graph the
+            # fused record is costed from.
             transformed = pipeline.run(graph).graph
-            _profile_into(
-                PROFILE_CACHE,
-                (name, image_size, pipeline.fingerprint()),
-                transformed,
-            )
             # Both halves of the contract: the rewritten graph is itself a
             # well-formed IR, and the rewrite preserved the semantics.
             # IR009 is skipped on the fused half — one edge-memory advisory
             # per graph is enough.
             found.extend(
-                verify_graph(transformed, ignore=("IR007", "IR009"))
+                _verify_with_record(
+                    transformed,
+                    lambda: graph_record(
+                        kind, name, image_size, pipeline, graph
+                    ),
+                    ignore=("IR007", "IR009"),
+                )
             )
             found.extend(verify_transform(graph, transformed))
         return tuple(sort_diagnostics(found))
@@ -377,14 +341,14 @@ def _verify_graph_cached(
 def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
     """Verify every unique graph a campaign will measure.
 
-    The verdicts are cached per ``(model, image_size)``, mirroring the
-    profile caches.  Verification builds each unique graph once and leaves
-    its profile (the fused one too, for transformed campaigns) in the
-    profile cache the sweep reads, so the measuring loop neither rebuilds
-    nor re-profiles it; what verification adds on top is the rule work
-    itself, about a sixth of a cold training campaign.  For transformed
-    campaigns each graph is verified twice — raw and after the pipeline —
-    plus the IR008 preservation check across the pair.
+    The verdicts are cached per ``(model, image_size)``.  Verification
+    builds each unique graph once and leaves its record (the fused one
+    too, for transformed campaigns) in the record cache the sweep reads,
+    so the measuring loop neither rebuilds nor re-costs it, and IR004
+    checks the very summary the record carries; what verification adds on
+    top is the rule work itself.  For transformed campaigns each graph is
+    verified twice — raw and after the pipeline — plus the IR008
+    preservation check across the pair.
     """
     kind = "block" if spec.scenario == "blocks" else "model"
     advise_fusion = spec.scenario == "inference" and not spec.transform
@@ -428,20 +392,13 @@ def _run_verification(spec: CampaignSpec, verify: str) -> int:
     return len(errors)
 
 
-def _point_profile(spec: CampaignSpec, point: SweepPoint) -> CostProfile:
-    if spec.scenario == "blocks":
-        return block_profile(point.model, point.image_size)
-    if spec.transform:
-        from repro.graph.passes import resolve_transform
-
-        # Resolving is a cheap registry lookup; the expensive build+rewrite
-        # is memoised in PROFILE_CACHE under the pipeline fingerprint, so
-        # workers and resumed runs share the same cached profiles as a
-        # serial run.
-        return zoo_profile(
-            point.model, point.image_size, resolve_transform(spec.transform)
-        )
-    return zoo_profile(point.model, point.image_size)
+def _point_record(spec: CampaignSpec, point: SweepPoint) -> GraphRecord:
+    # Resolving is a memoised lookup ("" resolves to no pipeline); the
+    # build+rewrite is memoised under the pipeline fingerprint, so workers
+    # and resumed runs share the same cached records as a serial run.
+    kind = "block" if spec.scenario == "blocks" else "model"
+    pipeline = resolve_transform(spec.transform)
+    return graph_record(kind, point.model, point.image_size, pipeline)
 
 
 def _gated(
@@ -526,7 +483,8 @@ def _measure_point(
     ``(model, image_size)`` instead of one per point — and the executor
     skips its memory re-check, since gating already proved the fit.
     """
-    profile = _point_profile(spec, point)
+    record = _point_record(spec, point)
+    profile = record.profile
     backend = get_backend(spec.backend, spec.device)
     executor = SimulatedExecutor(seed=spec.seed, backend=backend)
     clean = None
@@ -593,7 +551,7 @@ def _measure_point(
         devices=devices,
         # Block points are forward passes of a network fragment.
         scenario="inference" if spec.scenario == "blocks" else spec.scenario,
-        features=ConvNetFeatures.from_profile(profile),
+        features=record.features,
         t_fwd=times[0],
         t_bwd=times[1],
         t_grad=times[2],
@@ -663,11 +621,11 @@ def _run_point_task(
     processes."""
     index, point = task
     assert _WORKER_SPEC is not None, "worker pool not initialised"
-    before = engine_cache_stats()
+    before = roofline.GRAPH_RECORD_CACHE.stats()
     records, counters, gate = _measure_point(_WORKER_SPEC, point)
     return (
         index, point.key, records, counters,
-        engine_cache_stats() - before, gate,
+        roofline.GRAPH_RECORD_CACHE.stats() - before, gate,
     )
 
 
@@ -809,11 +767,11 @@ def run_campaign(
         # The batchable clean components are amortised via the grid cache,
         # not by batching points.
         for index, point in pending:
-            before = engine_cache_stats()
+            before = roofline.GRAPH_RECORD_CACHE.stats()
             records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006
                 spec, point
             )
-            cache_delta += engine_cache_stats() - before
+            cache_delta += roofline.GRAPH_RECORD_CACHE.stats() - before
             results[index] = records
             merge_counters(counters, point_delta)
             n_oom += gate == "oom"

@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.fileio import write_text_atomic
+
 
 @dataclass(frozen=True)
 class ConvNetFeatures:
@@ -147,7 +149,7 @@ class Dataset:
 
     def to_json(self, path: str | Path) -> None:
         payload = {"records": [r.to_dict() for r in self.records]}
-        Path(path).write_text(json.dumps(payload))
+        write_text_atomic(path, json.dumps(payload))
 
     @staticmethod
     def from_json(path: str | Path) -> "Dataset":

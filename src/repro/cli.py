@@ -46,14 +46,13 @@ from repro.benchdata.campaign import (
     DEFAULT_IMAGE_SIZES,
     DEFAULT_MODELS,
 )
-from repro.benchdata.records import ConvNetFeatures
 from repro.core.epoch import epoch_time, total_training_time
 from repro.core.forward import ForwardModel
 from repro.core.persistence import load_model, save_model
 from repro.core.training import TrainingStepModel
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 from repro.hardware.device import DEVICE_PRESETS, get_device
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo import available_models, get_entry
 from repro.zoo.blocks import BLOCK_CATALOGUE
 
@@ -409,8 +408,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         from repro.graph.passes import default_inference_pipeline
 
         pipeline = default_inference_pipeline()
-    profile = zoo_profile(args.network, args.image, pipeline)
-    features = ConvNetFeatures.from_profile(profile)
+    record = graph_record("model", args.network, args.image, pipeline)
+    profile, features = record.profile, record.features
     if args.backend:
         backend = get_backend(args.backend)
         training = isinstance(model, TrainingStepModel)

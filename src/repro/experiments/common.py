@@ -74,6 +74,7 @@ def campaign_backend() -> str:
 
 #: One cached dataset per scenario (the five functions below), bounded and
 #: observable — `repro lint` bans unbounded ``functools.lru_cache`` repo-wide.
+#: Keyed by campaign, not by graph, so it is not a graph record.
 DATASET_CACHE: LRUCache[str, Dataset] = LRUCache(maxsize=8)
 
 

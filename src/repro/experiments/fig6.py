@@ -16,12 +16,11 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.baselines.dippm import DippmSurrogate, GraphUnsupportedError
 from repro.benchdata import DEFAULT_MODELS
-from repro.benchdata.records import ConvNetFeatures
 from repro.core.forward import ForwardModel
 from repro.core.metrics import evaluate_predictions
 from repro.experiments.common import GPU, SEED_EVAL, gpu_inference_data
 from repro.hardware.executor import SimulatedExecutor
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 #: Section 4.1.3 protocol: image 128, batches 16 … 2000.
@@ -98,8 +97,8 @@ def run_fig6(models: tuple[str, ...] = DEFAULT_MODELS) -> Fig6Result:
     rows: list[Fig6Row] = []
     for model in models:
         others = [m for m in models if m != model]
-        profile = zoo_profile(model, EVAL_IMAGE)
-        features = ConvNetFeatures.from_profile(profile)
+        record = graph_record("model", model, EVAL_IMAGE)
+        profile, features = record.profile, record.features
         measured = np.array(
             [
                 executor.measure_inference(profile, b, enforce_memory=False)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.tables import format_series
-from repro.benchdata.records import ConvNetFeatures
 from repro.core.scalability import ScalingPoint, node_scaling_curve, turning_point
 from repro.core.training import TrainingStepModel
 from repro.distributed.cluster import ClusterSpec
@@ -26,7 +25,7 @@ from repro.experiments.common import (
     SEED_EVAL,
     distributed_data,
 )
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 #: The eight ConvNets of the paper's scaling figure.
@@ -111,8 +110,8 @@ def run_fig8(
     curves: dict[str, ModelScalingCurve] = {}
     for model in models:
         step_model = TrainingStepModel().fit(fit_data.excluding_model(model))
-        profile = zoo_profile(model, FIG8_IMAGE)
-        features = ConvNetFeatures.from_profile(profile)
+        record = graph_record("model", model, FIG8_IMAGE)
+        profile, features = record.profile, record.features
         predicted = node_scaling_curve(
             step_model, features, FIG8_BATCH, node_counts, GPUS_PER_NODE
         )

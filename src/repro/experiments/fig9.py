@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.tables import format_series
-from repro.benchdata.records import ConvNetFeatures
 from repro.core.regression import ExtrapolationWarning
 from repro.core.scalability import ScalingPoint, batch_scaling_curve
 from repro.core.training import TrainingStepModel
 from repro.experiments.common import GPU, SEED_EVAL, training_data
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.memory import fits
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 FIG9_MODELS: tuple[str, ...] = (
@@ -121,8 +120,8 @@ def run_fig9(
     domain_notes: dict[str, tuple[str, ...]] = {}
     for model in models:
         step_model = TrainingStepModel().fit(fit_data.excluding_model(model))
-        profile = zoo_profile(model, FIG9_IMAGE)
-        features = ConvNetFeatures.from_profile(profile)
+        record = graph_record("model", model, FIG9_IMAGE)
+        profile, features = record.profile, record.features
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ExtrapolationWarning)
             predicted = batch_scaling_curve(step_model, features, batches)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.tables import format_series
-from repro.benchdata.records import ConvNetFeatures
 from repro.core.scalability import ScalingPoint, strong_scaling_curve
 from repro.core.training import TrainingStepModel
 from repro.distributed.cluster import ClusterSpec
@@ -26,7 +25,7 @@ from repro.experiments.common import (
     SEED_EVAL,
     distributed_data,
 )
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 STRONG_MODELS: tuple[str, ...] = ("resnet50", "vgg16", "mobilenet_v2")
@@ -102,8 +101,8 @@ def run_strong_scaling(
     curves: dict[str, StrongScalingCurve] = {}
     for model in models:
         step_model = TrainingStepModel().fit(fit_data.excluding_model(model))
-        profile = zoo_profile(model, STRONG_IMAGE)
-        features = ConvNetFeatures.from_profile(profile)
+        record = graph_record("model", model, STRONG_IMAGE)
+        profile, features = record.profile, record.features
         predicted = strong_scaling_curve(
             step_model, features, global_batch, node_counts, GPUS_PER_NODE
         )

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.benchdata.records import ConvNetFeatures, Dataset, TimingRecord
-from repro.caching import LRUCache
-from repro.graph.graph import ComputeGraph
-from repro.graph.metrics import graph_costs
 from repro.hardware.device import A100_80GB, DeviceSpec
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.memory import fits
-from repro.hardware.roofline import CostProfile, profile_graph
-from repro.zoo.registry import build_model
+from repro.hardware.roofline import CostProfile, zoo_profile
 
 #: Layer types that carry a transformer's compute (the analogue of the
 #: convolutional layers in the paper's metric definitions).
@@ -38,16 +36,17 @@ VIT_IMAGE_SIZES: tuple[int, ...] = (64, 96, 128, 160, 192, 224)
 VIT_BATCH_SIZES: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
-def transformer_features(graph: ComputeGraph) -> ConvNetFeatures:
+def transformer_features(profile: CostProfile) -> ConvNetFeatures:
     """ConvMeter metric vector with transformer-aware Inputs/Outputs."""
-    costs = graph_costs(graph)
-    primary = [c for c in costs if c.layer_type in PRIMARY_COMPUTE_TYPES]
+    primary = np.array(
+        [t in PRIMARY_COMPUTE_TYPES for t in profile.layer_types], dtype=bool
+    )
     return ConvNetFeatures(
-        flops=float(sum(c.flops for c in costs)),
-        inputs=float(sum(c.input_elems for c in primary)),
-        outputs=float(sum(c.output_elems for c in primary)),
-        weights=float(sum(c.params for c in costs)),
-        layers=sum(1 for c in costs if c.params > 0),
+        flops=profile.total_flops,
+        inputs=float(profile.input_elems[primary].sum()),
+        outputs=float(profile.output_elems[primary].sum()),
+        weights=profile.total_params,
+        layers=profile.parametric_layers,
     )
 
 
@@ -64,7 +63,7 @@ _GROUP_OF_TYPE = {
 }
 
 
-def workload_decomposition(graph: ComputeGraph) -> dict[str, float]:
+def workload_decomposition(profile: CostProfile) -> dict[str, float]:
     """FLOP shares per layer-type group, summing to 1.
 
     The workload fingerprint PreNeT-style predictors condition on: a pure
@@ -72,30 +71,13 @@ def workload_decomposition(graph: ComputeGraph) -> dict[str, float]:
     ``token_linear`` and ``attention`` — the share vector tells a trained
     predictor *what kind* of workload a query is, not just how big.
     """
-    costs = graph_costs(graph)
     shares = {group: 0.0 for group in WORKLOAD_GROUPS}
-    total = float(sum(c.flops for c in costs))
+    total = profile.total_flops
     if total <= 0.0:
         return shares
-    for c in costs:
-        group = _GROUP_OF_TYPE.get(c.layer_type, "other")
-        shares[group] += c.flops
+    for layer_type, flops in zip(profile.layer_types, profile.flops.tolist()):
+        shares[_GROUP_OF_TYPE.get(layer_type, "other")] += flops
     return {group: shares[group] / total for group in WORKLOAD_GROUPS}
-
-
-#: Bounded, observable profile cache (same discipline as the campaign
-#: engine's PROFILE_CACHE; `repro lint` bans unbounded lru_cache repo-wide).
-VIT_PROFILE_CACHE: LRUCache[
-    tuple[str, int], tuple[CostProfile, ConvNetFeatures]
-] = LRUCache(maxsize=256)
-
-
-def _vit_profile(model: str, image: int) -> tuple[CostProfile, ConvNetFeatures]:
-    def build() -> tuple[CostProfile, ConvNetFeatures]:
-        graph = build_model(model, image)
-        return profile_graph(graph), transformer_features(graph)
-
-    return VIT_PROFILE_CACHE.get_or_compute((model, image), build)
 
 
 def vit_inference_campaign(
@@ -117,7 +99,8 @@ def vit_inference_campaign(
         for image in image_sizes:
             if image % 16:
                 continue
-            profile, features = _vit_profile(model, image)
+            profile = zoo_profile(model, image)
+            features = transformer_features(profile)
             for batch in batch_sizes:
                 if not fits(profile, batch, device, training=False):
                     continue
@@ -156,7 +139,8 @@ def vit_training_campaign(
         for image in image_sizes:
             if image % 16:
                 continue
-            profile, features = _vit_profile(model, image)
+            profile = zoo_profile(model, image)
+            features = transformer_features(profile)
             for batch in batch_sizes:
                 if not fits(profile, batch, device, training=True):
                     continue

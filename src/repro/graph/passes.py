@@ -445,7 +445,8 @@ class PassPipeline:
 #: process answering fused queries) transforms each distinct graph exactly
 #: once; every later profile, verification, or what-if pass over the same
 #: graph reuses the rewritten result instead of re-running shape inference
-#: through the whole pipeline.
+#: through the whole pipeline.  Not a graph record: it is a content-keyed
+#: memo for any graph, and it holds the rewritten graph itself.
 PIPELINE_CACHE: LRUCache[tuple[str, str], PipelineResult] = LRUCache(
     maxsize=256
 )

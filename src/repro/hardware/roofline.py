@@ -28,12 +28,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.caching import CacheStats, LRUCache
+from repro.caching import LRUCache
 from repro.graph.graph import ComputeGraph
-from repro.graph.metrics import LayerCost, graph_costs
+from repro.graph.metrics import CostSummary, LayerCost, graph_costs
 from repro.hardware.device import DeviceSpec
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.benchdata.records import ConvNetFeatures
     from repro.graph.passes import PassPipeline
 
 # Efficiency classes.
@@ -236,16 +237,83 @@ def layer_times(
     return np.maximum(compute_t, memory_t) + device.launch_overhead
 
 
-#: Campaign-scoped profile cache: explicitly bounded (a full sweep touches
-#: |models| × |image sizes| ≈ 100 entries, at most doubled by a fused
-#: variant per pipeline; 512 leaves headroom for what-if sweeps without
-#: letting memory grow with campaign length) and observable, so campaigns
-#: can report the hit rate they achieved.  Keyed by
-#: ``(model, image_size, pipeline fingerprint)`` — the empty string marks
-#: the raw, untransformed profile.
-PROFILE_CACHE: LRUCache[tuple[str, int, str], CostProfile] = LRUCache(
-    maxsize=512
+@dataclass(frozen=True)
+class GraphRecord:
+    """Everything read off one costed graph, derived from one cost walk.
+
+    Holds neither the graph nor its ``LayerCost`` list: a campaign keeps
+    hundreds of records alive, and those would several-fold its memory.
+    """
+
+    profile: CostProfile
+    summary: CostSummary
+    features: "ConvNetFeatures"
+
+    @staticmethod
+    def of(graph: ComputeGraph) -> "GraphRecord":
+        # Imported lazily: repro.benchdata imports this module.
+        from repro.benchdata.records import ConvNetFeatures
+
+        profile = profile_graph(graph)
+        # Exact sums: every per-layer count is an integer far below 2**53.
+        summary = CostSummary(
+            flops=int(profile.total_flops),
+            conv_input_elems=int(profile.conv_input_elems),
+            conv_output_elems=int(profile.conv_output_elems),
+            weights=graph.parameter_count(),
+            layers=graph.parametric_layer_count(),
+            total_output_elems=int(profile.output_elems.sum()),
+        )
+        features = ConvNetFeatures.from_profile(profile)
+        return GraphRecord(profile, summary, features)
+
+
+#: The one per-graph cache, bounded (a full sweep touches ≈ 100 graphs,
+#: at most doubled by a fused variant) and observable, so campaigns report
+#: the hit rate they achieved.  Keyed by ``(kind, name, image_size,
+#: pipeline fingerprint)``; ``""`` marks the raw, untransformed graph.
+GRAPH_RECORD_CACHE: LRUCache[tuple[str, str, int, str], GraphRecord] = (
+    LRUCache(maxsize=512)
 )
+
+
+def build_graph(kind: str, name: str, image_size: int) -> ComputeGraph:
+    """A zoo model (``kind="model"``) or Table 2 block (``"block"``)."""
+    if kind == "block":
+        from repro.zoo.blocks import BLOCK_CATALOGUE, build_block
+
+        for spec in BLOCK_CATALOGUE:
+            if spec.name == name:
+                return build_block(spec, image_size)
+        raise KeyError(f"unknown block {name!r}")
+    from repro.zoo import build_model
+
+    return build_model(name, image_size)
+
+
+def graph_record(
+    kind: str,
+    name: str,
+    image_size: int,
+    pipeline: "PassPipeline | None" = None,
+    graph: ComputeGraph | None = None,
+) -> GraphRecord:
+    """Cached record of a zoo graph, optionally transformed by ``pipeline``.
+
+    ``graph`` is the caller's already-built raw graph for this key, so
+    verification, which needs the graph itself, builds it only once.
+    """
+    fingerprint = "" if pipeline is None else pipeline.fingerprint()
+
+    def build() -> GraphRecord:
+        g = graph if graph is not None else build_graph(kind, name, image_size)
+        if pipeline is not None:
+            g = pipeline.run(g).graph
+        return GraphRecord.of(g)
+
+    return GRAPH_RECORD_CACHE.get_or_compute(
+        (kind, name, image_size, fingerprint), build
+    )
 
 
 def zoo_profile(
@@ -253,24 +321,5 @@ def zoo_profile(
     image_size: int,
     pipeline: "PassPipeline | None" = None,
 ) -> CostProfile:
-    """Cached profile of a zoo model — the campaign's workhorse lookup.
-
-    ``pipeline`` selects a graph transformation applied before costing;
-    fused and raw profiles live side by side in the cache under distinct
-    fingerprints, so mixed raw/fused sweeps never collide.
-    """
-    fingerprint = "" if pipeline is None else pipeline.fingerprint()
-
-    def build() -> CostProfile:
-        from repro.zoo import build_model
-
-        return profile_graph(build_model(model, image_size), pipeline)
-
-    return PROFILE_CACHE.get_or_compute(
-        (model, image_size, fingerprint), build
-    )
-
-
-def profile_cache_stats() -> CacheStats:
-    """Cumulative hit/miss/eviction counters of the zoo profile cache."""
-    return PROFILE_CACHE.stats()
+    """Cached profile of a zoo model — the campaign's workhorse lookup."""
+    return graph_record("model", model, image_size, pipeline).profile

@@ -60,7 +60,7 @@ from repro.caching import LRUCache
 from repro.graph.passes import resolve_transform
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 from repro.hardware.device import DEVICE_PRESETS
-from repro.hardware.roofline import CostProfile, zoo_profile
+from repro.hardware.roofline import CostProfile, graph_record
 from repro.serve.registry import SERVABLE_KINDS, ArtifactEntry
 from repro.zoo import get_entry
 
@@ -239,9 +239,9 @@ class FeatureCache:
     The key identifies the costed graph completely: zoo builds are
     deterministic and the transform string resolves to a content-
     fingerprinted pass pipeline, so two equal keys always denote the same
-    graph fingerprint.  Profiles additionally share the global
-    ``zoo_profile`` cache; this layer saves the per-request pipeline
-    resolution and keeps serve traffic from evicting campaign entries.
+    graph fingerprint.  A miss reads (and fills) the shared graph record
+    cache; this layer saves the per-request pipeline resolution and stays
+    separate because its counters are ``/metrics``' ``feature_cache``.
     """
 
     def __init__(self, maxsize: int = DEFAULT_FEATURE_CACHE) -> None:
@@ -253,10 +253,10 @@ class FeatureCache:
         self, network: str, image: int, transform: str
     ) -> tuple[CostProfile, ConvNetFeatures]:
         def build() -> tuple[CostProfile, ConvNetFeatures]:
-            profile = zoo_profile(
-                network, image, resolve_transform(transform)
+            record = graph_record(
+                "model", network, image, resolve_transform(transform)
             )
-            return profile, ConvNetFeatures.from_profile(profile)
+            return record.profile, record.features
 
         return self._cache.get_or_compute((network, image, transform), build)
 

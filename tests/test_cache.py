@@ -3,15 +3,11 @@ caches the campaign engine relies on staying bounded on large sweeps."""
 
 import pytest
 
-from repro.benchdata.engine import (
-    BLOCK_PROFILE_CACHE,
-    block_profile,
-    engine_cache_stats,
-)
+from repro.benchdata.engine import block_profile
 from repro.caching import CacheStats, LRUCache
 from repro.hardware.roofline import (
-    PROFILE_CACHE,
-    profile_cache_stats,
+    GRAPH_RECORD_CACHE,
+    graph_record,
     zoo_profile,
 )
 
@@ -78,34 +74,56 @@ class TestCacheStats:
 
 class TestProfileCaches:
     """The campaign's graph/profile builders must be memoised *and*
-    bounded — sweep length must not translate into memory growth."""
+    bounded — sweep length must not translate into memory growth.  Every
+    zoo model and block shares the one graph record cache."""
 
     def test_zoo_profile_is_memoised(self):
-        before = profile_cache_stats()
+        before = GRAPH_RECORD_CACHE.stats()
         first = zoo_profile("alexnet", 64)
         second = zoo_profile("alexnet", 64)
-        delta = profile_cache_stats() - before
+        delta = GRAPH_RECORD_CACHE.stats() - before
         assert second is first
+        assert first is graph_record("model", "alexnet", 64).profile
         assert delta.hits >= 1
 
     def test_zoo_profile_cache_is_bounded(self):
-        assert PROFILE_CACHE.maxsize == 512
-        assert len(PROFILE_CACHE) <= PROFILE_CACHE.maxsize
+        assert GRAPH_RECORD_CACHE.maxsize == 512
+        assert len(GRAPH_RECORD_CACHE) <= GRAPH_RECORD_CACHE.maxsize
 
     def test_block_profile_is_memoised_and_bounded(self):
-        before = BLOCK_PROFILE_CACHE.stats()
+        before = GRAPH_RECORD_CACHE.stats()
         first = block_profile("MBConv", 96)
         second = block_profile("MBConv", 96)
-        delta = BLOCK_PROFILE_CACHE.stats() - before
+        delta = GRAPH_RECORD_CACHE.stats() - before
         assert second is first
+        assert first is graph_record("block", "MBConv", 96).profile
         assert delta.hits >= 1
-        assert BLOCK_PROFILE_CACHE.maxsize == 256
+        assert ("block", "MBConv", 96, "") in GRAPH_RECORD_CACHE
 
     def test_unknown_block_rejected(self):
         with pytest.raises(KeyError, match="unknown block"):
             block_profile("NoSuchBlock", 64)
 
-    def test_engine_cache_stats_aggregates_both(self):
-        combined = engine_cache_stats()
-        parts = profile_cache_stats() + BLOCK_PROFILE_CACHE.stats()
-        assert combined == parts
+    def test_blocks_and_models_do_not_collide(self, monkeypatch):
+        from repro.hardware import roofline
+        from repro.zoo import build_model
+
+        monkeypatch.setattr(
+            roofline, "GRAPH_RECORD_CACHE", LRUCache(maxsize=512)
+        )
+        # A model record filed under a block's name and image size must
+        # not be served for the block.
+        model = graph_record(
+            "model", "MBConv", 96, graph=build_model("resnet18", 96)
+        )
+        block = graph_record("block", "MBConv", 96)
+        assert block is not model
+        assert block.profile.graph_name != model.profile.graph_name
+        assert block_profile("MBConv", 96) is block.profile
+        assert roofline.GRAPH_RECORD_CACHE.stats() == CacheStats(
+            hits=1, misses=2
+        )
+
+    def test_record_holds_no_graph_or_cost_list(self):
+        record = graph_record("model", "alexnet", 64)
+        assert sorted(vars(record)) == ["features", "profile", "summary"]

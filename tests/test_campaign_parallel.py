@@ -406,15 +406,14 @@ class TestStatsCounters:
 
 
 def _fresh_profile_caches(monkeypatch):
-    """Swap in empty profile and verdict caches: a cold process."""
+    """Swap in empty graph-record and verdict caches: a cold process."""
     from repro.benchdata import engine
     from repro.caching import LRUCache
     from repro.hardware import roofline
 
-    profiles = LRUCache(maxsize=512)
-    monkeypatch.setattr(roofline, "PROFILE_CACHE", profiles)
-    monkeypatch.setattr(engine, "PROFILE_CACHE", profiles)
-    monkeypatch.setattr(engine, "BLOCK_PROFILE_CACHE", LRUCache(maxsize=256))
+    monkeypatch.setattr(
+        roofline, "GRAPH_RECORD_CACHE", LRUCache(maxsize=512)
+    )
     monkeypatch.setattr(engine, "VERIFY_CACHE", LRUCache(maxsize=512))
 
 
@@ -473,7 +472,6 @@ class TestVerifiedGraphsAreMeasured:
 
         monkeypatch.setattr(repro.zoo, "build_model", counting_build)
         monkeypatch.setattr(roofline, "profile_graph", counting_profile)
-        monkeypatch.setattr(engine, "profile_graph", counting_profile)
         monkeypatch.setattr(
             engine, "_run_verification", verification_then_measure
         )
@@ -483,6 +481,60 @@ class TestVerifiedGraphsAreMeasured:
         assert sorted(builds) == sorted(unique)
         assert measuring_profiles == []
         assert result.stats.cache.hit_rate == 1.0
+
+    @pytest.mark.parametrize("name", ["training", "blocks", "fused"])
+    def test_one_cost_walk_per_graph(self, monkeypatch, name):
+        """Verification and the sweep share one ``graph_costs`` walk per
+        unique graph: IR004 checks the record's summary instead of
+        summarising the graph a second time."""
+        from repro.graph import metrics
+        from repro.hardware import roofline
+
+        _fresh_profile_caches(monkeypatch)
+        walked: list[str] = []
+        graph_costs = metrics.graph_costs
+
+        def counting(graph):
+            walked.append(graph.name)
+            return graph_costs(graph)
+
+        monkeypatch.setattr(metrics, "graph_costs", counting)
+        monkeypatch.setattr(roofline, "graph_costs", counting)
+        spec = VERIFY_EQUIVALENCE_SPECS[name]
+        result = run_campaign(spec, workers=1, verify="warn")
+        unique = {(p.model, p.image_size) for p in enumerate_points(spec)}
+        per_graph = 2 if spec.transform else 1  # raw, plus fused
+        assert len(walked) == per_graph * len(unique)
+        assert result.stats.cache.hit_rate == 1.0
+
+    def test_strict_campaign_refuses_a_corrupt_record_summary(
+        self, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.analysis.verify import GraphVerificationError
+        from repro.hardware import roofline
+
+        _fresh_profile_caches(monkeypatch)
+        of = roofline.GraphRecord.of
+
+        def doubled(graph):
+            record = of(graph)
+            summary = dataclasses.replace(
+                record.summary, flops=2 * record.summary.flops
+            )
+            return dataclasses.replace(record, summary=summary)
+
+        monkeypatch.setattr(roofline.GraphRecord, "of", staticmethod(doubled))
+        spec = VERIFY_EQUIVALENCE_SPECS["training"]
+        with pytest.raises(GraphVerificationError) as err:
+            run_campaign(spec, workers=1, verify="strict")
+        ir004 = [d for d in err.value.diagnostics if d.rule == "IR004"]
+        unique = {(p.model, p.image_size) for p in enumerate_points(spec)}
+        assert len(ir004) == len(unique)
+        assert all(
+            "FLOPs (F) from supplied summary" in d.message for d in ir004
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(VERIFY_EQUIVALENCE_SPECS))

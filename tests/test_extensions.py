@@ -16,6 +16,11 @@ from repro.distributed.paramserver import (
     parameter_server_sync_time,
 )
 from repro.extensions import transformer_features, vit_inference_campaign
+from repro.extensions.transformer import (
+    PRIMARY_COMPUTE_TYPES,
+    WORKLOAD_GROUPS,
+    workload_decomposition,
+)
 from repro.graph.builder import GraphBuilder
 from repro.graph.reference import ReferenceExecutor
 from repro.graph.tensor import TensorShape
@@ -143,10 +148,46 @@ class TestViTZoo:
         )
 
 
+def _reference_transformer_features(graph):
+    """Transformer-aware metric vector by a direct walk of the graph."""
+    from repro.benchdata.records import ConvNetFeatures
+    from repro.graph.metrics import graph_costs
+
+    costs = graph_costs(graph)
+    primary = [c for c in costs if c.layer_type in PRIMARY_COMPUTE_TYPES]
+    return ConvNetFeatures(
+        flops=float(sum(c.flops for c in costs)),
+        inputs=float(sum(c.input_elems for c in primary)),
+        outputs=float(sum(c.output_elems for c in primary)),
+        weights=float(sum(c.params for c in costs)),
+        layers=sum(1 for c in costs if c.params > 0),
+    )
+
+
+def _reference_workload_decomposition(graph):
+    """FLOP shares per layer-type group by a direct walk of the graph."""
+    from repro.graph.metrics import graph_costs
+
+    groups = {
+        "Conv2d": "conv",
+        "TokenLinear": "token_linear",
+        "ScaledDotProductAttention": "attention",
+        "Linear": "linear",
+    }
+    costs = graph_costs(graph)
+    shares = {group: 0.0 for group in WORKLOAD_GROUPS}
+    total = float(sum(c.flops for c in costs))
+    for c in costs:
+        shares[groups.get(c.layer_type, "other")] += c.flops
+    return {group: shares[group] / total for group in WORKLOAD_GROUPS}
+
+
 class TestTransformerFeatures:
     def test_features_positive(self):
+        from repro.hardware.roofline import profile_graph
+
         g = build_model("vit_small_16", 128)
-        f = transformer_features(g)
+        f = transformer_features(profile_graph(g))
         assert f.flops > 0 and f.inputs > 0 and f.outputs > 0
         assert f.weights == g.parameter_count()
         assert f.layers == g.parametric_layer_count()
@@ -156,10 +197,31 @@ class TestTransformerFeatures:
         from repro.hardware.roofline import profile_graph
 
         g = build_model("vit_small_16", 128)
-        conv_style = ConvNetFeatures.from_profile(profile_graph(g))
-        trans = transformer_features(g)
+        profile = profile_graph(g)
+        conv_style = ConvNetFeatures.from_profile(profile)
+        trans = transformer_features(profile)
         # The conv-only metric misses all the token projections.
         assert trans.inputs > 10 * conv_style.inputs
+
+    def test_profile_features_equal_a_graph_walk_for_every_zoo_model(self):
+        from repro.hardware.roofline import zoo_profile
+        from repro.zoo import available_models, get_entry
+
+        checked = 0
+        for name in available_models():
+            for image in (64, 128, 224):
+                if image < get_entry(name).min_image_size:
+                    continue
+                graph = build_model(name, image)
+                profile = zoo_profile(name, image)
+                assert transformer_features(profile) == (
+                    _reference_transformer_features(graph)
+                ), (name, image)
+                assert workload_decomposition(profile) == (
+                    _reference_workload_decomposition(graph)
+                ), (name, image)
+                checked += 1
+        assert checked == 98
 
     def test_vit_campaign_and_fit(self):
         data = vit_inference_campaign(seed=51)

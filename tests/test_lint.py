@@ -308,18 +308,17 @@ class TestCacheMigrations:
     """The two former lru_cache sites now use the observable bounded LRU."""
 
     def test_vit_profile_cache_is_bounded_and_observable(self):
-        from repro.extensions.transformer import (
-            VIT_PROFILE_CACHE,
-            _vit_profile,
-        )
+        # ViT profiles live in the one graph record cache, like every
+        # other zoo model's.
+        from repro.hardware.roofline import GRAPH_RECORD_CACHE, zoo_profile
 
-        before = VIT_PROFILE_CACHE.stats()
-        first = _vit_profile("vit_tiny_16", 64)
-        again = _vit_profile("vit_tiny_16", 64)
-        delta = VIT_PROFILE_CACHE.stats() - before
+        before = GRAPH_RECORD_CACHE.stats()
+        first = zoo_profile("vit_tiny_16", 64)
+        again = zoo_profile("vit_tiny_16", 64)
+        delta = GRAPH_RECORD_CACHE.stats() - before
         assert again is first
         assert delta.hits >= 1
-        assert VIT_PROFILE_CACHE.maxsize == 256
+        assert GRAPH_RECORD_CACHE.maxsize == 512
 
     def test_experiment_dataset_cache_returns_same_object(self):
         from repro.experiments import common

@@ -384,6 +384,31 @@ class TestUnbatchedSweepPERF006:
         assert [d.rule for d in diags] == ["PERF006"]
         assert "predict_configs" in diags[0].hint
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "zoo_profile(p.model, p.image_size)",
+            'graph_record("model", p.model, p.image_size)',
+        ],
+    )
+    def test_per_point_profile_lookup_fires(self, call):
+        diags = diags_of(
+            f"""
+            def run_campaign(points):
+                out = []
+                for p in points:
+                    out.append({call})
+                return out
+            """
+        )
+        assert [(d.rule, d.severity) for d in diags] == [
+            ("PERF006", Severity.WARN)
+        ]
+        name = call.split("(")[0]
+        assert f"calls {name}() once per sweep point" in diags[0].message
+        assert "outside the sweep loop" in diags[0].hint
+        assert diags[0].location.endswith(":5")
+
     def test_call_outside_loop_is_silent(self):
         assert rules_of(
             """

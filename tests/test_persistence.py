@@ -252,3 +252,26 @@ class TestAtomicWrites:
         assert manifest.read_bytes() == before
         assert not json.loads(before)["complete"]
         assert not (tmp_path / "store" / ".manifest.json.tmp").exists()
+
+    def test_dataset_json_survives(self, data, tmp_path, request):
+        path = tmp_path / "campaign.json"
+        data.to_json(path)
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            data.filter(lambda r: r.batch > 1).to_json(path)
+        assert path.read_bytes() == before
+        self._only(tmp_path, "campaign.json")
+
+    def test_leaderboard_survives(self, tmp_path, request):
+        from repro.baselines.eval import write_leaderboard
+
+        payload = json.loads((DATA_DIR / "leaderboard_golden.json").read_text())
+        path = tmp_path / "leaderboard.json"
+        write_leaderboard(payload, path)
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            write_leaderboard(payload, path)
+        assert path.read_bytes() == before
+        self._only(tmp_path, "leaderboard.json")

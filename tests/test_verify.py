@@ -205,6 +205,24 @@ class TestSharedWork:
         verify_graph(small_graph())
         assert calls == ["tiny"]
 
+    def test_supplied_summary_replaces_summarize_costs(self, monkeypatch):
+        from repro.analysis.verify import rules
+
+        g = small_graph()
+        good = summarize_costs(g)
+
+        def refuse(graph):
+            raise AssertionError("summarised despite a supplied summary")
+
+        monkeypatch.setattr(rules, "summarize_costs", refuse)
+        assert verify_graph(g, summary=good) == []
+        doubled = dataclasses.replace(good, flops=2 * good.flops)
+        ir004 = [
+            d for d in verify_graph(g, summary=doubled) if d.rule == "IR004"
+        ]
+        assert len(ir004) == 1
+        assert "FLOPs (F) from supplied summary" in ir004[0].message
+
     def test_ir004_still_checks_the_production_summary(self, monkeypatch):
         from repro.analysis.verify import rules
 
