@@ -52,14 +52,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.lint.program import Program
 from repro.lint.rules import (
     LintRule,
     _NUMPY_RANDOM_GLOBAL_FNS,
     _RANDOM_GLOBAL_FNS,
-    iter_python_files,
+    _dotted_name,
 )
 from repro.lint.suppress import SuppressionIndex
 
@@ -195,17 +196,6 @@ def _is_lockish_name(name: str) -> bool:
     return any(
         seg in _LOCKISH_SEGMENTS for seg in name.lower().strip("_").split("_")
     )
-
-
-def _dotted_name(node: ast.expr) -> list[str] | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return parts[::-1]
 
 
 def _module_name(path: str) -> str:
@@ -488,13 +478,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- scoping / definitions ----------------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._nested_def(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._nested_def(node)
-
-    def _nested_def(
+    def visit_FunctionDef(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
         key = f"{self.info.key}.<locals>.{node.name}"
@@ -503,21 +487,14 @@ class _FunctionScanner(ast.NodeVisitor):
         # Closures capture `self`, so attribute facts keep the class.
         self.an.enqueue(key, self.module, self.cls, node.name, node)
 
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     def visit_Global(self, node: ast.Global) -> None:
         self.globals_decl.update(node.names)
 
     # -- with blocks ----------------------------------------------------------
 
-    def visit_With(self, node: ast.With) -> None:
-        self._with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._with(node)
-
-    def _with(self, node: ast.With | ast.AsyncWith) -> None:
+    def visit_With(self, node: ast.With | ast.AsyncWith) -> None:
         pushed_locks: list[str] = []
         pushed_regions: list[_Region] = []
         for item in node.items:
@@ -550,6 +527,8 @@ class _FunctionScanner(ast.NodeVisitor):
             self.locks.remove(lock)
         for region in pushed_regions:
             self.active_regions.remove(region)
+
+    visit_AsyncWith = visit_With  # type: ignore[assignment]
 
     # -- stores ---------------------------------------------------------------
 
@@ -860,38 +839,35 @@ class _FunctionScanner(ast.NodeVisitor):
 
 
 class _Analyzer:
-    def __init__(self, parse_rule: str = "CON000") -> None:
-        self.parse_rule = parse_rule
+    """The whole program, collected and scanned: phases 1-4 above.
+
+    Built once per :class:`~repro.lint.program.Program` (as
+    ``program.analyzer``) and only read afterwards, so the CON and PERF
+    rules can evaluate the same instance.
+    """
+
+    def __init__(self, program: Program) -> None:
         self.modules: dict[str, _ModuleInfo] = {}
         self.class_index: dict[str, _ClassInfo] = {}
         self.funcs: dict[str, _FuncInfo] = {}
         self.method_index: dict[str, list[str]] = {}
         self.roots: dict[str, str] = {}
-        self.parse_failures: list[Diagnostic] = []
         self._queue: list[tuple[str, _ModuleInfo, _ClassInfo | None, str,
                                 ast.AST]] = []
+        for f in program.parsed:
+            module = _ModuleInfo(
+                name=_module_name(f.path), path=f.path, tree=f.tree,
+                suppress=f.suppress,
+            )
+            # Last add wins on module-name collision (matches import order).
+            self.modules[module.name] = module
+            self._collect(module)
+        self._collect_class_attrs()
+        self._scan_all()
+        for cls, _, fkey in self.threaded_methods():
+            self.mark_root(fkey, f"method of threaded class {cls.name}")
 
     # -- phase 1: module collection ------------------------------------------
-
-    def add_module(self, source: str, path: str) -> None:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            self.parse_failures.append(
-                Diagnostic(
-                    self.parse_rule, Severity.ERROR,
-                    f"{path}:{exc.lineno or 1}",
-                    f"syntax error: {exc.msg}",
-                )
-            )
-            return
-        module = _ModuleInfo(
-            name=_module_name(path), path=path, tree=tree,
-            suppress=SuppressionIndex(source),
-        )
-        # Last add wins on module-name collision (matches import order).
-        self.modules[module.name] = module
-        self._collect(module)
 
     def _collect(self, module: _ModuleInfo) -> None:
         for node in module.tree.body:
@@ -1216,15 +1192,14 @@ class _Analyzer:
     def mark_root(self, key: str, reason: str) -> None:
         self.roots.setdefault(key, reason)
 
-    def _mark_class_roots(self) -> None:
+    def threaded_methods(self) -> Iterator[tuple[_ClassInfo, str, str]]:
+        """``(class, method name, func key)`` for every method but
+        ``__init__`` of a handler/threaded class."""
         for cls in self.class_index.values():
-            if not self._is_threaded_class(cls.key):
-                continue
-            for name, fkey in cls.methods.items():
-                if name == "__init__":
-                    continue
-                self.mark_root(
-                    fkey, f"method of threaded class {cls.name}")
+            if self._is_threaded_class(cls.key):
+                for name, fkey in cls.methods.items():
+                    if name != "__init__":
+                        yield cls, name, fkey
 
     def _is_threaded_class(
         self, cls_key: str, depth: int = 0
@@ -1601,25 +1576,26 @@ CONCURRENCY_RULES: tuple[LintRule, ...] = (
 )
 
 
-def analyze_sources(
-    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
+def analyze_program(
+    program: Program, ignore: Iterable[str] = ()
 ) -> list[Diagnostic]:
-    """Analyze ``(path, source)`` pairs as one program; most severe
-    findings first."""
-    analyzer = _Analyzer()
-    for path, source in items:
-        analyzer.add_module(source, path)
-    analyzer._collect_class_attrs()
-    analyzer._scan_all()
-    analyzer._mark_class_roots()
-    evaluator = _RuleEvaluator(analyzer, frozenset(ignore))
-    found = list(analyzer.parse_failures)
-    found.extend(evaluator.run())
+    """Analyze ``program`` as one whole; most severe findings first.
+    Files that could not be read or parsed are ``CON000`` errors."""
+    analyzer = program.analyzer
+    found = program.failures("CON000")
+    found.extend(_RuleEvaluator(analyzer, frozenset(ignore)).run())
     for module in analyzer.modules.values():
         found.extend(
             module.suppress.stale_diagnostics(module.path, ("CON",))
         )
     return sort_diagnostics(found)
+
+
+def analyze_sources(
+    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
+) -> list[Diagnostic]:
+    """Analyze ``(path, source)`` pairs as one program."""
+    return analyze_program(Program.from_sources(items), ignore=ignore)
 
 
 def analyze_source(
@@ -1632,30 +1608,16 @@ def analyze_source(
 def analyze_paths(
     paths: Iterable[str | Path], ignore: Iterable[str] = ()
 ) -> tuple[list[Diagnostic], int]:
-    """Analyze every ``.py`` file under ``paths`` as one program.
-
-    Returns ``(diagnostics, n_files)``; unreadable files are reported as
-    ``CON000`` errors rather than raised, mirroring ``lint_paths``.
-    """
-    items: list[tuple[str, str]] = []
-    failures: list[Diagnostic] = []
-    for f in iter_python_files(paths):
-        try:
-            items.append((str(f), f.read_text()))
-        except OSError as exc:
-            failures.append(
-                Diagnostic(
-                    "CON000", Severity.ERROR, str(f),
-                    f"cannot read file: {exc}",
-                )
-            )
-    found = failures + analyze_sources(items, ignore=ignore)
-    return sort_diagnostics(found), len(items)
+    """Analyze every ``.py`` file under ``paths`` as one program;
+    returns ``(diagnostics, n_files)`` like ``lint_paths``."""
+    program = Program.load(paths)
+    return analyze_program(program, ignore=ignore), program.n_files
 
 
 __all__ = [
     "CONCURRENCY_RULES",
     "analyze_paths",
+    "analyze_program",
     "analyze_source",
     "analyze_sources",
 ]

@@ -62,7 +62,8 @@ from repro.analysis.concurrency import (
     _dotted_name,
 )
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
-from repro.lint.rules import LintRule, iter_python_files
+from repro.lint.program import Program
+from repro.lint.rules import LintRule
 
 # --------------------------------------------------------------------------
 # hot-root tables
@@ -813,7 +814,7 @@ class _PerfScanner(ast.NodeVisitor):
             if (
                 node.func.attr in _LOGGING_METHODS
                 and head is not None
-                and _is_loggerish_name(head[-1])
+                and "log" in head[-1].lower()
             ):
                 is_logging = True
         if is_logging:
@@ -842,11 +843,6 @@ class _PerfScanner(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _is_loggerish_name(name: str) -> bool:
-    lowered = name.lower()
-    return "log" in lowered
-
-
 # --------------------------------------------------------------------------
 # hot roots + public API
 # --------------------------------------------------------------------------
@@ -869,39 +865,30 @@ def _hot_roots(
         marked = markers.get(info.module.path, set())
         if info.node.lineno in marked or info.node.lineno - 1 in marked:
             roots[key] = f"explicit hot marker on {info.name}"
-    for cls in analyzer.class_index.values():
-        if not analyzer._is_threaded_class(cls.key):
-            continue
-        for name, fkey in cls.methods.items():
-            if name == "__init__":
-                continue
-            roots.setdefault(
-                fkey, f"request-handler method ({cls.name}.{name})"
-            )
+    for cls, name, fkey in analyzer.threaded_methods():
+        roots.setdefault(fkey, f"request-handler method ({cls.name}.{name})")
     return roots
 
 
-def analyze_sources(
-    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
+def analyze_program(
+    program: Program, ignore: Iterable[str] = ()
 ) -> list[Diagnostic]:
-    """Analyze ``(path, source)`` pairs as one program; most severe
-    findings first."""
-    analyzer = _Analyzer(parse_rule="PERF000")
-    markers: dict[str, set[int]] = {}
-    for path, source in items:
-        markers[path] = {
+    """Analyze ``program`` as one whole; most severe findings first.
+    Files that could not be read or parsed are ``PERF000`` errors."""
+    analyzer = program.analyzer
+    markers = {
+        f.path: {
             lineno
-            for lineno, line in enumerate(source.splitlines(), start=1)
+            for lineno, line in enumerate(f.source.splitlines(), start=1)
             if _HOT_MARKER.search(line)
         }
-        analyzer.add_module(source, path)
-    analyzer._collect_class_attrs()
-    analyzer._scan_all()
+        for f in program.parsed
+    }
     witness = analyzer._reachability(
         _hot_roots(analyzer, markers), skip_dunder_callees=True
     )
     ignored = frozenset(ignore)
-    found = list(analyzer.parse_failures)
+    found = program.failures("PERF000")
     for key, info in analyzer.funcs.items():
         if key not in witness:
             continue
@@ -915,6 +902,13 @@ def analyze_sources(
     return sort_diagnostics(found)
 
 
+def analyze_sources(
+    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
+) -> list[Diagnostic]:
+    """Analyze ``(path, source)`` pairs as one program."""
+    return analyze_program(Program.from_sources(items), ignore=ignore)
+
+
 def analyze_source(
     source: str, path: str = "<module>", ignore: Iterable[str] = ()
 ) -> list[Diagnostic]:
@@ -925,30 +919,16 @@ def analyze_source(
 def analyze_paths(
     paths: Iterable[str | Path], ignore: Iterable[str] = ()
 ) -> tuple[list[Diagnostic], int]:
-    """Analyze every ``.py`` file under ``paths`` as one program.
-
-    Returns ``(diagnostics, n_files)``; unreadable files are reported as
-    ``PERF000`` errors rather than raised, mirroring ``lint_paths``.
-    """
-    items: list[tuple[str, str]] = []
-    failures: list[Diagnostic] = []
-    for f in iter_python_files(paths):
-        try:
-            items.append((str(f), f.read_text()))
-        except OSError as exc:
-            failures.append(
-                Diagnostic(
-                    "PERF000", Severity.ERROR, str(f),
-                    f"cannot read file: {exc}",
-                )
-            )
-    found = failures + analyze_sources(items, ignore=ignore)
-    return sort_diagnostics(found), len(items)
+    """Analyze every ``.py`` file under ``paths`` as one program;
+    returns ``(diagnostics, n_files)`` like ``lint_paths``."""
+    program = Program.load(paths)
+    return analyze_program(program, ignore=ignore), program.n_files
 
 
 __all__ = [
     "PERF_RULES",
     "analyze_paths",
+    "analyze_program",
     "analyze_source",
     "analyze_sources",
 ]

@@ -212,8 +212,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
+    from repro.fileio import write_text_atomic
     from repro.hardware.memory import OutOfDeviceMemory
     from repro.trace import chrome_json, render_tree, to_json
     from repro.trace.run import trace_model
@@ -247,7 +246,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         text = chrome_json(tracer)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_text_atomic(args.out, text + "\n")
         spans = sum(1 for root in tracer.roots for _ in root.walk())
         print(f"wrote {spans} spans ({args.format}) to {args.out}")
     else:
@@ -572,28 +571,20 @@ def _render_lint_statistics(diags) -> str:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.diagnostics import has_errors, render_json, render_text
     from repro.diagnostics import sort_diagnostics
-    from repro.lint import lint_paths
+    from repro.lint import Program, lint_program
 
+    program = Program.load(args.paths)
     diags = []
-    # All domains scan the same path set; keep the largest count so a
-    # domain reporting fewer parseable files cannot shrink the summary.
-    n_files = 0
     if args.domain in ("determinism", "all"):
-        det_diags, n_det = lint_paths(args.paths)
-        diags.extend(det_diags)
-        n_files = max(n_files, n_det)
+        diags.extend(lint_program(program))
     if args.domain in ("concurrency", "all"):
-        from repro.analysis.concurrency import analyze_paths
+        from repro.analysis.concurrency import analyze_program
 
-        con_diags, n_con = analyze_paths(args.paths, ignore=args.ignore)
-        diags.extend(con_diags)
-        n_files = max(n_files, n_con)
+        diags.extend(analyze_program(program, ignore=args.ignore))
     if args.domain in ("performance", "all"):
-        from repro.analysis.perf import analyze_paths as analyze_perf
+        from repro.analysis.perf import analyze_program as analyze_perf
 
-        perf_diags, n_perf = analyze_perf(args.paths, ignore=args.ignore)
-        diags.extend(perf_diags)
-        n_files = max(n_files, n_perf)
+        diags.extend(analyze_perf(program, ignore=args.ignore))
     if args.ignore:
         unwanted = set(args.ignore)
         diags = [d for d in diags if d.rule not in unwanted]
@@ -602,9 +593,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         diags = [d for d in diags if d.rule in wanted]
     diags = sort_diagnostics(diags)
     if args.format == "json":
-        print(render_json(diags, n_files, "file"))
+        print(render_json(diags, program.n_files, "file"))
     else:
-        print(render_text(diags, n_files, "file", quiet=args.quiet))
+        print(render_text(diags, program.n_files, "file", quiet=args.quiet))
     if args.statistics:
         print(_render_lint_statistics(diags))
     return 1 if has_errors(diags) else 0

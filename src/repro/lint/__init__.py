@@ -22,13 +22,16 @@ Findings are :class:`repro.diagnostics.Diagnostic` records located by
 ``# repro-lint: disable=DET00X`` comment on the offending line; a
 suppression whose rule no longer fires is itself reported as ``SUP001``
 (see :mod:`repro.lint.suppress`, shared with the concurrency analyzer in
-:mod:`repro.analysis.concurrency`).
+:mod:`repro.analysis.concurrency`).  All three domains run over one
+:class:`~repro.lint.program.Program`, so a file is parsed once per run.
 """
 
+from repro.lint.program import Program
 from repro.lint.rules import (
     LINT_RULES,
     LintRule,
     lint_paths,
+    lint_program,
     lint_source,
 )
 from repro.lint.suppress import STALE_RULE, SuppressionIndex
@@ -39,8 +42,10 @@ __all__ = [
     "Severity",
     "LintRule",
     "LINT_RULES",
+    "Program",
     "STALE_RULE",
     "SuppressionIndex",
     "lint_paths",
+    "lint_program",
     "lint_source",
 ]

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.lint.program import Program
 from repro.lint.suppress import STALE_RULE, SuppressionIndex
 
 #: ``random`` module-level functions that draw from (or reseed) the hidden
@@ -98,15 +99,12 @@ class _FileLinter(ast.NodeVisitor):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _suppressed(self, lineno: int, rule: str) -> bool:
-        return self.suppress.is_suppressed(lineno, rule)
-
     def _report(
         self, node: ast.AST, rule: str, severity: Severity, message: str,
         hint: str = "",
     ) -> None:
         lineno = getattr(node, "lineno", 1)
-        if self._suppressed(lineno, rule):
+        if self.suppress.is_suppressed(lineno, rule):
             return
         self.found.append(
             Diagnostic(rule, severity, f"{self.path}:{lineno}", message, hint)
@@ -235,15 +233,14 @@ class _FileLinter(ast.NodeVisitor):
                     "calls",
                 )
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
         self._check_decorators(node)
         self._check_defaults(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_decorators(node)
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     # -- DET003: float equality on computed runtimes -----------------------
 
@@ -274,36 +271,21 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def lint_program(program: Program) -> list[Diagnostic]:
+    """Lint every file of ``program``; most severe findings first.
+    Files that could not be read or parsed are ``DET000`` errors."""
+    found = program.failures("DET000")
+    for f in program.parsed:
+        linter = _FileLinter(f.path, f.suppress)
+        linter.visit(f.tree)
+        found.extend(linter.found)
+        found.extend(f.suppress.stale_diagnostics(f.path, ("DET",)))
+    return sort_diagnostics(found)
+
+
 def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     """Lint one module's source text; most severe findings first."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Diagnostic(
-                "DET000", Severity.ERROR,
-                f"{path}:{exc.lineno or 1}",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    suppress = SuppressionIndex(source)
-    linter = _FileLinter(path, suppress)
-    linter.visit(tree)
-    linter.found.extend(suppress.stale_diagnostics(path, ("DET",)))
-    return sort_diagnostics(linter.found)
-
-
-def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated ``.py`` list."""
-    seen: dict[Path, None] = {}
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            for f in sorted(p.rglob("*.py")):
-                seen.setdefault(f, None)
-        else:
-            seen.setdefault(p, None)
-    return list(seen)
+    return lint_program(Program.from_sources([(path, source)]))
 
 
 def lint_paths(paths: Iterable[str | Path]) -> tuple[list[Diagnostic], int]:
@@ -314,23 +296,8 @@ def lint_paths(paths: Iterable[str | Path]) -> tuple[list[Diagnostic], int]:
     Missing paths are reported as ``DET000`` errors rather than raised, so
     a typo in CI fails the job with a diagnostic instead of a traceback.
     """
-    found: list[Diagnostic] = []
-    files = iter_python_files(paths)
-    n_files = 0
-    for f in files:
-        try:
-            source = f.read_text()
-        except OSError as exc:
-            found.append(
-                Diagnostic(
-                    "DET000", Severity.ERROR, str(f),
-                    f"cannot read file: {exc}",
-                )
-            )
-            continue
-        n_files += 1
-        found.extend(lint_source(source, str(f)))
-    return sort_diagnostics(found), n_files
+    program = Program.load(paths)
+    return lint_program(program), program.n_files
 
 
 @dataclass(frozen=True)

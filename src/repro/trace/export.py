@@ -22,6 +22,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from repro.fileio import write_text_atomic
 from repro.trace.tracer import Span, Tracer
 
 #: Chrome trace row ("thread") ids per span track.
@@ -120,7 +121,7 @@ def chrome_json(trace: Tracer | Iterable[Span]) -> str:
 def write_chrome(trace: Tracer | Iterable[Span], path: str | Path) -> int:
     """Write the Chrome-format trace; returns the number of events."""
     events = to_chrome(trace)
-    Path(path).write_text(json.dumps(chrome_payload(events)))
+    write_text_atomic(path, json.dumps(chrome_payload(events)))
     return len(events)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.benchdata import (
@@ -125,6 +127,19 @@ def fitted_prenet(suite_inference_data):
     model = PreNeT("fwd", seed=7, **SUITE_MLP_KWARGS)
     model.fit(suite_inference_data)
     return model
+
+
+#: The package source the repo-clean lint gates check.
+REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+@pytest.fixture(scope="session")
+def repo_program():
+    """``src/repro`` read and parsed once for every lint domain's
+    repo-clean gate; the domains only read it."""
+    from repro.lint import Program
+
+    return Program.load([REPO_SRC])
 
 
 @pytest.fixture

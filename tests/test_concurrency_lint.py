@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.concurrency import (
     CONCURRENCY_RULES,
     analyze_paths,
+    analyze_program,
     analyze_source,
     analyze_sources,
 )
@@ -772,17 +773,17 @@ class TestRuleCatalogue:
 
 
 class TestRepositoryIsClean:
-    def test_src_repro_gates_clean(self):
-        diags, n_files = analyze_paths(["src/repro"])
+    def test_src_repro_gates_clean(self, repo_program):
+        diags = analyze_program(repo_program)
         errors = [d for d in diags if d.severity is Severity.ERROR]
         assert errors == [], "\n".join(d.render() for d in errors)
-        assert n_files > 50
+        assert repo_program.n_files > 50
 
-    def test_no_stale_suppressions_either_domain(self):
-        from repro.lint import lint_paths
+    def test_no_stale_suppressions_either_domain(self, repo_program):
+        from repro.lint import lint_program
 
-        con_diags, _ = analyze_paths(["src/repro"])
-        det_diags, _ = lint_paths(["src/repro"])
+        con_diags = analyze_program(repo_program)
+        det_diags = lint_program(repo_program)
         stale = [
             d for d in [*con_diags, *det_diags] if d.rule == "SUP001"
         ]
@@ -842,13 +843,15 @@ class TestConcurrencyCLI:
         assert rc == 0
         assert "1 file" in capsys.readouterr().out
 
-    def test_quiet_prints_single_line(self, capsys):
+    def test_quiet_prints_single_line(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("import threading\n_LOCK = threading.Lock()\n")
         rc = main(
-            ["lint", "--domain", "concurrency", "--quiet", "src/repro"]
+            ["lint", "--domain", "concurrency", "--quiet", str(clean)]
         )
         assert rc == 0
         out = capsys.readouterr().out.strip()
-        assert len(out.splitlines()) == 1
+        assert out.splitlines() == ["0 errors, 0 warnings across 1 file"]
 
     def test_json_schema_matches_lint(self, tmp_path, capsys):
         bad = tmp_path / "racy.py"

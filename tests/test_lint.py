@@ -8,15 +8,13 @@ keeps the build green.
 
 import json
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.diagnostics import Severity
-from repro.lint import lint_paths, lint_source
-
-REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+from repro.lint import Program, lint_paths, lint_program, lint_source
+from tests.conftest import REPO_SRC
 
 
 def rules_of(source: str):
@@ -244,13 +242,13 @@ class TestSuppressionAndErrors:
 
 
 class TestRepositoryIsClean:
-    def test_src_repro_has_no_error_diagnostics(self):
-        diags, n_files = lint_paths([REPO_SRC])
+    def test_src_repro_has_no_error_diagnostics(self, repo_program):
+        diags = lint_program(repo_program)
         errors = [d for d in diags if d.severity is Severity.ERROR]
-        assert n_files > 50
+        assert repo_program.n_files > 50
         assert errors == [], "\n".join(d.render() for d in errors)
 
-    def test_reintroducing_lru_cache_would_fail(self, tmp_path):
+    def test_reintroducing_lru_cache_would_fail(self, tmp_path, repo_program):
         # The CI criterion: an unbounded cache anywhere under the linted
         # tree turns the build red.
         bad = tmp_path / "sneaky.py"
@@ -260,9 +258,10 @@ class TestRepositoryIsClean:
             "def profile(model):\n"
             "    return model\n"
         )
-        diags, _ = lint_paths([REPO_SRC, tmp_path])
+        tree = Program(repo_program.files + Program.load([tmp_path]).files)
         assert any(
-            d.rule == "DET002" and "sneaky.py" in d.location for d in diags
+            d.rule == "DET002" and "sneaky.py" in d.location
+            for d in lint_program(tree)
         )
 
 
@@ -271,6 +270,12 @@ class TestLintCLI:
         rc = main(["lint", str(REPO_SRC)])
         assert rc == 0
         assert "0 errors" in capsys.readouterr().out
+
+    def test_src_repro_clean_in_every_domain(self, capsys):
+        # DET, CON and PERF over one Program of the full tree.
+        rc = main(["lint", "--domain", "all", str(REPO_SRC)])
+        assert rc == 0
+        assert "0 errors, 0 warnings" in capsys.readouterr().out
 
     def test_hazard_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.perf import (
     PERF_RULES,
     analyze_paths,
+    analyze_program,
     analyze_source,
     analyze_sources,
 )
@@ -723,16 +724,16 @@ class TestRuleCatalogue:
 
 
 class TestRepositoryIsClean:
-    def test_src_repro_gates_clean(self):
-        diags, n_files = analyze_paths(["src/repro"])
-        assert n_files > 0
+    def test_src_repro_gates_clean(self, repo_program):
+        diags = analyze_program(repo_program)
+        assert repo_program.n_files > 0
         rendered = [d.render() for d in diags]
         assert rendered == []
 
-    def test_every_perf_suppression_in_repo_is_used(self):
+    def test_every_perf_suppression_in_repo_is_used(self, repo_program):
         # Covered by the gate above (stale ones surface as SUP001), but
         # assert it separately so a SUP001 regression names itself.
-        diags, _ = analyze_paths(["src/repro"])
+        diags = analyze_program(repo_program)
         assert [d for d in diags if d.rule == "SUP001"] == []
 
 
@@ -759,10 +760,13 @@ class TestCliContract:
         assert main(["lint", "--domain", "performance", str(target)]) == 1
         out = capsys.readouterr().out
         assert "PERF001" in out
+        # The path precedes --ignore: the nargs="*" flag would swallow
+        # it and lint the default src/repro instead.
         assert main(
-            ["lint", "--domain", "performance", "--ignore", "PERF001",
-             str(target)]
+            ["lint", "--domain", "performance", str(target),
+             "--ignore", "PERF001"]
         ) == 0
+        assert "0 errors, 0 warnings across 1 file" in capsys.readouterr().out
 
     def test_src_repro_performance_gate_is_clean(self, capsys):
         assert main(["lint", "--domain", "performance", "src/repro"]) == 0

@@ -275,3 +275,31 @@ class TestAtomicWrites:
             write_leaderboard(payload, path)
         assert path.read_bytes() == before
         self._only(tmp_path, "leaderboard.json")
+
+    def test_trace_out_survives(self, tmp_path, request, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        assert main(["trace", "alexnet", "--format", "json",
+                     "--out", str(path)]) == 0
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            main(["trace", "alexnet", "--format", "tree",
+                  "--out", str(path)])
+        assert path.read_bytes() == before
+        self._only(tmp_path, "trace.json")
+
+    def test_chrome_trace_survives(self, tmp_path, request):
+        from repro.hardware.device import A100_80GB
+        from repro.trace import write_chrome
+        from repro.trace.run import trace_model
+
+        path = tmp_path / "trace.chrome.json"
+        write_chrome(trace_model("alexnet", A100_80GB), path)
+        before = path.read_bytes()
+        request.getfixturevalue("torn_writes")
+        with pytest.raises(OSError, match="disk full"):
+            write_chrome(trace_model("resnet18", A100_80GB), path)
+        assert path.read_bytes() == before
+        self._only(tmp_path, "trace.chrome.json")
