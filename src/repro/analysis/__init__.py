@@ -2,55 +2,45 @@
 interpretation, the related-work matrix — and the static-analysis fronts:
 the graph IR verifier (:mod:`repro.analysis.verify`), the fitted-model
 auditor (:mod:`repro.analysis.audit`), and the concurrency-hazard
-analyzer (:mod:`repro.analysis.concurrency`)."""
+analyzer (:mod:`repro.analysis.concurrency`).
 
-from repro.analysis.audit import (
-    FIT_RULES,
-    ModelAuditError,
-    audit_linear,
-    audit_model,
-    audit_prediction_query,
-)
-from repro.analysis.concurrency import (
-    CONCURRENCY_RULES,
-    analyze_paths,
-    analyze_source,
-    analyze_sources,
-)
-from repro.analysis.tables import format_table, format_series
-from repro.analysis.scatter import format_scatter, scatter_bins
-from repro.analysis.coefficients import (
-    CoefficientInterpretation,
-    interpret_forward_model,
-    sanity_check,
-)
-from repro.analysis.related_work import RELATED_WORK, MethodCapabilities
-from repro.analysis.verify import (
-    GraphVerificationError,
-    verify_graph,
-    verify_model,
-)
+The names below resolve on first access (PEP 562), so importing one front
+— a campaign resume needs only the verifier's rule ids — does not import
+the others.
+"""
 
-__all__ = [
-    "GraphVerificationError",
-    "verify_graph",
-    "verify_model",
-    "CONCURRENCY_RULES",
-    "analyze_paths",
-    "analyze_source",
-    "analyze_sources",
-    "FIT_RULES",
-    "ModelAuditError",
-    "audit_linear",
-    "audit_model",
-    "audit_prediction_query",
-    "format_table",
-    "format_series",
-    "format_scatter",
-    "scatter_bins",
-    "CoefficientInterpretation",
-    "interpret_forward_model",
-    "sanity_check",
-    "RELATED_WORK",
-    "MethodCapabilities",
-]
+import importlib
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "GraphVerificationError": "verify",
+    "verify_graph": "verify",
+    "verify_model": "verify",
+    "CONCURRENCY_RULES": "concurrency",
+    "analyze_paths": "concurrency",
+    "analyze_source": "concurrency",
+    "analyze_sources": "concurrency",
+    "FIT_RULES": "audit",
+    "ModelAuditError": "audit",
+    "audit_linear": "audit",
+    "audit_model": "audit",
+    "audit_prediction_query": "audit",
+    "format_table": "tables",
+    "format_series": "tables",
+    "format_scatter": "scatter",
+    "scatter_bins": "scatter",
+    "CoefficientInterpretation": "coefficients",
+    "interpret_forward_model": "coefficients",
+    "sanity_check": "coefficients",
+    "RELATED_WORK": "related_work",
+    "MethodCapabilities": "related_work",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

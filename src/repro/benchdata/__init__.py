@@ -25,7 +25,7 @@ from repro.benchdata.engine import (
     trace_campaign,
     verify_campaign_graphs,
 )
-from repro.benchdata.store import CampaignStore, StoreMismatch
+from repro.benchdata.store import CampaignStore, StoreCorrupt, StoreMismatch
 from repro.benchdata.campaign import (
     DEFAULT_BATCH_SIZES,
     DEFAULT_IMAGE_SIZES,
@@ -47,6 +47,7 @@ __all__ = [
     "CampaignSpec",
     "CampaignStats",
     "CampaignStore",
+    "StoreCorrupt",
     "StoreMismatch",
     "SweepPoint",
     "VERIFY_MODES",

@@ -27,7 +27,9 @@ sweep into an explicit point list and executes it through one engine:
   sweep will touch, and leaves each verified graph's record in the cache
   the sweep reads.  ``verify="strict"`` refuses to measure a graph with
   ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
-  warning and records the error count in :class:`CampaignStats`.
+  warning and records the error count in :class:`CampaignStats`.  A store
+  keeps each graph's verdict in its manifest, so a resume verifies only
+  the graphs no earlier run of the store verified.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.zoo.blocks import BLOCK_CATALOGUE
 from repro.zoo.registry import get_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
-    from repro.benchdata.store import CampaignStore
+    from repro.benchdata.store import CampaignStore, Verdicts
     from repro.trace.tracer import Tracer
 
 SCENARIOS = ("inference", "training", "distributed", "blocks")
@@ -338,44 +340,75 @@ def _verify_graph_cached(
     )
 
 
-def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
-    """Verify every unique graph a campaign will measure.
+def campaign_verdicts(
+    spec: CampaignSpec,
+    points: list[SweepPoint],
+    persisted: "Verdicts | None" = None,
+) -> "Verdicts":
+    """Diagnostics of every unique graph of ``points`` (the spec's sweep),
+    keyed ``"<name>@<image>"`` in enumeration order.
 
-    The verdicts are cached per ``(model, image_size)``.  Verification
-    builds each unique graph once and leaves its record (the fused one
-    too, for transformed campaigns) in the record cache the sweep reads,
-    so the measuring loop neither rebuilds nor re-costs it, and IR004
-    checks the very summary the record carries; what verification adds on
-    top is the rule work itself.  For transformed campaigns each graph is
-    verified twice — raw and after the pipeline — plus the IR008
-    preservation check across the pair.
+    A graph with a ``persisted`` verdict (a store's, from an earlier run of
+    the same spec) is not verified again.  The rest are verified once per
+    process and cached.  Verification builds each unique graph once and
+    leaves its record (the fused one too, for transformed campaigns) in the
+    record cache the sweep reads, so the measuring loop neither rebuilds
+    nor re-costs it, and IR004 checks the very summary the record carries;
+    what verification adds on top is the rule work itself.  For transformed
+    campaigns each graph is verified twice — raw and after the pipeline —
+    plus the IR008 preservation check across the pair.
     """
+    persisted = persisted or {}
     kind = "block" if spec.scenario == "blocks" else "model"
     advise_fusion = spec.scenario == "inference" and not spec.transform
-    unique: dict[tuple[str, int], None] = {}
-    for point in enumerate_points(spec):
-        unique.setdefault((point.model, point.image_size), None)
     edge_batch = min(spec.batch_sizes)
-    found: list[Diagnostic] = []
-    for name, image_size in unique:
-        found.extend(
-            _verify_graph_cached(
-                kind, name, image_size, spec.transform, advise_fusion,
-                edge_batch=edge_batch,
+    verdicts: Verdicts = {}
+    for point in points:
+        key = f"{point.model}@{point.image_size}"
+        if key in verdicts:
+            continue
+        if key in persisted:
+            verdicts[key] = persisted[key]
+        else:
+            verdicts[key] = _verify_graph_cached(
+                kind, point.model, point.image_size, spec.transform,
+                advise_fusion, edge_batch=edge_batch,
             )
-        )
-    return sort_diagnostics(found)
+    return verdicts
 
 
-def _run_verification(spec: CampaignSpec, verify: str) -> int:
-    """Apply the requested verify mode; returns the ERROR count."""
+def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
+    """Verify every unique graph a campaign will measure; see
+    :func:`campaign_verdicts`."""
+    verdicts = campaign_verdicts(spec, enumerate_points(spec))
+    return sort_diagnostics(d for diags in verdicts.values() for d in diags)
+
+
+def _run_verification(
+    spec: CampaignSpec,
+    points: list[SweepPoint],
+    verify: str,
+    store: "CampaignStore | None",
+) -> tuple[int, "Verdicts | None"]:
+    """Apply the requested verify mode.
+
+    Returns the ERROR count and the verdicts for the store to persist
+    (``None`` when verification is off).  Graphs the store already holds
+    a verdict for are not verified again; the count, the warning and the
+    strict refusal all come from the union of persisted and fresh
+    verdicts, so they do not depend on where a campaign was split.
+    """
     if verify not in VERIFY_MODES:
         raise ValueError(
             f"unknown verify mode {verify!r}; one of {VERIFY_MODES}"
         )
     if verify == "off":
-        return 0
-    diags = verify_campaign_graphs(spec)
+        return 0, None
+    verdicts = campaign_verdicts(
+        spec, points,
+        store.persisted_verdicts() if store is not None else None,
+    )
+    diags = sort_diagnostics(d for found in verdicts.values() for d in found)
     errors = [d for d in diags if d.severity is Severity.ERROR]
     if errors:
         if verify == "strict":
@@ -389,7 +422,7 @@ def _run_verification(spec: CampaignSpec, verify: str) -> int:
             RuntimeWarning,
             stacklevel=3,
         )
-    return len(errors)
+    return len(errors), verdicts
 
 
 def _point_record(spec: CampaignSpec, point: SweepPoint) -> GraphRecord:
@@ -729,8 +762,10 @@ def run_campaign(
     trace (and the record stream, and the stats counters) is identical
     for any ``workers`` value and any resume split.
     """
-    n_verify_errors = _run_verification(spec, verify)
     points = enumerate_points(spec)
+    n_verify_errors, verdicts = _run_verification(
+        spec, points, verify, store
+    )
     restored = store.restored_points() if store is not None else {}
     pending = [
         (i, p) for i, p in enumerate(points) if p.key not in restored
@@ -806,5 +841,5 @@ def run_campaign(
         n_oom=n_oom,
     )
     if store is not None:
-        store.finalize(stats)
+        store.finalize(stats, verdicts)
     return CampaignResult(dataset=dataset, stats=stats)

@@ -17,6 +17,17 @@ point identity (:func:`repro.hardware.noise.point_seed`), an
 interrupted-then-resumed campaign is byte-identical to an uninterrupted one.
 The manifest is replaced atomically, so a crash while writing it leaves
 the previous version in place.
+
+A finalized manifest also carries the campaign's graph verdicts::
+
+    "verdicts": {"rules": ["IR001", ...],           # IR_RULES ids
+                 "graphs": {"<name>@<image>": [<Diagnostic dicts>]}}
+
+so a resume re-verifies only graphs without a verdict.  The spec
+fingerprint already pins everything else a verdict depends on (transform,
+IR007 gate, edge batch); the rule-id stamp retires verdicts written under
+a different rule set.  A manifest that cannot be read back raises
+:class:`StoreCorrupt`, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, IO
 
 from repro.benchdata.records import TimingRecord
+from repro.diagnostics import Diagnostic
 from repro.fileio import write_text_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids cycle
@@ -39,6 +51,59 @@ _VERSION = 1
 
 class StoreMismatch(ValueError):
     """The store on disk was written by a different campaign spec."""
+
+
+class StoreCorrupt(ValueError):
+    """The store manifest on disk cannot be read back."""
+
+
+#: Persisted graph verdicts, keyed ``"<name>@<image>"``.
+Verdicts = dict[str, tuple[Diagnostic, ...]]
+
+
+def _rule_stamp() -> list[str]:
+    """Rule ids of the IR verifier that produced (or would produce) a
+    verdict; imported on first use, as only verified runs need it."""
+    from repro.analysis.verify import IR_RULES
+
+    return [rule.rule for rule in IR_RULES]
+
+
+def _load_manifest(path: Path) -> tuple[dict, list[str], Verdicts]:
+    """Parse and check a manifest; returns it with its verdict block's
+    rule stamp and verdicts (``[]`` and ``{}`` when it has none)."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise StoreCorrupt(f"{path}: unparsable manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise StoreCorrupt(f"{path}: manifest is not a JSON object")
+    if not isinstance(manifest.get("fingerprint"), str):
+        raise StoreCorrupt(f"{path}: key 'fingerprint' is missing")
+    block = manifest.get("verdicts")
+    if block is None:
+        return manifest, [], {}
+    if not (
+        isinstance(block, dict)
+        and isinstance(block.get("rules"), list)
+        and all(isinstance(r, str) for r in block["rules"])
+        and isinstance(block.get("graphs"), dict)
+    ):
+        raise StoreCorrupt(
+            f"{path}: key 'verdicts' must hold a 'rules' list of rule ids "
+            "and a 'graphs' object"
+        )
+    verdicts: Verdicts = {}
+    for key, diags in block["graphs"].items():
+        try:
+            if not isinstance(diags, list):
+                raise TypeError(f"expected a list, got {type(diags).__name__}")
+            verdicts[key] = tuple(Diagnostic.from_dict(d) for d in diags)
+        except (KeyError, TypeError) as exc:
+            raise StoreCorrupt(
+                f"{path}: key 'verdicts.graphs.{key}' is malformed ({exc!r})"
+            ) from exc
+    return manifest, block["rules"], verdicts
 
 
 def _cut_torn_tail(path: Path) -> None:
@@ -60,6 +125,9 @@ class CampaignStore:
         self.directory = Path(directory)
         self.spec = spec
         self._handle: IO[str] | None = None
+        #: Rule stamp and verdicts read from the manifest on resume.
+        self._rules: list[str] = []
+        self._verdicts: Verdicts = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -74,7 +142,8 @@ class CampaignStore:
 
         Opening an existing store without ``resume`` raises, so a stale
         directory is never silently mixed into a new campaign; resuming a
-        store written by a different spec raises :class:`StoreMismatch`.
+        store written by a different spec raises :class:`StoreMismatch`,
+        and one whose manifest cannot be read raises :class:`StoreCorrupt`.
         """
         store = cls(directory, spec)
         manifest_path = store.directory / _MANIFEST
@@ -84,8 +153,10 @@ class CampaignStore:
                     f"campaign store {store.directory} already exists; "
                     "pass resume=True (CLI: --resume) or remove it"
                 )
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("fingerprint") != spec.fingerprint():
+            manifest, store._rules, store._verdicts = _load_manifest(
+                manifest_path
+            )
+            if manifest["fingerprint"] != spec.fingerprint():
                 raise StoreMismatch(
                     f"store {store.directory} was written by a different "
                     "campaign spec; refusing to mix record streams"
@@ -134,14 +205,14 @@ class CampaignStore:
                     continue
                 try:
                     entry = json.loads(line)
-                    records = [
+                    done[entry["key"]] = [
                         TimingRecord.from_dict(d) for d in entry["records"]
                     ]
-                except (ValueError, KeyError):
-                    # Truncated/corrupt tail of an interrupted run: drop the
-                    # line; the engine re-measures that point identically.
+                except (ValueError, KeyError, TypeError):
+                    # Truncated or corrupt line (or valid JSON of the wrong
+                    # shape): drop it; the engine re-measures that point
+                    # identically.
                     continue
-                done[entry["key"]] = records
         return done
 
     def append(
@@ -165,11 +236,30 @@ class CampaignStore:
         self._handle.write(line + "\n")
         self._handle.flush()
 
-    def finalize(self, stats: "CampaignStats") -> None:
-        """Mark the campaign complete and persist its throughput counters."""
+    def persisted_verdicts(self) -> Verdicts:
+        """Graph verdicts a finalized run left, keyed ``"<name>@<image>"``;
+        empty when there are none or a different IR rule set wrote them."""
+        return self._verdicts if self._rules == _rule_stamp() else {}
+
+    def finalize(
+        self, stats: "CampaignStats", verdicts: Verdicts | None = None
+    ) -> None:
+        """Mark the campaign complete and persist its throughput counters.
+
+        ``verdicts`` (every unique graph's diagnostics) replaces the
+        verdict block; ``None`` — an unverified run — keeps the one on disk.
+        """
         self.close()
         manifest_path = self.directory / _MANIFEST
-        manifest = json.loads(manifest_path.read_text())
+        manifest, _, _ = _load_manifest(manifest_path)
         manifest["complete"] = True
         manifest["stats"] = stats.to_dict()
+        if verdicts is not None:
+            manifest["verdicts"] = {
+                "rules": _rule_stamp(),
+                "graphs": {
+                    key: [d.to_dict() for d in diags]
+                    for key, diags in verdicts.items()
+                },
+            }
         write_text_atomic(manifest_path, json.dumps(manifest, indent=2))

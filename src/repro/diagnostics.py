@@ -61,6 +61,18 @@ class Diagnostic:
             "hint": self.hint,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "Diagnostic":
+        """Inverse of :meth:`to_dict`; raises ``KeyError``/``TypeError`` on
+        a malformed document."""
+        return cls(
+            rule=d["rule"],
+            severity=Severity[d["severity"]],
+            location=d["location"],
+            message=d["message"],
+            hint=d.get("hint", ""),
+        )
+
 
 def sort_diagnostics(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
     """Most severe first, then by location and rule id — a stable order for

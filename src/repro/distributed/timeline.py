@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 from repro.distributed.trainer import TrainingStepTrace
+from repro.fileio import write_text_atomic
 from repro.trace.export import chrome_payload
 
 
@@ -79,7 +80,7 @@ def write_chrome_trace(
 ) -> None:
     """Write a ``chrome://tracing``-loadable JSON file."""
     payload = chrome_payload(trace_to_chrome(trace, label))
-    Path(path).write_text(json.dumps(payload))
+    write_text_atomic(path, json.dumps(payload))
 
 
 def trace_to_text(trace: TrainingStepTrace, width: int = 72) -> str:

@@ -22,6 +22,7 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.table3_distributed import run_table3_distributed
 from repro.experiments.table3_single import run_table3_single
 from repro.experiments.table4 import run_table4
+from repro.fileio import write_text_atomic
 
 #: (section title, runner) in paper order.
 ALL_EXPERIMENTS: tuple[tuple[str, Callable], ...] = (
@@ -67,7 +68,7 @@ def generate_markdown(
 
 
 def write_report(path: str | Path, **kwargs) -> None:
-    Path(path).write_text(generate_markdown(**kwargs))
+    write_text_atomic(path, generate_markdown(**kwargs))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,6 +7,7 @@ be rendered with any DOT viewer.
 
 from __future__ import annotations
 
+from repro.fileio import write_text_atomic
 from repro.graph.graph import ComputeGraph
 from repro.graph.layers import Input
 
@@ -73,6 +74,4 @@ def to_dot(graph: ComputeGraph, include_shapes: bool = True) -> str:
 
 def write_dot(graph: ComputeGraph, path) -> None:
     """Write the DOT document to a file."""
-    from pathlib import Path
-
-    Path(path).write_text(to_dot(graph))
+    write_text_atomic(path, to_dot(graph))

@@ -7,7 +7,10 @@ contract across worker counts (1, 2, 4) and across resume-from-partial vs
 fresh runs, plus the store's refusal modes.
 """
 
+import dataclasses
 import json
+import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from repro.benchdata import (
     CampaignSpec,
     CampaignStore,
+    StoreCorrupt,
     StoreMismatch,
     enumerate_points,
     inference_campaign,
@@ -278,6 +282,29 @@ class TestResume:
         with pytest.raises(StoreMismatch):
             CampaignStore.open(directory, other, resume=True)
 
+    @pytest.mark.parametrize(
+        "bad", ['{"records": []}', "[1, 2]", '"x"'],
+        ids=["no-key", "list", "string"],
+    )
+    def test_wrong_shape_line_is_remeasured(
+        self, tmp_path, serial_result, bad
+    ):
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, REFERENCE_SPEC) as store:
+            run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        log = directory / "records.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[1] = bad + "\n"
+        log.write_text("".join(lines))
+        with CampaignStore.open(
+            directory, REFERENCE_SPEC, resume=True
+        ) as store:
+            resumed = run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        assert resumed.stats.n_executed == 1
+        assert _dataset_bytes(resumed.dataset) == _dataset_bytes(
+            serial_result.dataset
+        )
+
     def test_gated_points_are_logged_and_restored(self, tmp_path):
         spec = CampaignSpec(
             scenario="inference",
@@ -417,6 +444,23 @@ def _fresh_profile_caches(monkeypatch):
     monkeypatch.setattr(engine, "VERIFY_CACHE", LRUCache(maxsize=512))
 
 
+def _double_summary_flops(monkeypatch):
+    """Corrupt every graph record built from now on: its summary claims
+    twice the FLOPs, which IR004 reports as an ERROR per graph."""
+    from repro.hardware import roofline
+
+    of = roofline.GraphRecord.of
+
+    def doubled(graph):
+        record = of(graph)
+        summary = dataclasses.replace(
+            record.summary, flops=2 * record.summary.flops
+        )
+        return dataclasses.replace(record, summary=summary)
+
+    monkeypatch.setattr(roofline.GraphRecord, "of", staticmethod(doubled))
+
+
 SMALL = dict(
     device=A100_80GB, batch_sizes=(1, 32), image_sizes=(64, 128), seed=5
 )
@@ -510,22 +554,10 @@ class TestVerifiedGraphsAreMeasured:
     def test_strict_campaign_refuses_a_corrupt_record_summary(
         self, monkeypatch
     ):
-        import dataclasses
-
         from repro.analysis.verify import GraphVerificationError
-        from repro.hardware import roofline
 
         _fresh_profile_caches(monkeypatch)
-        of = roofline.GraphRecord.of
-
-        def doubled(graph):
-            record = of(graph)
-            summary = dataclasses.replace(
-                record.summary, flops=2 * record.summary.flops
-            )
-            return dataclasses.replace(record, summary=summary)
-
-        monkeypatch.setattr(roofline.GraphRecord, "of", staticmethod(doubled))
+        _double_summary_flops(monkeypatch)
         spec = VERIFY_EQUIVALENCE_SPECS["training"]
         with pytest.raises(GraphVerificationError) as err:
             run_campaign(spec, workers=1, verify="strict")
@@ -550,3 +582,302 @@ class TestVerifiedGraphsAreMeasured:
         assert _dataset_bytes(verified.dataset) == _dataset_bytes(
             unverified.dataset
         )
+
+
+#: Two points: enough to open, measure and finalize a store.
+TINY_SPEC = CampaignSpec(
+    scenario="inference", models=("alexnet",), device=A100_80GB,
+    batch_sizes=(1, 2), image_sizes=(64,), seed=17,
+)
+
+
+def _manifest_path(directory: Path) -> Path:
+    return directory / "manifest.json"
+
+
+def _read_manifest(directory: Path) -> dict:
+    return json.loads(_manifest_path(directory).read_text())
+
+
+def _write_manifest(directory: Path, manifest: dict) -> None:
+    _manifest_path(directory).write_text(json.dumps(manifest))
+
+
+#: name -> (manifest text from the valid text, key the error must name).
+CORRUPT_MANIFESTS = {
+    "empty": (lambda text: "", "unparsable"),
+    "cut-mid-key": (
+        lambda text: text[: text.index('"fingerprint"') + 5], "unparsable"
+    ),
+    "trailing-garbage": (lambda text: text + "}\n", "unparsable"),
+    "not-an-object": (lambda text: "[1, 2]", "not a JSON object"),
+    "no-fingerprint": (
+        lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "fingerprint"}
+        ),
+        "'fingerprint'",
+    ),
+    "verdicts-not-a-block": (
+        lambda text: json.dumps({**json.loads(text), "verdicts": []}),
+        "'verdicts'",
+    ),
+    "verdict-not-a-list": (
+        lambda text: json.dumps({
+            **json.loads(text),
+            "verdicts": {"rules": [], "graphs": {"alexnet@64": {}}},
+        }),
+        "'verdicts.graphs.alexnet@64'",
+    ),
+    "verdict-bad-diagnostic": (
+        lambda text: json.dumps({
+            **json.loads(text),
+            "verdicts": {
+                "rules": [],
+                "graphs": {"alexnet@64": [{"rule": "IR004"}]},
+            },
+        }),
+        "'verdicts.graphs.alexnet@64'",
+    ),
+}
+
+
+class TestStoreCorrupt:
+    """A manifest that cannot be read back is a typed error naming the
+    file and the key, from resume and from finalize alike."""
+
+    @staticmethod
+    def _corrupt(directory: Path, case: str) -> str:
+        mutate, expected = CORRUPT_MANIFESTS[case]
+        path = _manifest_path(directory)
+        path.write_text(mutate(path.read_text()))
+        return expected
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
+    def test_resume_refuses_a_corrupt_manifest(self, tmp_path, case):
+        directory = tmp_path / "run"
+        CampaignStore.open(directory, TINY_SPEC).close()
+        expected = self._corrupt(directory, case)
+        with pytest.raises(StoreCorrupt) as err:
+            CampaignStore.open(directory, TINY_SPEC, resume=True)
+        assert str(_manifest_path(directory)) in str(err.value)
+        assert expected in str(err.value)
+
+    @pytest.mark.parametrize(
+        "case", ["empty", "cut-mid-key", "no-fingerprint",
+                 "verdict-bad-diagnostic"]
+    )
+    def test_finalize_refuses_a_corrupt_manifest(self, tmp_path, case):
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, TINY_SPEC) as store:
+            expected = self._corrupt(directory, case)
+            with pytest.raises(StoreCorrupt) as err:
+                run_campaign(TINY_SPEC, workers=1, store=store)
+        assert str(_manifest_path(directory)) in str(err.value)
+        assert expected in str(err.value)
+
+
+#: Four graphs (two models x two images), eight points.
+VERDICT_SPEC = VERIFY_EQUIVALENCE_SPECS["training"]
+
+
+def _graph_keys(spec: CampaignSpec) -> list[str]:
+    return list(dict.fromkeys(
+        f"{p.model}@{p.image_size}" for p in enumerate_points(spec)
+    ))
+
+
+def _warn_run(spec, workers, store):
+    """``verify="warn"`` run; returns the result and its warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_campaign(
+            spec, workers=workers, store=store, verify="warn"
+        )
+    return result, [str(w.message) for w in caught]
+
+
+def _split_store(source: Path, target: Path, fraction: float) -> None:
+    """Copy a finalized store as a run that stopped after ``fraction`` of
+    its points: the first records, and the verdicts of just their graphs."""
+    shutil.copytree(source, target)
+    log = target / "records.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    kept = lines[: int(len(lines) * fraction)]
+    log.write_text("".join(kept))
+    measured = set()
+    for line in kept:
+        _, model, image, *_ = json.loads(line)["key"].split(":")
+        measured.add(f"{model}@{image}")
+    manifest = _read_manifest(target)
+    graphs = manifest["verdicts"]["graphs"]
+    manifest["verdicts"]["graphs"] = {
+        k: v for k, v in graphs.items() if k in measured
+    }
+    manifest["complete"] = False
+    _write_manifest(target, manifest)
+
+
+def _split_invariant(stats):
+    """The stats a resume split must not change: everything but wall time,
+    cache warmth and the tallies of what this very run restored or
+    measured (``counters`` and ``n_oom`` count this run's points)."""
+    from repro.caching import CacheStats
+
+    return dataclasses.replace(
+        stats, elapsed_seconds=0.0, cache=CacheStats(), n_restored=0,
+        n_executed=0, counters={}, n_oom=0,
+    )
+
+
+@pytest.fixture
+def verify_graph_calls(monkeypatch):
+    """Names of the graphs ``verify_graph`` is called on, from cold caches."""
+    import repro.analysis.verify as verify_pkg
+
+    calls: list[str] = []
+    verify_graph = verify_pkg.verify_graph
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.name)
+        return verify_graph(graph, *args, **kwargs)
+
+    monkeypatch.setattr(verify_pkg, "verify_graph", counting)
+    _fresh_profile_caches(monkeypatch)
+    return calls
+
+
+class TestPersistedVerdicts:
+    """A store keeps each graph's verdict; a resume verifies only graphs
+    without one and counts errors over the union."""
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["clean", "corrupt"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_identical_across_resume_splits(
+        self, tmp_path, monkeypatch, workers, corrupt
+    ):
+        spec = VERDICT_SPEC
+        if corrupt:
+            _double_summary_flops(monkeypatch)
+        _fresh_profile_caches(monkeypatch)
+        with CampaignStore.open(tmp_path / "cold", spec) as store:
+            cold, cold_warnings = _warn_run(spec, workers, store)
+        cold_verdicts = _read_manifest(tmp_path / "cold")["verdicts"]
+        assert list(cold_verdicts["graphs"]) == _graph_keys(spec)
+        assert (cold.stats.n_verify_errors > 0) == corrupt
+        assert bool(cold_warnings) == corrupt
+
+        for fraction in (1 / 3, 1 / 2, 1):
+            directory = tmp_path / f"split-{fraction:.2f}"
+            _split_store(tmp_path / "cold", directory, fraction)
+            _fresh_profile_caches(monkeypatch)
+            with CampaignStore.open(directory, spec, resume=True) as store:
+                resumed, resumed_warnings = _warn_run(spec, workers, store)
+            assert resumed.stats.n_restored == int(
+                cold.stats.n_points * fraction
+            )
+            assert _split_invariant(resumed.stats) == _split_invariant(
+                cold.stats
+            )
+            assert resumed_warnings == cold_warnings
+            assert _dataset_bytes(resumed.dataset) == _dataset_bytes(
+                cold.dataset
+            )
+            assert _read_manifest(directory)["verdicts"] == cold_verdicts
+
+    def test_complete_store_resume_verifies_nothing(
+        self, tmp_path, monkeypatch, verify_graph_calls
+    ):
+        spec = VERDICT_SPEC
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, spec) as store:
+            run_campaign(spec, workers=1, store=store)
+        assert len(verify_graph_calls) == len(_graph_keys(spec))
+        verify_graph_calls.clear()
+        _fresh_profile_caches(monkeypatch)
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            resumed = run_campaign(spec, workers=1, store=store)
+        assert verify_graph_calls == []
+        assert resumed.stats.n_executed == 0
+
+    def test_strict_resume_refuses_persisted_errors(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.verify import GraphVerificationError
+        from repro.benchdata.engine import verify_campaign_graphs
+        from repro.diagnostics import Diagnostic, has_errors, sort_diagnostics
+
+        spec = VERDICT_SPEC
+        directory = tmp_path / "run"
+        with monkeypatch.context() as corrupted:
+            _double_summary_flops(corrupted)
+            _fresh_profile_caches(corrupted)
+            with CampaignStore.open(directory, spec) as store:
+                with pytest.warns(RuntimeWarning, match="IR004"):
+                    run_campaign(spec, workers=1, store=store)
+        persisted = sort_diagnostics(
+            Diagnostic.from_dict(d)
+            for diags in _read_manifest(directory)["verdicts"][
+                "graphs"
+            ].values()
+            for d in diags
+        )
+        assert has_errors(persisted)
+        # The graphs themselves are clean now: only the store holds errors.
+        _fresh_profile_caches(monkeypatch)
+        assert not has_errors(verify_campaign_graphs(spec))
+        _fresh_profile_caches(monkeypatch)
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            with pytest.raises(GraphVerificationError) as err:
+                run_campaign(spec, workers=1, store=store, verify="strict")
+        assert err.value.diagnostics == persisted
+
+    @pytest.mark.parametrize(
+        "fallback", ["no-verify", "verdicts-removed", "foreign-rules"]
+    )
+    def test_fallback_verifies_in_full(
+        self, tmp_path, monkeypatch, verify_graph_calls, fallback
+    ):
+        spec = VERDICT_SPEC
+        directory = tmp_path / "run"
+        verify = "off" if fallback == "no-verify" else "warn"
+        with CampaignStore.open(directory, spec) as store:
+            run_campaign(spec, workers=1, store=store, verify=verify)
+        manifest = _read_manifest(directory)
+        stamp = manifest.get("verdicts", {}).get("rules")
+        if fallback == "no-verify":
+            assert "verdicts" not in manifest
+        elif fallback == "verdicts-removed":
+            del manifest["verdicts"]
+        else:
+            manifest["verdicts"]["rules"] = ["IR001"]
+        _write_manifest(directory, manifest)
+        verify_graph_calls.clear()
+        _fresh_profile_caches(monkeypatch)
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            run_campaign(spec, workers=1, store=store)
+        assert len(verify_graph_calls) == len(_graph_keys(spec))
+        verdicts = _read_manifest(directory)["verdicts"]
+        assert list(verdicts["graphs"]) == _graph_keys(spec)
+        assert stamp is None or verdicts["rules"] == stamp
+
+    def test_unverified_resume_keeps_persisted_verdicts(self, tmp_path):
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, VERDICT_SPEC) as store:
+            run_campaign(VERDICT_SPEC, workers=1, store=store)
+        before = _read_manifest(directory)["verdicts"]
+        with CampaignStore.open(
+            directory, VERDICT_SPEC, resume=True
+        ) as store:
+            run_campaign(VERDICT_SPEC, workers=1, store=store, verify="off")
+        assert _read_manifest(directory)["verdicts"] == before
+
+    def test_diagnostic_round_trips_through_its_dict(self):
+        from repro.diagnostics import Diagnostic, Severity
+
+        diag = Diagnostic("IR004", Severity.ERROR, "g:conv", "bad", "fix")
+        assert Diagnostic.from_dict(diag.to_dict()) == diag
+        assert Diagnostic.from_dict(
+            {"rule": "IR009", "severity": "INFO", "location": "g",
+             "message": "m"}
+        ).hint == ""
