@@ -8,8 +8,8 @@ report MAPE (:func:`repro.core.loo.leave_one_out`).  Scenarios cover
 inference, single-device training steps, and multi-node scaling.
 
 The leaderboard payload (``BENCH_leaderboard.json``) is schema-stamped
-``repro/leaderboard-bench/v1`` and validated through the shared
-:func:`repro.serve.bench.validate_bench_payload` dispatch.  Every input
+``repro/leaderboard-bench/v1`` and validated by
+:func:`validate_leaderboard_payload` before it is written.  Every input
 is seeded and every fit is deterministic, so two runs with the same
 configuration produce **byte-identical** files — gated by
 ``tests/test_leaderboard.py``.

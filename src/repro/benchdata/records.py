@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.fileio import write_text_atomic
+from repro.fileio import DocumentError, read_json_object, write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,18 @@ class Dataset:
 
     @staticmethod
     def from_json(path: str | Path) -> "Dataset":
-        payload = json.loads(Path(path).read_text())
-        return Dataset(
-            [TimingRecord.from_dict(d) for d in payload["records"]]
-        )
+        """Read a dataset written by :meth:`to_json`.
+
+        Raises :class:`~repro.fileio.DocumentError` naming ``path`` when
+        the file is not a dataset document.
+        """
+        records = read_json_object(path).get("records")
+        if not isinstance(records, list):
+            raise DocumentError(f"{path}: missing key 'records' (a list)")
+        try:
+            return Dataset([TimingRecord.from_dict(d) for d in records])
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"{path}: {exc}") from exc
 
     def with_scenario(self, scenario: str) -> "Dataset":
         return self.filter(lambda r: r.scenario == scenario)

@@ -59,7 +59,7 @@ class CacheStats:
 
     def to_dict(self) -> dict[str, float]:
         """All counters plus derived rates, JSON-ready — the shape the
-        serve ``/metrics`` endpoint and ``BENCH_serve.json`` report."""
+        serve ``/metrics`` endpoint reports."""
         return {
             "hits": float(self.hits),
             "misses": float(self.misses),

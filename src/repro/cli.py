@@ -50,6 +50,7 @@ from repro.core.epoch import epoch_time, total_training_time
 from repro.core.forward import ForwardModel
 from repro.core.persistence import load_model, save_model
 from repro.core.training import TrainingStepModel
+from repro.fileio import DocumentError
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 from repro.hardware.device import DEVICE_PRESETS, get_device
 from repro.hardware.roofline import graph_record
@@ -454,15 +455,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        BenchConfig,
-        ModelRegistry,
-        RegistryError,
-        UnknownArtifactError,
-        bench_registry,
-        make_server,
-        write_bench,
-    )
+    from repro.serve import ModelRegistry, RegistryError, make_server
 
     try:
         registry = ModelRegistry(args.registry)
@@ -470,37 +463,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     domain_factor = args.domain_factor if args.domain_factor > 0 else None
-    if args.bench:
-        try:
-            artifact = args.artifact or registry.default_name()
-            registry.get(artifact)
-        except (UnknownArtifactError, RegistryError) as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
-        config = BenchConfig(
-            artifact=artifact,
-            queries=args.queries,
-            threads=args.threads,
-            seed=args.seed,
-        )
-        payload = bench_registry(
-            registry, config, fuse=args.fuse, domain_factor=domain_factor
-        )
-        write_bench(payload, args.out)
-        lat = payload["latency_ms"]
-        print(
-            f"benched {artifact!r}: {payload['totals']['queries']} queries "
-            f"in {payload['wall_seconds']:.2f} s "
-            f"({payload['qps']:.0f} q/s, {payload['totals']['errors']} "
-            "errors)"
-        )
-        print(
-            f"latency p50 {lat['p50']:.2f} ms, p90 {lat['p90']:.2f} ms, "
-            f"p99 {lat['p99']:.2f} ms; feature-cache hit rate "
-            f"{payload['feature_cache']['hit_rate']:.0%}"
-        )
-        print(f"wrote {args.out}")
-        return 0
     server = make_server(
         registry,
         host=args.host,
@@ -911,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve predictions over HTTP from a registry of fitted "
              "models (see docs/serving.md)",
-        epilog="exit codes: 0 = clean shutdown / bench written, "
+        epilog="exit codes: 0 = clean shutdown, "
                "2 = unusable registry or artifact",
     )
     serve.add_argument("--registry", required=True,
@@ -931,20 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--feature-cache", type=int, default=512,
                        help="max entries of the (network, image, "
                             "transform) feature-vector LRU cache")
-    serve.add_argument("--bench", action="store_true",
-                       help="boot an ephemeral server, drive it with a "
-                            "seeded load, write the benchmark JSON, exit")
-    serve.add_argument("--artifact", default=None,
-                       help="registry artifact to bench (default: the "
-                            "registry's default model)")
-    serve.add_argument("--queries", type=int, default=256,
-                       help="total queries the bench issues")
-    serve.add_argument("--threads", type=int, default=4,
-                       help="concurrent bench client threads")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="seed of the deterministic bench query mix")
-    serve.add_argument("-o", "--out", default="BENCH_serve.json",
-                       help="bench payload path (--bench)")
     serve.set_defaults(func=_cmd_serve)
 
     leaderboard = sub.add_parser(
@@ -999,6 +947,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DocumentError as exc:
+        # An input file (dataset, model artifact) that is unreadable or
+        # has the wrong shape is a usage error, reported without a
+        # traceback.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout was closed early (e.g. `repro trace ... | head`); exit
         # quietly on a detached stream rather than dumping a traceback.

@@ -31,7 +31,7 @@ from repro.core.training import (
     GradientUpdateModel,
     TrainingStepModel,
 )
-from repro.fileio import write_text_atomic
+from repro.fileio import DocumentError, read_json_object, write_text_atomic
 
 _FORMAT_VERSION = 2
 _SUPPORTED_FORMATS = (1, 2)
@@ -235,12 +235,30 @@ def save_model(model: object, path: str | Path, audit: str = "warn") -> None:
     write_text_atomic(path, json.dumps(state, indent=2))
 
 
+def _read_model_document(path: str | Path) -> dict[str, Any]:
+    """The JSON object at ``path``, checked to carry a model's ``format``
+    and ``kind`` (:class:`~repro.fileio.DocumentError` otherwise)."""
+    state = read_json_object(path)
+    for key in ("format", "kind"):
+        if key not in state:
+            raise DocumentError(f"{path}: missing key {key!r}")
+    return state
+
+
 def load_model(path: str | Path) -> object:
-    """Load a fitted model saved by :func:`save_model`."""
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Load a fitted model saved by :func:`save_model`.
+
+    Raises :class:`~repro.fileio.DocumentError` naming ``path`` when the
+    file is not a model document.
+    """
+    state = _read_model_document(path)
+    try:
+        return model_from_dict(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 def load_audit_block(path: str | Path) -> dict[str, Any] | None:
     """The audit block embedded in a saved model, or None (v1 documents,
     or models saved with ``audit="off"``)."""
-    return json.loads(Path(path).read_text()).get("audit")
+    return _read_model_document(path).get("audit")

@@ -1,7 +1,7 @@
 """Prediction-as-a-service: the `repro serve` HTTP layer.
 
 The paper's end product is a fitted predictor you *query*; this package
-is the long-running service surface over it (ROADMAP item 1).  Four
+is the long-running service surface over it (ROADMAP item 1).  Three
 modules, stdlib-only (``http.server`` threading — no new dependencies):
 
 * :mod:`repro.serve.registry` — versioned directory of v2 model
@@ -10,22 +10,11 @@ modules, stdlib-only (``http.server`` threading — no new dependencies):
 * :mod:`repro.serve.protocol` — the JSON request/response contract and
   the vectorized batched predict (bit-equal to sequential evaluation);
 * :mod:`repro.serve.server` — the threaded HTTP server with
-  ``/predict``, ``/healthz`` and ``/metrics`` (trace-counter backed);
-* :mod:`repro.serve.bench` — the deterministic load generator behind
-  ``repro serve --bench`` and the ``BENCH_serve.json`` schema.
+  ``/predict``, ``/healthz`` and ``/metrics`` (trace-counter backed).
 
 See ``docs/serving.md`` for the protocol and registry layout.
 """
 
-from repro.serve.bench import (
-    BENCH_SCHEMA,
-    BenchConfig,
-    bench_registry,
-    build_mix,
-    run_bench,
-    validate_bench_payload,
-    write_bench,
-)
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FeatureCache,
@@ -46,10 +35,8 @@ from repro.serve.registry import (
 from repro.serve.server import PredictionServer, make_server
 
 __all__ = [
-    "BENCH_SCHEMA",
     "PROTOCOL_VERSION",
     "ArtifactEntry",
-    "BenchConfig",
     "FeatureCache",
     "ModelRegistry",
     "PredictQuery",
@@ -59,13 +46,8 @@ __all__ = [
     "RegistryError",
     "UnknownArtifactError",
     "answer_request",
-    "bench_registry",
-    "build_mix",
     "make_server",
     "predict_forward_batch",
     "predict_step_batch",
-    "run_bench",
-    "validate_bench_payload",
-    "write_bench",
     "write_manifest",
 ]

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.persistence import model_from_dict
-from repro.fileio import write_text_atomic
+from repro.fileio import DocumentError, read_json_object, write_text_atomic
 
 #: Manifest schema version understood by this registry.
 MANIFEST_VERSION = 1
@@ -93,11 +93,9 @@ class ArtifactEntry:
 def _load_artifact(name: str, path: Path, device: str = "") -> ArtifactEntry:
     """Parse and validate one artifact file (serve-time policy applied)."""
     try:
-        state = json.loads(path.read_text())
-    except OSError as exc:
-        raise RegistryError(f"artifact {name!r}: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"artifact {name!r}: {path} is not JSON: {exc}")
+        state = read_json_object(path)
+    except DocumentError as exc:
+        raise RegistryError(f"artifact {name!r}: {exc}") from exc
     fmt = state.get("format")
     if fmt == 1:
         raise RegistryError(
@@ -161,16 +159,25 @@ class ModelRegistry:
         manifest = self.root / MANIFEST_NAME
         if manifest.exists():
             try:
-                doc = json.loads(manifest.read_text())
-            except json.JSONDecodeError as exc:
-                raise RegistryError(f"manifest {manifest} is not JSON: {exc}")
+                doc = read_json_object(manifest)
+            except DocumentError as exc:
+                raise RegistryError(f"manifest: {exc}") from exc
             if doc.get("version") != MANIFEST_VERSION:
                 raise RegistryError(
                     f"manifest {manifest} has version {doc.get('version')!r}; "
                     f"this registry understands {MANIFEST_VERSION}"
                 )
+            models = doc.get("models", {})
+            if not isinstance(models, dict):
+                raise RegistryError(
+                    f"manifest {manifest}: 'models' is not an object"
+                )
             declared = {}
-            for name, spec in dict(doc.get("models", {})).items():
+            for name, spec in models.items():
+                if not isinstance(spec, dict) or "file" not in spec:
+                    raise RegistryError(
+                        f"manifest {manifest}: missing key models.{name}.file"
+                    )
                 declared[str(name)] = (
                     self.root / str(spec["file"]),
                     str(spec.get("device", "")),

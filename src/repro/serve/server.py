@@ -13,8 +13,8 @@ Counters ride on the trace subsystem's :class:`~repro.trace.Tracer` — the
 same ``name -> float`` counter shape campaigns persist to store manifests
 — guarded by one lock so concurrent request threads never lose updates
 and ``/metrics`` reads are consistent snapshots.  Simulated prediction
-math stays deterministic; only observability (latency in the bench
-driver) ever touches a real clock, via ``time.perf_counter``.
+math stays deterministic and the server reads no real clock; request
+latency is measured by the client (perfbench's ``serve`` workload).
 """
 
 from __future__ import annotations

@@ -69,15 +69,18 @@ class TestReadmeSnippets:
 
 class TestDocsMentionRealArtifacts:
     @pytest.mark.parametrize(
-        "doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md",
-                "docs/architecture.md", "docs/tutorial.md",
-                "docs/transforms.md"]
+        "doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+            path.relative_to(ROOT).as_posix()
+            for path in (ROOT / "docs").glob("*.md")
+        )
     )
     def test_referenced_paths_exist(self, doc):
         """Every repository path a doc points at must exist."""
         text = (ROOT / doc).read_text()
         for match in re.finditer(
-            r"`((?:examples|benchmarks|docs)/[\w./-]+\.(?:py|md))`", text
+            r"`((?:examples|benchmarks|docs|src/repro|perfbench|tests)/"
+            r"[\w./-]+\.(?:py|md))`",
+            text,
         ):
             assert (ROOT / match.group(1)).exists(), match.group(1)
 

@@ -11,9 +11,10 @@ from repro.benchdata.records import ConvNetFeatures, TimingRecord
 from repro.core.forward import ForwardModel
 from repro.core.loo import leave_one_out
 from repro.core.metrics import evaluate_predictions
-from repro.core.persistence import load_model
+from repro.core.persistence import load_audit_block, load_model
 from repro.core.regression import LinearModel
 from repro.core.training import TrainingStepModel
+from repro.fileio import DocumentError
 from repro.graph.builder import GraphBuilder
 
 
@@ -37,7 +38,7 @@ class TestCorruptedData:
     def test_truncated_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"records": [{"model": "x"')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(DocumentError, match="bad.json is not JSON"):
             Dataset.from_json(path)
 
     def test_schema_mismatch_raises(self, tmp_path):
@@ -64,6 +65,86 @@ class TestCorruptedData:
         metrics = evaluate_predictions(measured, np.array([1.0, 1.0]))
         # NaNs must be visible in the result, not silently averaged away.
         assert np.isnan(metrics.rmse) or np.isnan(metrics.mape)
+
+
+#: Documents that are not what any loader expects: empty, an object with
+#: none of the required keys, not an object, torn mid-key, and a valid
+#: object followed by garbage.
+BAD_DOCUMENTS = {
+    "empty": "",
+    "no-keys": "{}",
+    "array": "[1]",
+    "truncated": '{"reco',
+    "trailing-garbage": '{"records": []} x',
+}
+
+#: Loader -> the key it names when an object lacks it.
+LOADERS = {
+    "dataset": (Dataset.from_json, "records"),
+    "model": (load_model, "format"),
+    "audit-block": (load_audit_block, "format"),
+}
+
+
+class TestTypedLoadErrors:
+    """Every JSON loader fails with one ValueError subclass naming the
+    file, and every command reading one exits 2 with ``<cmd>: <message>``
+    on stderr instead of a traceback."""
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+    def test_loader_names_the_file(self, tmp_path, loader, case):
+        load, key = LOADERS[loader]
+        path = tmp_path / f"{case}.json"
+        path.write_text(BAD_DOCUMENTS[case])
+        with pytest.raises(DocumentError, match=f"{case}.json") as info:
+            load(path)
+        if case == "no-keys":
+            assert f"missing key {key!r}" in str(info.value)
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"format": 2}, "missing key 'kind'"),
+        ({"format": 2, "kind": "forward"}, "'metric_names'"),
+    ], ids=["no-kind", "no-state"])
+    def test_model_document_names_file_and_key(self, tmp_path, doc, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DocumentError, match="model.json") as info:
+            load_model(path)
+        assert named in str(info.value)
+
+    def test_non_object_record_is_a_document_error(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"records": [1]}))
+        with pytest.raises(DocumentError, match="data.json"):
+            Dataset.from_json(path)
+
+    def test_missing_file_is_a_document_error(self, tmp_path):
+        with pytest.raises(DocumentError, match="cannot read"):
+            load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "audit", "report"])
+    @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+    def test_command_exits_2_with_message(self, tmp_path, capsys, command,
+                                          case):
+        from repro.cli import main
+
+        path = tmp_path / f"{case}.json"
+        path.write_text(BAD_DOCUMENTS[case])
+        argv = {
+            "fit": ["fit", "--data", str(path), "-o",
+                    str(tmp_path / "out.json")],
+            "predict": ["predict", "--model", str(path),
+                        "--network", "alexnet"],
+            "audit": ["audit", str(path)],
+            "report": ["report", "--model", str(path),
+                       "--network", "alexnet"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {path}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestDegenerateFits:

@@ -28,7 +28,6 @@ from repro.baselines.eval import (
     validate_leaderboard_payload,
     write_leaderboard,
 )
-from repro.serve.bench import validate_bench_payload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "leaderboard_golden.json"
 
@@ -46,9 +45,6 @@ def payload():
 class TestLeaderboardPayload:
     def test_schema_validates(self, payload):
         assert validate_leaderboard_payload(payload) == []
-
-    def test_shared_bench_dispatch_accepts_it(self, payload):
-        assert validate_bench_payload(payload) == []
 
     def test_covers_all_scenarios_and_predictors(self, payload):
         assert set(payload["scenarios"]) == set(SCENARIO_NAMES)
@@ -174,7 +170,7 @@ class TestLeaderboardGolden:
 
     def test_golden_validates_standalone(self):
         doc = json.loads(GOLDEN_PATH.read_text())
-        assert validate_bench_payload(doc) == []
+        assert validate_leaderboard_payload(doc) == []
 
     def test_golden_convmeter_ranking_is_stable(self):
         """ConvMeter must stay a podium finisher on its own benchmark:

@@ -206,6 +206,42 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="cannot stat"):
             registry.get("gone")
 
+    def test_wrong_shape_artifact_is_isolated(self, tmp_path, registry_dir):
+        shutil.copy(registry_dir / "default.json", tmp_path / "good.json")
+        (tmp_path / "bad.json").write_text(json.dumps([1, 2]))
+        registry = ModelRegistry(tmp_path)
+        assert registry.names() == ["good"]
+        failed = registry.snapshot().failed
+        assert set(failed) == {"bad"}
+        assert "bad.json" in failed["bad"] and "not an object" in failed["bad"]
+        with pytest.raises(RegistryError, match="bad.json"):
+            registry.get("bad")
+        assert registry.get("good").kind == "forward"
+
+    @pytest.mark.parametrize("manifest, named", [
+        ([], "registry.json"),
+        ({"version": 1, "models": ["default.json"]}, "'models'"),
+        ({"version": 1, "models": {"fwd": {"device": "a100-80gb"}}},
+         "models.fwd.file"),
+    ], ids=["not-an-object", "models-not-an-object", "entry-without-file"])
+    def test_unusable_manifest_is_a_registry_error(
+        self, tmp_path, registry_dir, capsys, manifest, named
+    ):
+        shutil.copy(registry_dir / "default.json", tmp_path / "default.json")
+        (tmp_path / "registry.json").write_text(json.dumps(manifest))
+        with pytest.raises(RegistryError, match=named):
+            ModelRegistry(tmp_path)
+        assert cli_main(["serve", "--registry", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ") and named in err
+        assert "Traceback" not in err
+
+    def test_bench_flag_is_gone(self, registry_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["serve", "--registry", str(registry_dir), "--bench"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err
+
 
 # -- predict: happy paths ----------------------------------------------------
 
@@ -675,6 +711,15 @@ class TestConcurrency:
             after["counters"]["predict_requests_total"]
             - before["counters"]["predict_requests_total"]
         ) == float(total)
+        # The sequential pass warmed every (network, image, transform)
+        # key, so the repeated mix is served from the feature cache.
+        assert (
+            after["feature_cache"]["hits"] - before["feature_cache"]["hits"]
+        ) == float(total)
+        assert (
+            after["feature_cache"]["misses"]
+            - before["feature_cache"]["misses"]
+        ) == 0.0
 
 
 # -- hot reload --------------------------------------------------------------
@@ -733,6 +778,38 @@ class TestHotReload:
                                           "batch": 1})
             assert status == 409
             assert "not JSON" in body["error"]
+
+            path.write_text(good)
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns,
+                               stat.st_mtime_ns + 2_000_000_000))
+            status, _ = _post(server, {"network": "alexnet", "batch": 1})
+            assert status == 200
+        finally:
+            _shutdown(server, thread)
+
+    def test_wrong_shape_rewrite_turns_409_then_recovers(self, tmp_path,
+                                                        registry_dir):
+        root = tmp_path / "reg"
+        root.mkdir()
+        good = (registry_dir / "default.json").read_text()
+        path = root / "default.json"
+        path.write_text(good)
+        server, thread = _boot(ModelRegistry(root))
+        try:
+            status, _ = _post(server, {"network": "alexnet", "batch": 1})
+            assert status == 200
+
+            path.write_text(json.dumps([3]))
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns,
+                               stat.st_mtime_ns + 1_000_000_000))
+            status, body = _post(server, {"network": "alexnet",
+                                          "batch": 1})
+            assert status == 409
+            assert "not an object" in body["error"]
+            server.registry.refresh()  # a rescan isolates it, too
+            assert "default" in server.registry.snapshot().failed
 
             path.write_text(good)
             stat = path.stat()
