@@ -42,6 +42,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.benchdata.records import Dataset, TimingRecord
 from repro.caching import CacheStats, LRUCache
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
@@ -75,42 +77,79 @@ def block_profile(block_name: str, image_size: int) -> CostProfile:
     return graph_record("block", block_name, image_size).profile
 
 
-#: Bounded cache of clean-time grids, keyed by everything the noise-free
-#: components depend on: device, execution backend, scenario (training adds
-#: phases), graph transform, model identity, and the swept batch sizes.
-#: One entry holds the whole batch sweep of a ``(model, image_size)`` pair,
-#: computed from a single batched roofline evaluation per phase — so a
-#: campaign pays the per-layer arithmetic once per model, not once per
-#: point.  Kept apart from the graph record cache: its key adds the device,
-#: backend and batch sweep.
+@dataclass(frozen=True)
+class PointGrid:
+    """The batched per-point quantities of one ``(model, image_size)`` sweep.
+
+    Row ``i`` of each array belongs to ``spec.batch_sizes[i]``.  Each value
+    equals its per-point definition bit for bit: the executor's clean times
+    and seeded noise draws, and the work sums of :func:`point_counters`.
+    """
+
+    #: Clean-time components per batch, shape ``(batches, components)``;
+    #: ``None`` for distributed sweeps.
+    clean: np.ndarray | None
+    #: Noise factors from
+    #: :meth:`~repro.hardware.executor.SimulatedExecutor.noise_grids`,
+    #: shape ``(batches, reps, phases)``; ``None`` for distributed sweeps,
+    #: whose trainer draws per point.
+    noise: np.ndarray | None
+    #: Work counters per batch, shape ``(batches, 2)``: FLOPs, bytes.
+    work: np.ndarray
+    #: Gradient bytes one all-reduce moves (distributed counters).
+    grad_bytes: float
+
+
+#: Bounded cache of :class:`PointGrid` s, keyed by everything a grid depends
+#: on: device, execution backend, scenario (training adds phases), graph
+#: transform, model identity, the swept batch sizes, and the seed and reps
+#: the noise draws depend on.  One entry holds the whole batch sweep of a
+#: ``(model, image_size)`` pair, computed by one batched roofline
+#: evaluation per phase, one batched noise draw and one batched work sum —
+#: so a campaign pays that arithmetic once per model and image, not once
+#: per point.  Kept apart from the graph record cache: its key adds the
+#: device, backend, batch sweep and seed.
 CLEAN_TIME_CACHE: LRUCache[
-    tuple[str, str, str, str, str, int, tuple[int, ...]],
-    dict[int, tuple[float, ...]],
+    tuple[DeviceSpec, str, str, str, str, int, tuple[int, ...], int, int],
+    PointGrid,
 ] = LRUCache(maxsize=512)
 
 
-def _clean_time_grid(
+def _point_grid(
     spec: CampaignSpec,
     point: SweepPoint,
     profile: CostProfile,
     executor: SimulatedExecutor,
-) -> dict[int, tuple[float, ...]]:
-    """Cached clean-time components for every batch in the spec's sweep."""
+) -> PointGrid:
+    """The cached :class:`PointGrid` of the point's ``(model, image)``."""
     key = (
-        spec.device.name,
+        spec.device,
         spec.backend,
         spec.scenario,
         spec.transform,
         point.model,
         point.image_size,
         spec.batch_sizes,
+        spec.seed,
+        spec.reps,
     )
 
-    def build() -> dict[int, tuple[float, ...]]:
-        return executor.clean_time_grids(
-            profile,
-            spec.batch_sizes,
-            training=spec.scenario == "training",
+    def build() -> PointGrid:
+        batches = spec.batch_sizes
+        training = spec.scenario == "training"
+        clean = noise = None
+        if spec.scenario != "distributed":
+            grids = executor.clean_time_grids(profile, batches, training)
+            clean = np.array([grids[batch] for batch in batches])
+            noise = executor.noise_grids(profile, batches, spec.reps, training)
+        flops, nbytes = _work_sums(
+            spec.scenario, profile, np.asarray(batches)[:, None]
+        )
+        return PointGrid(
+            clean=clean,
+            noise=noise,
+            work=np.column_stack((flops, nbytes)),
+            grad_bytes=_grad_bytes(profile, executor.backend),
         )
 
     return CLEAN_TIME_CACHE.get_or_compute(key, build)
@@ -461,6 +500,44 @@ def _gated(
     return "budget" if estimate > spec.max_seconds else ""
 
 
+def _work_sums(scenario: str, profile: CostProfile, batch):
+    """FLOPs and bytes of the counted phases, each summed over layers.
+
+    ``batch`` is an ``int``, or a column of batch sizes giving one sum per
+    row; a row reduces in the same order as the 1-D sum of that batch.
+    """
+    phases = ("forward",)
+    if scenario in ("training", "distributed"):
+        phases = ("forward", "backward", "grad_update")
+    flops = nbytes = 0.0
+    for phase in phases:
+        f, b = phase_work(profile, batch, phase)
+        flops = flops + f.sum(axis=-1)
+        nbytes = nbytes + b.sum(axis=-1)
+    return flops, nbytes
+
+
+def _grad_bytes(profile: CostProfile, backend: ExecutionBackend) -> float:
+    return backend.spec.float_bytes * float(
+        profile.param_counts[profile.has_params].sum()
+    )
+
+
+def _counters(
+    spec: CampaignSpec,
+    point: SweepPoint,
+    flops: float,
+    nbytes: float,
+    grad_bytes: float,
+) -> dict[str, float]:
+    counters = {"flops": flops, "bytes": nbytes}
+    if spec.scenario == "distributed":
+        ranks = point.nodes * spec.gpus_per_node
+        if ranks > 1 and grad_bytes > 0.0:
+            counters["allreduce_bytes"] = grad_bytes
+    return counters
+
+
 def point_counters(
     spec: CampaignSpec,
     point: SweepPoint,
@@ -469,31 +546,19 @@ def point_counters(
 ) -> dict[str, float]:
     """Analytic work counters of one measured point (per-rank quantities).
 
-    Always on — a handful of vectorised sums per point, independent of
-    tracing — so campaign stats and store manifests are identical whether
-    or not a trace was requested.  Sums the same per-phase accounting the
-    span layer records (:func:`~repro.hardware.backend.phase_work`):
-    forward work for inference, plus backward/optimizer work for training
-    scenarios, plus all-reduce volume when more than one rank
-    participates.
+    Always on, independent of tracing, so campaign stats and store
+    manifests are identical whether or not a trace was requested.  Sums
+    the same per-phase accounting the span layer records
+    (:func:`~repro.hardware.backend.phase_work`): forward work for
+    inference, plus backward/optimizer work for training scenarios, plus
+    all-reduce volume when more than one rank participates.  The
+    measuring loop reads the same values from its :class:`PointGrid`,
+    summed for the whole batch sweep at once.
     """
-    phases = ("forward",)
-    if spec.scenario in ("training", "distributed"):
-        phases = ("forward", "backward", "grad_update")
-    flops = nbytes = 0.0
-    for phase in phases:
-        f, b = phase_work(profile, point.batch, phase)
-        flops += float(f.sum())
-        nbytes += float(b.sum())
-    counters = {"flops": flops, "bytes": nbytes}
-    if spec.scenario == "distributed":
-        ranks = point.nodes * spec.gpus_per_node
-        grad_bytes = backend.spec.float_bytes * float(
-            profile.param_counts[profile.has_params].sum()
-        )
-        if ranks > 1 and grad_bytes > 0.0:
-            counters["allreduce_bytes"] = grad_bytes
-    return counters
+    flops, nbytes = _work_sums(spec.scenario, profile, point.batch)
+    return _counters(
+        spec, point, float(flops), float(nbytes), _grad_bytes(profile, backend)
+    )
 
 
 def _measure_point(
@@ -511,18 +576,19 @@ def _measure_point(
     spans the executor and trainer emit; the recorded values are identical
     either way.
 
-    The deterministic clean-time components come from
-    :data:`CLEAN_TIME_CACHE` — one batched roofline evaluation per
-    ``(model, image_size)`` instead of one per point — and the executor
-    skips its memory re-check, since gating already proved the fit.
+    The clean-time components, the noise factors and the work counters
+    come from the point's :class:`PointGrid` in :data:`CLEAN_TIME_CACHE`
+    — computed once per ``(model, image_size)`` instead of once per point
+    — and the executor skips its memory re-check, since gating already
+    proved the fit.
     """
     record = _point_record(spec, point)
     profile = record.profile
     backend = get_backend(spec.backend, spec.device)
     executor = SimulatedExecutor(seed=spec.seed, backend=backend)
-    clean = None
-    if spec.scenario != "distributed":
-        clean = _clean_time_grid(spec, point, profile, executor)[point.batch]
+    grid = _point_grid(spec, point, profile, executor)
+    row = spec.batch_sizes.index(point.batch)
+    clean = None if grid.clean is None else tuple(grid.clean[row].tolist())
     gate = _gated(spec, point, profile, backend, clean)
     if gate:
         return [], {}, gate
@@ -549,6 +615,7 @@ def _measure_point(
             tracer=tracer,
             enforce_memory=False,
             clean_time=clean[0],
+            noise_factor=float(grid.noise[row, point.rep, 0]),
         )
         times = (t, 0.0, 0.0)
     elif spec.scenario == "training":
@@ -559,6 +626,7 @@ def _measure_point(
             tracer=tracer,
             enforce_memory=False,
             clean_times=clean,
+            noise_factors=tuple(grid.noise[row, point.rep].tolist()),
         )
         times = (phases.forward, phases.backward, phases.grad_update)
     else:
@@ -591,7 +659,9 @@ def _measure_point(
         rep=point.rep,
         backend=spec.backend,
     )
-    return [record], point_counters(spec, point, profile, backend), ""
+    flops, nbytes = grid.work[row].tolist()
+    counters = _counters(spec, point, flops, nbytes, grid.grad_bytes)
+    return [record], counters, ""
 
 
 def execute_point(spec: CampaignSpec, point: SweepPoint) -> list[TimingRecord]:
@@ -627,8 +697,8 @@ def trace_campaign(
     )
     # Per-point measurement is the tracing contract: every span re-derives
     # from point-identity noise seeding, and batching across points would
-    # interleave span streams.  The batchable clean components are already
-    # amortised through CLEAN_TIME_CACHE.
+    # interleave span streams.  The batchable clean times, noise draws and
+    # work counters are already amortised through CLEAN_TIME_CACHE.
     for point in points:
         _measure_point(  # repro-lint: disable=PERF006
             spec, point, tracer=tracer
@@ -799,8 +869,9 @@ def run_campaign(
         # One _measure_point call per point is the determinism contract:
         # noise is seeded from each point's identity, records append in
         # enumeration order, and the store checkpoints between points.
-        # The batchable clean components are amortised via the grid cache,
-        # not by batching points.
+        # The batchable clean times, noise draws and work counters are
+        # amortised per (model, image) via the grid cache, not by batching
+        # points.
         for index, point in pending:
             before = roofline.GRAPH_RECORD_CACHE.stats()
             records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006

@@ -10,7 +10,7 @@ protocol a pure dataset operation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -77,8 +77,12 @@ class TimingRecord:
         return self.global_batch / self.t_total
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if not d["backend"]:
+        # Copies the fields directly (``dataclasses.asdict`` deep-copies
+        # recursively at several times the cost); the key order is the
+        # field order either way.
+        d = dict(vars(self))
+        d["features"] = dict(vars(self.features))
+        if not self.backend:
             del d["backend"]
         return d
 

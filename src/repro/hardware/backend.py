@@ -193,6 +193,19 @@ class ExecutionBackend:
         seed = point_seed(campaign_seed, self.noise_tag, *identity)
         return lognormal_factor(self.noise_sigma, seed)
 
+    def noise_factors(
+        self, campaign_seed: int, identities: "list[tuple]"
+    ) -> np.ndarray:
+        """The :meth:`noise_factor` draws of many identities in one batched
+        call: element ``i`` equals ``noise_factor(campaign_seed,
+        *identities[i])`` bit for bit."""
+        tag = self.noise_tag
+        seeds = np.array(
+            [point_seed(campaign_seed, tag, *ident) for ident in identities],
+            dtype=np.uint64,
+        )
+        return lognormal_factor(self.noise_sigma, seeds)
+
     # -- timing --------------------------------------------------------------
 
     def layer_times(

@@ -7,14 +7,18 @@ weight/gradient update) on one device.  Distributed runs build on this via
 
 All platform policy — timing formulas, memory accounting, noise streams —
 lives in an :class:`~repro.hardware.backend.ExecutionBackend`; this class
-adds the per-point noise draws and span emission on top.  Constructed with
-a bare :class:`DeviceSpec` it uses the default roofline backend.
+adds the noise draws (per point, or a whole sweep's at once through
+:meth:`SimulatedExecutor.noise_grids`) and span emission on top.
+Constructed with a bare :class:`DeviceSpec` it uses the default roofline
+backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.graph.graph import ComputeGraph
 from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
@@ -25,6 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.trace.tracer import Tracer
 
 __all__ = ["PhaseTimes", "SimulatedExecutor"]
+
+#: Phase tags of a measurement's noise identities: one draw per training
+#: step phase, one per inference.
+_STEP_TAGS = ("fwd", "bwd", "grad")
+_INFERENCE_TAG = "inference"
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,31 @@ class SimulatedExecutor:
         bit-identical to the corresponding ``*_time_clean`` call.
         """
         return self.backend.clean_time_grids(profile, batches, training)
+
+    def noise_grids(
+        self,
+        profile: CostProfile,
+        batches: "tuple[int, ...] | list[int]",
+        reps: int,
+        training: bool = False,
+    ) -> np.ndarray:
+        """Every noise factor of a batch × rep sweep, in one batched draw.
+
+        Shape ``(len(batches), reps, phases)``: the ``fwd``/``bwd``/``grad``
+        draws of :meth:`measure_training_step` with ``training=True``,
+        else the one draw of :meth:`measure_inference`.  Each factor is
+        bit-identical to the draw that method makes for its point.
+        """
+        tags = _STEP_TAGS if training else (_INFERENCE_TAG,)
+        name = profile.graph_name
+        identities = [
+            (name, batch, tag, rep)
+            for batch in batches
+            for rep in range(reps)
+            for tag in tags
+        ]
+        factors = self.backend.noise_factors(self.seed, identities)
+        return factors.reshape(len(batches), reps, len(tags))
 
     # -- span emission -------------------------------------------------------
 
@@ -152,6 +186,7 @@ class SimulatedExecutor:
         tracer: "Tracer | None" = None,
         inference_mode: bool = False,
         clean_time: float | None = None,
+        noise_factor: float | None = None,
     ) -> float:
         """One noisy inference measurement, seconds.
 
@@ -159,6 +194,8 @@ class SimulatedExecutor:
         precomputed forward time from :meth:`clean_time_grids` (the
         campaign engine supplies it from a per-model grid cache); the
         caller is responsible for it matching ``(profile, batch)``.
+        ``noise_factor`` likewise supplies the point's seeded draw from
+        :meth:`noise_grids`.
 
         With a ``tracer``, emits a ``forward`` phase span whose per-layer
         children sum exactly to the returned time; the measurement itself
@@ -181,7 +218,11 @@ class SimulatedExecutor:
             if clean_time is None
             else clean_time
         )
-        noise = self._noise(profile.graph_name, batch, "inference", rep)
+        noise = (
+            self._noise(profile.graph_name, batch, _INFERENCE_TAG, rep)
+            if noise_factor is None
+            else noise_factor
+        )
         total = clean * noise
         if tracer is not None and tracer.enabled:
             self._trace_phase(tracer, "forward", profile, batch, noise, total)
@@ -195,6 +236,7 @@ class SimulatedExecutor:
         enforce_memory: bool = True,
         tracer: "Tracer | None" = None,
         clean_times: "tuple[float, float, float] | None" = None,
+        noise_factors: "tuple[float, float, float] | None" = None,
     ) -> PhaseTimes:
         """One noisy single-device training-step measurement.
 
@@ -205,7 +247,9 @@ class SimulatedExecutor:
         ``clean_times`` short-circuits the deterministic
         ``(forward, backward, grad_update)`` components with precomputed
         values from :meth:`clean_time_grids`; the noise stream is
-        untouched either way.
+        untouched either way.  ``noise_factors`` supplies the point's
+        ``(fwd, bwd, grad)`` draws from :meth:`noise_grids` instead of
+        drawing them here.
         """
         profile = self._as_profile(graph_or_profile)
         if enforce_memory:
@@ -216,12 +260,15 @@ class SimulatedExecutor:
                 self.backend.backward_time_clean(profile, batch),
                 self.backend.grad_update_time_clean(profile),
             )
-        name = profile.graph_name
-        fwd_noise = self._noise(name, batch, "fwd", rep)
+        if noise_factors is None:
+            name = profile.graph_name
+            noise_factors = tuple(
+                self._noise(name, batch, tag, rep) for tag in _STEP_TAGS
+            )
+        fwd_noise, bwd_noise, grad_noise = noise_factors
         fwd = clean_times[0] * fwd_noise
-        bwd_noise = self._noise(name, batch, "bwd", rep)
         bwd = clean_times[1] * bwd_noise
-        grad = clean_times[2] * self._noise(name, batch, "grad", rep)
+        grad = clean_times[2] * grad_noise
         if tracer is not None and tracer.enabled:
             self._trace_phase(
                 tracer, "forward", profile, batch, fwd_noise, fwd

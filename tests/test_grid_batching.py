@@ -1,0 +1,348 @@
+"""Per-grid batching of the campaign measuring loop.
+
+The engine computes a ``(model, image)`` sweep's clean times, noise draws
+and work counters once per grid instead of once per point.  Each batched
+value must equal its per-point definition bit for bit:
+
+* ``lognormal_factor(sigma, seeds_array)`` equals
+  ``np.random.default_rng(seed).lognormal(...)`` for every seed;
+* campaign records equal the executor's own per-point draws;
+* ``CampaignStats.counters`` (and the manifest's copy) equal the sum of
+  :func:`point_counters` over the measured points;
+* ``TimingRecord.to_dict`` keeps the ``asdict`` keys, order and bytes.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from repro.benchdata import (
+    CampaignSpec,
+    CampaignStore,
+    ConvNetFeatures,
+    Dataset,
+    TimingRecord,
+    enumerate_points,
+    point_counters,
+    run_campaign,
+)
+from repro.hardware.backend import get_backend
+from repro.hardware.device import A100_80GB, JETSON_ORIN
+from repro.hardware.executor import SimulatedExecutor
+from repro.hardware.noise import lognormal_factor, point_seed, stable_seed
+from repro.hardware.roofline import graph_record
+from repro.trace.tracer import merge_counters
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@pytest.fixture(scope="module")
+def many_seeds() -> np.ndarray:
+    """100k seeds: the edge cases, random 64-bit and random 32-bit."""
+    rng = np.random.default_rng(20)
+    return np.concatenate([
+        np.array(EDGE_SEEDS, dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, size=90_000, dtype=np.uint64,
+                     endpoint=True),
+        rng.integers(0, 2**32, size=10_000, dtype=np.uint64),
+    ])
+
+
+def _reference(sigma: float, seeds) -> np.ndarray:
+    return np.array([
+        np.random.default_rng(s).lognormal(mean=-0.5 * sigma * sigma,
+                                           sigma=sigma)
+        for s in seeds
+    ])
+
+
+def _bits(values: np.ndarray) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestBatchedNoise:
+    @pytest.mark.parametrize("sigma", [0.03, 0.35])
+    def test_equals_default_rng_bit_for_bit(self, many_seeds, sigma):
+        assert len(many_seeds) >= 100_000
+        got = lognormal_factor(sigma, many_seeds)
+        assert got.dtype == np.float64 and got.shape == many_seeds.shape
+        assert _bits(got) == _bits(_reference(sigma, many_seeds.tolist()))
+
+    def test_edge_seeds_match_the_scalar_path(self):
+        seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
+        got = lognormal_factor(0.1, seeds).tolist()
+        assert got == [lognormal_factor(0.1, s) for s in EDGE_SEEDS]
+
+    def test_empty_and_single_seed_arrays(self):
+        empty = lognormal_factor(0.1, np.array([], dtype=np.uint64))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        one = lognormal_factor(0.1, np.array([2**63], dtype=np.uint64))
+        assert one.tolist() == [lognormal_factor(0.1, 2**63)]
+
+    def test_signed_seed_arrays_are_accepted(self):
+        seeds = np.array([0, 5, 2**40], dtype=np.int64)
+        assert _bits(lognormal_factor(0.2, seeds)) == _bits(
+            _reference(0.2, seeds.tolist())
+        )
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.1])
+    def test_non_positive_sigma_gives_ones(self, sigma):
+        seeds = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        assert lognormal_factor(sigma, seeds).tolist() == [1.0, 1.0, 1.0]
+
+    def test_malformed_seed_arrays_are_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            lognormal_factor(0.1, np.zeros((2, 2), dtype=np.uint64))
+        with pytest.raises(TypeError, match="integer"):
+            lognormal_factor(0.1, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            lognormal_factor(0.1, np.array([3, -1]))
+
+    @pytest.mark.parametrize("backend", ["", "edge", "fp16"])
+    def test_backend_noise_factors_equal_noise_factor(self, backend):
+        device = JETSON_ORIN if backend == "edge" else A100_80GB
+        b = get_backend(backend, device)
+        identities = [
+            ("resnet18_64", batch, phase, rep)
+            for batch in (1, 64)
+            for phase in ("fwd", "bwd", "grad", "inference")
+            for rep in range(2)
+        ]
+        got = b.noise_factors(7, identities).tolist()
+        assert got == [b.noise_factor(7, *ident) for ident in identities]
+
+
+class TestStableSeedParts:
+    @pytest.mark.parametrize(
+        "part", [8, "resnet50_224", 0.5, True, None], ids=repr
+    )
+    def test_builtin_parts_are_accepted(self, part):
+        assert stable_seed("x", part) == stable_seed("x", part)
+
+    @pytest.mark.parametrize(
+        "part",
+        [np.int64(8), np.float64(0.5), np.bool_(True), np.uint32(3),
+         (1, 2), [1], b"raw", object()],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_other_parts_raise(self, part):
+        with pytest.raises(TypeError, match="builtin"):
+            stable_seed("x", part)
+        with pytest.raises(TypeError):
+            point_seed(0, "a100-80gb", part)
+
+
+# -- the measuring loop -------------------------------------------------------
+
+SPECS = {
+    "training": CampaignSpec(
+        scenario="training",
+        models=("alexnet", "resnet18"),
+        device=A100_80GB,
+        batch_sizes=(1, 8, 64),
+        image_sizes=(64, 128),
+        seed=3,
+        reps=2,
+    ),
+    "inference": CampaignSpec(
+        scenario="inference",
+        models=("alexnet", "mobilenet_v2"),
+        device=A100_80GB,
+        batch_sizes=(1, 8, 64),
+        image_sizes=(64, 128),
+        seed=3,
+        reps=2,
+    ),
+    "distributed": CampaignSpec(
+        scenario="distributed",
+        models=("alexnet",),
+        device=A100_80GB,
+        batch_sizes=(8, 64),
+        image_sizes=(64,),
+        seed=3,
+        node_counts=(1, 2),
+    ),
+    "edge": CampaignSpec(
+        scenario="training",
+        models=("vgg16",),
+        device=JETSON_ORIN,
+        batch_sizes=(8, 64, 256, 1024),
+        image_sizes=(224,),
+        seed=3,
+        backend="edge",
+    ),
+}
+
+
+def _identity(point_or_record) -> tuple:
+    r = point_or_record
+    return (r.model, r.image_size, r.batch, r.nodes, r.rep)
+
+
+def _work(counters: dict) -> dict:
+    return {k: v for k, v in counters.items() if not k.startswith("cache_")}
+
+
+def _expected_work(spec: CampaignSpec, result, skip=frozenset()) -> dict:
+    """Sum of per-point counters over the points ``result`` measured, in
+    enumeration order (the order the engine merges them in)."""
+    measured = {_identity(r) for r in result.dataset}
+    backend = get_backend(spec.backend, spec.device)
+    kind = "block" if spec.scenario == "blocks" else "model"
+    total: dict = {}
+    for point in enumerate_points(spec):
+        if point.key in skip or _identity(point) not in measured:
+            continue
+        profile = graph_record(kind, point.model, point.image_size).profile
+        merge_counters(total, point_counters(spec, point, profile, backend))
+    return total
+
+
+class TestCounterIdentity:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_stats_and_manifest_equal_the_point_counter_sum(
+        self, tmp_path, name, workers
+    ):
+        spec = SPECS[name]
+        with CampaignStore.open(tmp_path / "run", spec) as store:
+            result = run_campaign(spec, workers=workers, store=store)
+        expected = _expected_work(spec, result)
+        assert expected["flops"] > 0.0
+        assert ("allreduce_bytes" in expected) == (name == "distributed")
+        assert _work(result.stats.counters) == expected
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert _work(manifest["stats"]["counters"]) == expected
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_resumed_run_counts_exactly_the_points_it_measured(
+        self, tmp_path, name
+    ):
+        spec = SPECS[name]
+        directory = tmp_path / "run"
+        with CampaignStore.open(directory, spec) as store:
+            cold = run_campaign(spec, workers=1, store=store)
+        log = directory / "records.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        kept = lines[: len(lines) // 2]
+        log.write_text("".join(kept))
+        restored = {json.loads(line)["key"] for line in kept}
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            resumed = run_campaign(spec, workers=1, store=store)
+        assert resumed.dataset.records == cold.dataset.records
+        expected = _expected_work(spec, resumed, skip=restored)
+        assert _work(resumed.stats.counters) == expected
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert _work(manifest["stats"]["counters"]) == expected
+
+
+class TestGridMatchesPerPointPath:
+    @pytest.mark.parametrize("name", ["training", "inference", "edge"])
+    def test_records_equal_the_executors_own_draws(self, name):
+        spec = SPECS[name]
+        result = run_campaign(spec, workers=1)
+        executor = SimulatedExecutor(
+            seed=spec.seed, backend=get_backend(spec.backend, spec.device)
+        )
+        assert len(result.dataset) > 0
+        for r in result.dataset:
+            profile = graph_record("model", r.model, r.image_size).profile
+            if spec.scenario == "training":
+                phases = executor.measure_training_step(
+                    profile, r.batch, rep=r.rep, enforce_memory=False
+                )
+                want = (phases.forward, phases.backward, phases.grad_update)
+            else:
+                want = (executor.measure_inference(
+                    profile, r.batch, rep=r.rep, enforce_memory=False
+                ), 0.0, 0.0)
+            assert (r.t_fwd, r.t_bwd, r.t_grad) == want
+
+    def test_same_named_device_with_other_noise_is_not_aliased(self):
+        spec = SPECS["inference"]
+        run_campaign(spec, workers=1)  # fills the grid cache
+        quiet = dataclasses.replace(
+            spec, device=dataclasses.replace(A100_80GB, noise_sigma=0.0)
+        )
+        backend = get_backend("", quiet.device)
+        for r in run_campaign(quiet, workers=1).dataset:
+            profile = graph_record("model", r.model, r.image_size).profile
+            assert r.t_fwd == backend.forward_time_clean(profile, r.batch)
+
+
+# -- record encoding -------------------------------------------------------------
+
+FEATURES = ConvNetFeatures(
+    flops=7.1e8, inputs=1.5e6, outputs=2.25e6, weights=6.1e7, layers=8
+)
+RECORDS = [
+    TimingRecord(
+        model="alexnet", device="a100-80gb", image_size=64, batch=4,
+        nodes=1, devices=1, scenario="training", features=FEATURES,
+        t_fwd=0.1 + 0.2, t_bwd=1 / 3, t_grad=2.5e-05, rep=1,
+    ),
+    TimingRecord(
+        model="alexnet", device="jetson-agx-orin", image_size=64, batch=4,
+        nodes=1, devices=1, scenario="inference", features=FEATURES,
+        t_fwd=0.001953125, backend="edge",
+    ),
+]
+_FEATURES_JSON = (
+    '"features": {"flops": 710000000.0, "inputs": 1500000.0, '
+    '"outputs": 2250000.0, "weights": 61000000.0, "layers": 8}'
+)
+#: ``json.dumps`` of RECORDS as the ``asdict``-based encoder wrote them.
+RECORDS_JSON = (
+    '[{"model": "alexnet", "device": "a100-80gb", "image_size": 64, '
+    '"batch": 4, "nodes": 1, "devices": 1, "scenario": "training", '
+    + _FEATURES_JSON
+    + ', "t_fwd": 0.30000000000000004, "t_bwd": 0.3333333333333333, '
+    '"t_grad": 2.5e-05, "rep": 1}, '
+    '{"model": "alexnet", "device": "jetson-agx-orin", "image_size": 64, '
+    '"batch": 4, "nodes": 1, "devices": 1, "scenario": "inference", '
+    + _FEATURES_JSON
+    + ', "t_fwd": 0.001953125, "t_bwd": 0.0, "t_grad": 0.0, "rep": 0, '
+    '"backend": "edge"}]'
+)
+
+
+def _asdict_encoding(record: TimingRecord) -> dict:
+    d = dataclasses.asdict(record)
+    if not d["backend"]:
+        del d["backend"]
+    return d
+
+
+class TestRecordEncoding:
+    @pytest.mark.parametrize("record", RECORDS, ids=["default", "edge"])
+    def test_to_dict_equals_asdict_in_values_and_key_order(self, record):
+        got, want = record.to_dict(), _asdict_encoding(record)
+        assert got == want
+        assert list(got) == list(want)
+        assert list(got["features"]) == list(want["features"])
+        assert TimingRecord.from_dict(got) == record
+
+    def test_to_dict_is_a_copy(self):
+        d = RECORDS[0].to_dict()
+        d["features"]["flops"] = 0.0
+        d["t_fwd"] = 0.0
+        assert RECORDS[0].features.flops == 7.1e8
+        assert RECORDS[0].t_fwd == 0.1 + 0.2
+
+    def test_store_line_bytes_are_unchanged(self, tmp_path):
+        spec = SPECS["training"]
+        with CampaignStore.open(tmp_path / "store", spec) as store:
+            store.append("training:alexnet:64:4:1:1", RECORDS)
+        line = (tmp_path / "store" / "records.jsonl").read_text()
+        assert line == (
+            '{"key": "training:alexnet:64:4:1:1", "records": '
+            + RECORDS_JSON + "}\n"
+        )
+
+    def test_dataset_json_bytes_are_unchanged(self, tmp_path):
+        Dataset(RECORDS).to_json(tmp_path / "data.json")
+        assert (tmp_path / "data.json").read_text() == (
+            '{"records": ' + RECORDS_JSON + "}"
+        )
