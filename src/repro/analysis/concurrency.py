@@ -14,13 +14,13 @@ once, joined by a module-level call graph, with findings emitted as
 The analysis proceeds in phases:
 
 1. **Collect** every module: import aliases, classes, top-level functions,
-   module-global mutable state and module-global locks.
+   module-global constructor types and module-global locks.
 2. **Lock discipline** per class: attributes assigned ``threading.Lock()``
    (and friends) in ``__init__`` are the class's locks; attributes holding
    thread-safe containers (``repro.caching.LRUCache``, ``queue.Queue``,
    ``threading.local``) are exempt from guarding rules.
 3. **Scan** every function: call sites (with the set of locks held at the
-   call), attribute/global reads and mutations, lock acquisitions, and
+   call), attribute reads and mutations, ``with <lock>:`` regions, and
    blocking/hostile API uses.  Receivers are typed where the code says so
    (constructor assignments, parameter and class-body annotations), so
    ``self.server.registry.get(...)`` resolves through
@@ -29,14 +29,14 @@ The analysis proceeds in phases:
 4. **Thread roots**: methods of ``BaseHTTPRequestHandler`` /
    ``ThreadingMixIn`` subclasses, ``threading.Thread`` / ``Timer``
    targets, and ``ThreadPoolExecutor`` submissions.  *Process*-pool
-   submissions are deliberately **not** roots — workers get their own
-   interpreter state — but they feed CON007.
+   submissions are deliberately **not** roots, and add no call edge:
+   workers get their own interpreter state.
 5. **Entry locks** per function by fixpoint: the intersection, over all
    in-repo call sites, of the locks held at the site.  This encodes the
    ``_reload_locked``-style convention (a helper only ever called under
    the lock is treated as guarded) without annotations.
-6. **Evaluate** CON001–CON008 and report stale ``CON`` suppressions
-   (``SUP001``, shared framework rule).
+6. **Evaluate** CON002, CON005, CON006 and CON008 and report stale
+   ``CON`` suppressions (``SUP001``, shared framework rule).
 
 Known, documented limits (see ``docs/static-analysis.md``): the analysis
 is intra-repository and name/type-driven — attributes of classes with *no*
@@ -56,12 +56,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint.program import Program
-from repro.lint.rules import (
-    LintRule,
-    _NUMPY_RANDOM_GLOBAL_FNS,
-    _RANDOM_GLOBAL_FNS,
-    _dotted_name,
-)
+from repro.lint.rules import LintRule, _dotted_name
 from repro.lint.suppress import SuppressionIndex
 
 # --------------------------------------------------------------------------
@@ -81,18 +76,6 @@ _THREAD_SAFE_CTORS = frozenset({
     "queue.SimpleQueue",
     "threading.local",
 })
-
-#: Builtin/stdlib constructors (and literal node types) that build mutable,
-#: non-thread-safe-under-compound-update containers.
-_MUTABLE_CTORS = frozenset({
-    "dict", "list", "set", "bytearray",
-    "collections.OrderedDict", "collections.defaultdict",
-    "collections.deque", "collections.Counter", "collections.ChainMap",
-})
-
-_MUTABLE_LITERALS = (
-    ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
-)
 
 #: Method names that mutate their receiver container in place.
 _MUTATING_METHODS = frozenset({
@@ -119,6 +102,25 @@ _HOSTILE_CALLS = {
     "(and only the main thread may set them)",
     "sys.setrecursionlimit": "the process-global recursion limit",
 }
+
+#: ``random`` module-level functions that draw from (or reseed) the hidden
+#: global RNG — call-order dependent across threads (CON006).
+_RANDOM_GLOBAL_FNS = frozenset({
+    "betavariate", "choice", "choices", "expovariate", "gammavariate",
+    "gauss", "getrandbits", "lognormvariate", "normalvariate",
+    "paretovariate", "randbytes", "randint", "random", "randrange",
+    "sample", "seed", "shuffle", "triangular", "uniform",
+    "vonmisesvariate", "weibullvariate",
+})
+
+#: Legacy ``numpy.random`` module-level functions (the shared global
+#: RandomState); ``numpy.random.default_rng(seed)`` is per-call state.
+_NUMPY_RANDOM_GLOBAL_FNS = frozenset({
+    "beta", "binomial", "choice", "exponential", "gamma", "get_state",
+    "lognormal", "normal", "permutation", "poisson", "rand", "randint",
+    "randn", "random", "random_sample", "ranf", "sample", "seed",
+    "set_state", "shuffle", "standard_normal", "uniform",
+})
 
 #: ``os.environ`` methods that mutate the environment.
 _ENV_MUTATORS = frozenset({"update", "pop", "setdefault", "clear",
@@ -245,8 +247,6 @@ class _ModuleInfo:
     classes: dict[str, _ClassInfo] = field(default_factory=dict)
     functions: dict[str, str] = field(default_factory=dict)  # name -> fkey
     global_types: dict[str, str] = field(default_factory=dict)
-    global_mutables: dict[str, int] = field(default_factory=dict)
-    global_safe: set[str] = field(default_factory=set)
     global_locks: set[str] = field(default_factory=set)
 
 
@@ -276,25 +276,14 @@ class _FuncInfo:
     name: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
     calls: list[_CallSite] = field(default_factory=list)
-    #: (global name, lineno, locks held)
-    global_muts: list[tuple[str, int, frozenset]] = field(
-        default_factory=list)
     #: (class key, attr, lineno, locks held, is mutation)
     attr_events: list[tuple[str, str, int, frozenset, bool]] = field(
         default_factory=list)
-    #: (lock id, lineno, locks already held) — `with` entries, for CON004
-    acquires: list[tuple[str, int, frozenset]] = field(default_factory=list)
-    #: (lineno, receiver dotted name) — `.acquire()` calls, for CON003
-    bare_acquires: list[tuple[int, str]] = field(default_factory=list)
-    #: dotted receivers released inside a try/finally in this function
-    finally_released: set[str] = field(default_factory=set)
     #: (description, lineno, locks held)
     blocking: list[tuple[str, int, frozenset]] = field(default_factory=list)
     #: (description, lineno)
     hostile: list[tuple[str, int]] = field(default_factory=list)
     regions: list[_Region] = field(default_factory=list)
-    #: (message, lineno) — pre-formatted CON007 findings
-    process_hazards: list[tuple[str, int]] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -451,30 +440,11 @@ class _FunctionScanner(ast.NodeVisitor):
             book = region.writes if is_mut else region.reads
             book.setdefault(attr, lineno)
 
-    def _record_global_mut(self, name: str, lineno: int) -> None:
-        self.info.global_muts.append((name, lineno, self._locks_now()))
-
     # -- scan entry ----------------------------------------------------------
 
     def scan(self) -> None:
         for stmt in self.info.node.body:
             self.visit(stmt)
-        self._collect_finally_releases()
-
-    def _collect_finally_releases(self) -> None:
-        for node in ast.walk(self.info.node):
-            if isinstance(node, ast.Try) and node.finalbody:
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr == "release"
-                        ):
-                            parts = _dotted_name(sub.func.value)
-                            if parts:
-                                self.info.finally_released.add(
-                                    ".".join(parts))
 
     # -- scoping / definitions ----------------------------------------------
 
@@ -500,8 +470,6 @@ class _FunctionScanner(ast.NodeVisitor):
         for item in node.items:
             lock = self._lock_id(item.context_expr)
             if lock is not None:
-                self.info.acquires.append(
-                    (lock, item.context_expr.lineno, self._locks_now()))
                 if lock not in self.locks:
                     self.locks.append(lock)
                     pushed_locks.append(lock)
@@ -565,9 +533,7 @@ class _FunctionScanner(ast.NodeVisitor):
             return
         if isinstance(target, ast.Name):
             if target.id in self.globals_decl:
-                # Rebinding a declared global (counter, flag, container)
-                # is a shared-state mutation regardless of its type.
-                self._record_global_mut(target.id, target.lineno)
+                # A declared global stays a module name, not a local.
                 return
             self.local_names.add(target.id)
             if value is not None:
@@ -597,18 +563,10 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def _container_mutation(self, base: ast.expr, lineno: int) -> None:
         """``base[...] = x`` / ``del base[...]`` / ``base.append(...)``."""
-        canonical = self._canonical(base)
-        if canonical == "os.environ":
+        if self._canonical(base) == "os.environ":
             self.info.hostile.append(
                 ("mutation of os.environ (process-global environment)",
                  lineno))
-            return
-        if isinstance(base, ast.Name):
-            if (
-                base.id not in self.local_names
-                and base.id in self.module.global_mutables
-            ):
-                self._record_global_mut(base.id, lineno)
             return
         if isinstance(base, ast.Attribute):
             owner = self._expr_type(base.value)
@@ -707,15 +665,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self, node: ast.Call, func: ast.Attribute, lineno: int
     ) -> None:
         attr = func.attr
-        if attr == "acquire":
-            lock = self._lock_id(func.value)
-            parts = _dotted_name(func.value)
-            if lock is not None or (
-                parts and _is_lockish_name(parts[-1])
-            ):
-                self.info.bare_acquires.append(
-                    (lineno, ".".join(parts) if parts else "<lock>"))
-
         if attr in _BLOCKING_METHODS:
             self.info.blocking.append(
                 (f".{attr}()", lineno, self._locks_now()))
@@ -733,8 +682,7 @@ class _FunctionScanner(ast.NodeVisitor):
                     self._add_call(target, lineno)
             return
         if rtype == _PPOOL:
-            if attr in ("submit", "map") and node.args:
-                self._process_submission(node, lineno)
+            # Worker processes share no interpreter state: no edge.
             return
         if rtype:
             resolved = self.an.resolve_method(rtype, attr)
@@ -769,55 +717,6 @@ class _FunctionScanner(ast.NodeVisitor):
             ref = self._func_ref(target_expr)
             if ref:
                 self.an.mark_root(ref, f"{canonical} target")
-
-    def _process_submission(self, node: ast.Call, lineno: int) -> None:
-        """CON007: what crosses into a worker process must pickle, and
-        must not smuggle locks."""
-        target = node.args[0]
-        if isinstance(target, ast.Lambda):
-            self.info.process_hazards.append(
-                ("a lambda submitted to a process pool cannot be "
-                 "pickled", lineno))
-        else:
-            ref = self._func_ref(target)
-            if ref and ".<locals>." in ref:
-                self.info.process_hazards.append(
-                    ("a nested function submitted to a process pool "
-                     "cannot be pickled", lineno))
-            elif isinstance(target, ast.Attribute):
-                rtype = self._expr_type(target.value)
-                cls = self.an.class_index.get(rtype) if rtype else None
-                if cls is not None:
-                    detail = (
-                        f" — including its {sorted(cls.lock_attrs)[0]} "
-                        "lock, which cannot be pickled"
-                        if cls.lock_attrs else ""
-                    )
-                    self.info.process_hazards.append(
-                        (f"bound method {cls.name}.{target.attr} "
-                         "submitted to a process pool pickles the whole "
-                         f"instance{detail}", lineno))
-        for value in [*node.args[1:], *(kw.value for kw in node.keywords)]:
-            if isinstance(value, ast.Name) and value.id == "self":
-                self.info.process_hazards.append(
-                    ("`self` passed into a process-pool submission "
-                     "pickles the owning instance (locks and all)",
-                     lineno))
-                continue
-            lock = self._lock_id(value)
-            if lock is not None:
-                self.info.process_hazards.append(
-                    (f"lock {lock} passed into a process-pool "
-                     "submission cannot be pickled", lineno))
-                continue
-            vtype = self._expr_type(value)
-            cls = self.an.class_index.get(vtype) if vtype else None
-            if cls is not None and cls.lock_attrs:
-                self.info.process_hazards.append(
-                    (f"{cls.name} instance (holding "
-                     f"{sorted(cls.lock_attrs)[0]}) passed into a "
-                     "process-pool submission cannot be pickled",
-                     lineno))
 
     # -- reads that reach container dunders ----------------------------------
 
@@ -952,41 +851,27 @@ class _Analyzer:
     def _collect_global(
         self, module: _ModuleInfo, node: ast.Assign | ast.AnnAssign
     ) -> None:
+        """Record ``NAME = ctor(...)`` globals: their type, and whether
+        they are module-level locks."""
         if isinstance(node, ast.Assign):
             targets = [
                 t for t in node.targets if isinstance(t, ast.Name)
             ]
-            value = node.value
         else:
             targets = (
                 [node.target]
                 if isinstance(node.target, ast.Name) else []
             )
-            value = node.value
-        if not targets:
+        if not targets or not isinstance(node.value, ast.Call):
             return
-        canonical = None
-        if isinstance(value, ast.Call):
-            parts = _dotted_name(value.func)
-            canonical = self.canonical(parts, module) if parts else None
-            if canonical is None and isinstance(value.func, ast.Name) and (
-                value.func.id in ("dict", "list", "set", "bytearray")
-            ):
-                canonical = value.func.id
+        parts = _dotted_name(node.value.func)
+        canonical = self.canonical(parts, module) if parts else None
+        if canonical is None:
+            return
         for target in targets:
-            if canonical:
-                module.global_types[target.id] = canonical
-                if canonical in _LOCK_CTORS:
-                    module.global_locks.add(target.id)
-                    continue
-                if canonical in _THREAD_SAFE_CTORS:
-                    module.global_safe.add(target.id)
-                    continue
-                if canonical in _MUTABLE_CTORS:
-                    module.global_mutables[target.id] = target.lineno
-                    continue
-            if isinstance(value, _MUTABLE_LITERALS):
-                module.global_mutables[target.id] = target.lineno
+            module.global_types[target.id] = canonical
+            if canonical in _LOCK_CTORS:
+                module.global_locks.add(target.id)
 
     # -- phase 2: class attribute discipline ---------------------------------
 
@@ -1301,11 +1186,8 @@ class _Analyzer:
 
 
 class _RuleEvaluator:
-    def __init__(
-        self, analyzer: _Analyzer, ignore: frozenset[str]
-    ) -> None:
+    def __init__(self, analyzer: _Analyzer) -> None:
         self.an = analyzer
-        self.ignore = ignore
         self.found: list[Diagnostic] = []
         self.witness = analyzer._reachability()
         self.entry = analyzer._entry_locks()
@@ -1322,8 +1204,7 @@ class _RuleEvaluator:
         message: str,
         hint: str = "",
     ) -> None:
-        suppressed = module.suppress.is_suppressed(lineno, rule)
-        if suppressed or rule in self.ignore:
+        if module.suppress.is_suppressed(lineno, rule):
             return
         self.found.append(
             Diagnostic(
@@ -1331,35 +1212,11 @@ class _RuleEvaluator:
         )
 
     def run(self) -> list[Diagnostic]:
-        self._con001_global_mutations()
         self._con002_torn_attributes()
-        self._con003_bare_acquires()
-        self._con004_lock_order()
         self._con005_check_then_act()
         self._con006_hostile_apis()
-        self._con007_process_captures()
         self._con008_blocking_under_lock()
         return self.found
-
-    # -- CON001 ---------------------------------------------------------------
-
-    def _con001_global_mutations(self) -> None:
-        for info in self.an.funcs.values():
-            if info.key not in self.witness:
-                continue
-            base = self._entry_of(info.key)
-            for name, lineno, locks in info.global_muts:
-                if base | locks:
-                    continue
-                self._emit(
-                    info.module, lineno, "CON001", Severity.ERROR,
-                    f"module-global '{name}' is mutated from "
-                    f"thread-reachable code ({self.witness[info.key]}) "
-                    "without holding any lock",
-                    hint="guard the global with a module-level lock, or "
-                    "move it into a lock-disciplined class / a "
-                    "thread-safe repro.caching.LRUCache",
-                )
 
     # -- CON002 ---------------------------------------------------------------
 
@@ -1419,50 +1276,6 @@ class _RuleEvaluator:
                         "read so observers see a consistent state",
                     )
 
-    # -- CON003 ---------------------------------------------------------------
-
-    def _con003_bare_acquires(self) -> None:
-        for info in self.an.funcs.values():
-            for lineno, receiver in info.bare_acquires:
-                if receiver in info.finally_released:
-                    continue
-                self._emit(
-                    info.module, lineno, "CON003", Severity.ERROR,
-                    f"bare {receiver}.acquire() without a `with` block "
-                    "or try/finally release",
-                    hint="an exception between acquire() and release() "
-                    "leaves the lock held forever; use `with` (or "
-                    "try/finally)",
-                )
-
-    # -- CON004 ---------------------------------------------------------------
-
-    def _con004_lock_order(self) -> None:
-        pairs: dict[tuple[str, str], tuple[_ModuleInfo, int]] = {}
-        for info in self.an.funcs.values():
-            base = self._entry_of(info.key)
-            for lock, lineno, held_before in info.acquires:
-                for held in base | held_before:
-                    if held == lock:
-                        continue
-                    pairs.setdefault(
-                        (held, lock), (info.module, lineno))
-        for (first, second), (module, lineno) in sorted(
-            pairs.items(), key=lambda kv: kv[0]
-        ):
-            if first >= second or (second, first) not in pairs:
-                continue
-            other_module, other_lineno = pairs[(second, first)]
-            self._emit(
-                module, lineno, "CON004", Severity.ERROR,
-                f"lock-order inversion: {first} is held while acquiring "
-                f"{second} here, but {other_module.path}:{other_lineno} "
-                f"acquires them in the opposite order",
-                hint="pick one global acquisition order (document it) "
-                "or merge the critical sections; inverted orders "
-                "deadlock under contention",
-            )
-
     # -- CON005 ---------------------------------------------------------------
 
     def _con005_check_then_act(self) -> None:
@@ -1513,19 +1326,6 @@ class _RuleEvaluator:
                     "explicit warning lists) instead",
                 )
 
-    # -- CON007 ---------------------------------------------------------------
-
-    def _con007_process_captures(self) -> None:
-        for info in self.an.funcs.values():
-            for message, lineno in info.process_hazards:
-                self._emit(
-                    info.module, lineno, "CON007", Severity.ERROR,
-                    message,
-                    hint="submit a module-level function with picklable "
-                    "arguments; rebuild heavy state in the worker via "
-                    "an initializer",
-                )
-
     # -- CON008 ---------------------------------------------------------------
 
     def _con008_blocking_under_lock(self) -> None:
@@ -1554,36 +1354,24 @@ class _RuleEvaluator:
 
 CONCURRENCY_RULES: tuple[LintRule, ...] = (
     LintRule("CON000", Severity.ERROR, "unparseable/unreadable file"),
-    LintRule("CON001", Severity.ERROR,
-             "module-global mutable state mutated from thread-reachable "
-             "code without a lock"),
     LintRule("CON002", Severity.ERROR,
              "attribute mutated (ERROR) or read (WARN) outside the lock "
              "that guards it elsewhere"),
-    LintRule("CON003", Severity.ERROR,
-             "bare .acquire() without with/try-finally"),
-    LintRule("CON004", Severity.ERROR,
-             "lock-order inversion across the call graph"),
     LintRule("CON005", Severity.WARN,
              "check-then-act across separate acquisitions of one lock"),
     LintRule("CON006", Severity.ERROR,
              "thread-hostile API reachable from thread-entry code"),
-    LintRule("CON007", Severity.ERROR,
-             "lock/unpicklable state captured into a process-pool "
-             "submission"),
     LintRule("CON008", Severity.WARN,
              "blocking I/O or sleep while holding a lock"),
 )
 
 
-def analyze_program(
-    program: Program, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_program(program: Program) -> list[Diagnostic]:
     """Analyze ``program`` as one whole; most severe findings first.
     Files that could not be read or parsed are ``CON000`` errors."""
     analyzer = program.analyzer
     found = program.failures("CON000")
-    found.extend(_RuleEvaluator(analyzer, frozenset(ignore)).run())
+    found.extend(_RuleEvaluator(analyzer).run())
     for module in analyzer.modules.values():
         found.extend(
             module.suppress.stale_diagnostics(module.path, ("CON",))
@@ -1591,27 +1379,23 @@ def analyze_program(
     return sort_diagnostics(found)
 
 
-def analyze_sources(
-    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_sources(items: Iterable[tuple[str, str]]) -> list[Diagnostic]:
     """Analyze ``(path, source)`` pairs as one program."""
-    return analyze_program(Program.from_sources(items), ignore=ignore)
+    return analyze_program(Program.from_sources(items))
 
 
-def analyze_source(
-    source: str, path: str = "<module>", ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_source(source: str, path: str = "<module>") -> list[Diagnostic]:
     """Analyze a single module's source text (fixture-test entry point)."""
-    return analyze_sources([(path, source)], ignore=ignore)
+    return analyze_sources([(path, source)])
 
 
 def analyze_paths(
-    paths: Iterable[str | Path], ignore: Iterable[str] = ()
+    paths: Iterable[str | Path],
 ) -> tuple[list[Diagnostic], int]:
     """Analyze every ``.py`` file under ``paths`` as one program;
     returns ``(diagnostics, n_files)`` like ``lint_paths``."""
     program = Program.load(paths)
-    return analyze_program(program, ignore=ignore), program.n_files
+    return analyze_program(program), program.n_files
 
 
 __all__ = [

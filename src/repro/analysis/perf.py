@@ -19,13 +19,10 @@ PERF001   ERROR   per-element indexing/iteration over a numpy array in
                   a hot loop (scalarized math that should be vectorized)
 PERF002   ERROR   numpy array allocation (``np.array``/``zeros``/
                   ``concatenate``/``append``…) inside a hot loop
-PERF003   WARN    loop-invariant pure call recomputed every iteration
 PERF004   ERROR   list-accumulate-then-``np.array`` where a preallocated
                   buffer or a single stack suffices
-PERF005   WARN    repeated dict/registry lookup of a loop-invariant key
 PERF006   WARN    unbatched per-point predict/profile call inside a
                   sweep that has a batched equivalent
-PERF007   ERROR   O(n²) growth via ``+=`` on str/list in a hot loop
 PERF008   WARN    exception handling or logging work in a hot loop
 ========  ======  ====================================================
 
@@ -40,9 +37,7 @@ Suppressions use the shared ``repro.lint.suppress`` framework
 reported as SUP001, and every in-repo suppression must carry a
 justification comment (see ``docs/static-analysis.md``).
 
-Known, documented blind spots (kept deliberate; see the docs): loop
-invariance is judged within one function body, so invariant work hidden
-behind a helper *called* from the loop is not charged to the loop;
+Known, documented blind spots (kept deliberate; see the docs):
 comprehensions are not treated as loops; arrays reaching a function
 through untyped (unannotated) parameters are invisible to PERF001/002.
 """
@@ -51,7 +46,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -132,24 +127,8 @@ _NP_STACKERS = frozenset({
 })
 
 # --------------------------------------------------------------------------
-# purity / batchability knowledge for PERF003 and PERF006
+# batchability knowledge for PERF006
 # --------------------------------------------------------------------------
-
-#: Repo functions that are pure in their arguments — calling them with
-#: loop-invariant arguments inside a loop is pure waste.
-_PURE_CALLS = frozenset({
-    "repro.graph.passes.resolve_transform",
-    "repro.graph.passes.default_inference_pipeline",
-    "repro.graph.passes.build_pipeline",
-})
-
-#: Pure builtins worth hoisting when their arguments are invariant.
-_PURE_BUILTINS = frozenset({"sorted", "min", "max", "sum"})
-
-#: Pure methods (content hashes, signatures, cached topology walks).
-_PURE_METHODS = frozenset({
-    "fingerprint", "signature", "topological_order", "feature_labels",
-})
 
 #: Per-point calls that have a batched equivalent in this repo; the hint
 #: names the replacement.
@@ -197,18 +176,12 @@ PERF_RULES: tuple[LintRule, ...] = (
              "hot loop"),
     LintRule("PERF002", Severity.ERROR,
              "numpy array allocation inside a hot loop"),
-    LintRule("PERF003", Severity.WARN,
-             "loop-invariant pure call recomputed every iteration"),
     LintRule("PERF004", Severity.ERROR,
              "list-accumulate-then-np.array where a preallocated "
              "buffer or single stack suffices"),
-    LintRule("PERF005", Severity.WARN,
-             "repeated dict/registry lookup of a loop-invariant key"),
     LintRule("PERF006", Severity.WARN,
              "unbatched per-point predict/profile call inside a sweep "
              "with a batched equivalent"),
-    LintRule("PERF007", Severity.ERROR,
-             "O(n^2) growth via '+=' on str/list in a hot loop"),
     LintRule("PERF008", Severity.WARN,
              "exception handling or logging work in a hot loop"),
 )
@@ -223,30 +196,21 @@ PERF_RULES: tuple[LintRule, ...] = (
 class _Loop:
     """One active ``for``/``while`` statement."""
 
-    node: ast.stmt
-    #: every name stored anywhere inside the loop statement
-    assigned: set[str]
     #: for-loop index/target names (empty for while)
     targets: set[str]
     flagged001: bool = False
-    perf005_seen: set[str] = field(default_factory=set)
 
 
 class _PerfScanner(ast.NodeVisitor):
-    """Evaluate PERF001–PERF008 over one *hot* function body."""
+    """Evaluate the PERF rules over one *hot* function body."""
 
     def __init__(
-        self,
-        analyzer: _Analyzer,
-        info: _FuncInfo,
-        witness: str,
-        ignore: frozenset[str],
+        self, analyzer: _Analyzer, info: _FuncInfo, witness: str
     ) -> None:
         self.an = analyzer
         self.info = info
         self.module = info.module
         self.witness = witness
-        self.ignore = ignore
         self.found: list[Diagnostic] = []
         self._emitted: set[tuple[str, int]] = set()
         #: lines already claimed by a more specific rule (no PERF002 dup)
@@ -257,7 +221,6 @@ class _PerfScanner(ast.NodeVisitor):
         self._exit_depth = 0
         self.array_names: set[str] = set()
         self.class_types: dict[str, str] = {}
-        self.str_list_names: set[str] = set()
         self.empty_lists: set[str] = set()
         self.appended_in_loop: set[str] = set()
         self._bind_params()
@@ -297,8 +260,6 @@ class _PerfScanner(ast.NodeVisitor):
         message: str,
         hint: str | None = None,
     ) -> None:
-        if rule in self.ignore:
-            return
         if self.module.suppress.is_suppressed(lineno, rule):
             return
         key = (rule, lineno)
@@ -405,59 +366,21 @@ class _PerfScanner(ast.NodeVisitor):
             return any(isinstance(e, ast.Slice) for e in index.elts)
         return False
 
-    def _is_str_or_list(self, expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Constant):
-            return isinstance(expr.value, str)
-        if isinstance(expr, (ast.JoinedStr, ast.List, ast.ListComp)):
-            return True
-        if isinstance(expr, ast.Call):
-            parts = _dotted_name(expr.func)
-            if parts == ["list"] or parts == ["str"]:
-                return True
-            if (
-                isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "join"
-            ):
-                return True
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-            return (
-                self._is_str_or_list(expr.left)
-                or self._is_str_or_list(expr.right)
-            )
-        return False
-
-    def _invariant(self, expr: ast.expr) -> bool:
-        """True when no name in ``expr`` is assigned by the innermost
-        loop (so the expression could be hoisted one level out)."""
-        if not self.loops:
-            return False
-        assigned = self.loops[-1].assigned
-        return all(
-            node.id not in assigned
-            for node in ast.walk(expr)
-            if isinstance(node, ast.Name)
-        )
-
     # -- assignment tracking --------------------------------------------------
 
     def _track_assign(self, name: str, value: ast.expr | None) -> None:
         if value is None:
             self.array_names.discard(name)
-            self.str_list_names.discard(name)
             self.class_types.pop(name, None)
             return
         # Classify the value BEFORE dropping the old binding: assignments
         # like ``X = X[None, :]`` refer to the name being rebound, and the
         # right-hand side is typed under the *old* binding.
         is_array = self._is_array(value)
-        is_str_or_list = self._is_str_or_list(value)
         self.array_names.discard(name)
-        self.str_list_names.discard(name)
         self.class_types.pop(name, None)
         if is_array:
             self.array_names.add(name)
-        elif is_str_or_list:
-            self.str_list_names.add(name)
         if isinstance(value, ast.List) and not value.elts:
             self.empty_lists.add(name)
         elif (
@@ -555,74 +478,26 @@ class _PerfScanner(ast.NodeVisitor):
             for sub in ast.walk(node.target)
             if isinstance(sub, ast.Name)
         }
-        assigned = {
-            sub.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name)
-            and isinstance(sub.ctx, (ast.Store, ast.Del))
-        }
         # The iterable expression is evaluated once, before the first
         # iteration — visit it outside the loop context.
         self.visit(node.iter)
-        self.loops.append(_Loop(node, assigned, targets, flagged))
+        self.loops.append(_Loop(targets, flagged))
         for stmt in [*node.body, *node.orelse]:
             self.visit(stmt)
         self.loops.pop()
 
     def visit_While(self, node: ast.While) -> None:
-        assigned = {
-            sub.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name)
-            and isinstance(sub.ctx, (ast.Store, ast.Del))
-        }
-        self.loops.append(_Loop(node, assigned, set()))
+        self.loops.append(_Loop(set()))
         self.visit(node.test)
         for stmt in [*node.body, *node.orelse]:
             self.visit(stmt)
         self.loops.pop()
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        value = node.value
-        target_names = [
-            t.id for t in node.targets if isinstance(t, ast.Name)
-        ]
-        # PERF007: arr = np.append(arr, x) — copies the prefix each time.
-        if self.loops and isinstance(value, ast.Call):
-            canon = self._call_canonical(value)
-            if (
-                canon in _NP_GROWERS
-                and value.args
-                and isinstance(value.args[0], ast.Name)
-                and value.args[0].id in target_names
-            ):
-                self._claimed.add(node.lineno)
-                self._emit(
-                    "PERF007", Severity.ERROR, node.lineno,
-                    f"grows {value.args[0].id!r} with "
-                    f"{canon.replace('numpy', 'np')}() every iteration "
-                    "(copies the accumulated prefix: O(n^2))",
-                    hint="collect into a list and stack once, or "
-                    "preallocate the full array",
-                )
-        # PERF007: x = x + <str/list> growth.
-        if (
-            self.loops
-            and isinstance(value, ast.BinOp)
-            and isinstance(value.op, ast.Add)
-            and isinstance(value.left, ast.Name)
-            and value.left.id in target_names
-            and value.left.id in self.str_list_names
-        ):
-            self._emit(
-                "PERF007", Severity.ERROR, node.lineno,
-                f"rebinds {value.left.id!r} via str/list concatenation "
-                "every iteration (O(n^2) growth)",
-                hint="accumulate parts in a list and join/extend once",
-            )
-        self.visit(value)
-        for name in target_names:
-            self._track_assign(name, value)
+        self.visit(node.value)
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                self._track_assign(target.id, node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
@@ -636,18 +511,7 @@ class _PerfScanner(ast.NodeVisitor):
                 self.array_names.add(node.target.id)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if (
-            self.loops
-            and isinstance(node.op, ast.Add)
-            and isinstance(node.target, ast.Name)
-            and node.target.id in self.str_list_names
-        ):
-            self._emit(
-                "PERF007", Severity.ERROR, node.lineno,
-                f"'+=' on str/list {node.target.id!r} inside a loop "
-                "(O(n^2) growth)",
-                hint="accumulate parts in a list and join/extend once",
-            )
+        # Only the value is scanned: the target is the accumulator.
         self.visit(node.value)
 
     def visit_Raise(self, node: ast.Raise) -> None:
@@ -672,46 +536,26 @@ class _PerfScanner(ast.NodeVisitor):
                 for sub in ast.walk(node.slice)
                 if isinstance(sub, ast.Name)
             }
-            if self._is_array(node.value):
-                inner = self.loops[-1]
-                if (
-                    not inner.flagged001
-                    and index_names & loop_targets
-                    and not self._has_slice(node.slice)
-                    # An array-valued index is a vectorized gather
-                    # (``base[combos[:, k]]`` reads a whole column), not
-                    # a per-element read.
-                    and not self._is_array(node.slice)
-                ):
-                    inner.flagged001 = True
-                    self._emit(
-                        "PERF001", Severity.ERROR, node.lineno,
-                        f"reads numpy array "
-                        f"{ast.unparse(node.value)!r} one element at a "
-                        "time inside the loop",
-                        hint="replace the scalar loop with a vectorized "
-                        "array expression",
-                    )
-            else:
-                key = node.slice
-                key_is_str = isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
+            inner = self.loops[-1]
+            if (
+                not inner.flagged001
+                and index_names & loop_targets
+                and not self._has_slice(node.slice)
+                and self._is_array(node.value)
+                # An array-valued index is a vectorized gather
+                # (``base[combos[:, k]]`` reads a whole column), not a
+                # per-element read.
+                and not self._is_array(node.slice)
+            ):
+                inner.flagged001 = True
+                self._emit(
+                    "PERF001", Severity.ERROR, node.lineno,
+                    f"reads numpy array "
+                    f"{ast.unparse(node.value)!r} one element at a "
+                    "time inside the loop",
+                    hint="replace the scalar loop with a vectorized "
+                    "array expression",
                 )
-                if (
-                    (key_is_str or isinstance(key, ast.Name))
-                    and _dotted_name(node.value) is not None
-                    and self._invariant(node)
-                ):
-                    label = ast.unparse(node)
-                    inner = self.loops[-1]
-                    if label not in inner.perf005_seen:
-                        inner.perf005_seen.add(label)
-                        self._emit(
-                            "PERF005", Severity.WARN, node.lineno,
-                            f"looks up loop-invariant key "
-                            f"{label!r} every iteration",
-                            hint="hoist the lookup above the loop",
-                        )
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -777,21 +621,6 @@ class _PerfScanner(ast.NodeVisitor):
                 f"allocates a numpy array with "
                 f"{canon.replace('numpy', 'np')}() every iteration",
                 hint=hint,
-            )
-        # PERF003: pure call on invariant arguments.
-        pure = canon in _PURE_CALLS or canon in _PURE_BUILTINS
-        if (
-            not pure
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _PURE_METHODS
-        ):
-            pure = True
-        if pure and self._invariant(node):
-            self._emit(
-                "PERF003", Severity.WARN, node.lineno,
-                f"recomputes loop-invariant pure call "
-                f"{ast.unparse(node.func)}(...) every iteration",
-                hint="hoist the call above the loop (or memoize it)",
             )
         # PERF006: per-point call with a batched equivalent.
         bare = None
@@ -870,9 +699,7 @@ def _hot_roots(
     return roots
 
 
-def analyze_program(
-    program: Program, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_program(program: Program) -> list[Diagnostic]:
     """Analyze ``program`` as one whole; most severe findings first.
     Files that could not be read or parsed are ``PERF000`` errors."""
     analyzer = program.analyzer
@@ -887,14 +714,10 @@ def analyze_program(
     witness = analyzer._reachability(
         _hot_roots(analyzer, markers), skip_dunder_callees=True
     )
-    ignored = frozenset(ignore)
     found = program.failures("PERF000")
     for key, info in analyzer.funcs.items():
-        if key not in witness:
-            continue
-        found.extend(
-            _PerfScanner(analyzer, info, witness[key], ignored).run()
-        )
+        if key in witness:
+            found.extend(_PerfScanner(analyzer, info, witness[key]).run())
     for module in analyzer.modules.values():
         found.extend(
             module.suppress.stale_diagnostics(module.path, ("PERF",))
@@ -902,27 +725,23 @@ def analyze_program(
     return sort_diagnostics(found)
 
 
-def analyze_sources(
-    items: Iterable[tuple[str, str]], ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_sources(items: Iterable[tuple[str, str]]) -> list[Diagnostic]:
     """Analyze ``(path, source)`` pairs as one program."""
-    return analyze_program(Program.from_sources(items), ignore=ignore)
+    return analyze_program(Program.from_sources(items))
 
 
-def analyze_source(
-    source: str, path: str = "<module>", ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
+def analyze_source(source: str, path: str = "<module>") -> list[Diagnostic]:
     """Analyze a single module's source text (fixture-test entry point)."""
-    return analyze_sources([(path, source)], ignore=ignore)
+    return analyze_sources([(path, source)])
 
 
 def analyze_paths(
-    paths: Iterable[str | Path], ignore: Iterable[str] = ()
+    paths: Iterable[str | Path],
 ) -> tuple[list[Diagnostic], int]:
     """Analyze every ``.py`` file under ``paths`` as one program;
     returns ``(diagnostics, n_files)`` like ``lint_paths``."""
     program = Program.load(paths)
-    return analyze_program(program, ignore=ignore), program.n_files
+    return analyze_program(program), program.n_files
 
 
 __all__ = [

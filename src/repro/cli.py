@@ -530,11 +530,30 @@ def _render_lint_statistics(diags) -> str:
     return "\n".join(lines)
 
 
+def _unknown_lint_rules(ids: Sequence[str]) -> list[str]:
+    """The ids in ``ids`` that no lint domain registers, in order."""
+    from repro.analysis.concurrency import CONCURRENCY_RULES
+    from repro.analysis.perf import PERF_RULES
+    from repro.lint import LINT_RULES
+
+    known = {r.rule for r in (*LINT_RULES, *CONCURRENCY_RULES, *PERF_RULES)}
+    return [rule for rule in dict.fromkeys(ids) if rule not in known]
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.diagnostics import has_errors, render_json, render_text
     from repro.diagnostics import sort_diagnostics
     from repro.lint import Program, lint_program
 
+    unknown = _unknown_lint_rules([*args.select, *args.ignore])
+    if unknown:
+        print(
+            f"lint: unknown rule id {', '.join(map(repr, unknown))} "
+            "(paths go before --select/--ignore, which take every "
+            "word after them)",
+            file=sys.stderr,
+        )
+        return 2
     program = Program.load(args.paths)
     diags = []
     if args.domain in ("determinism", "all"):
@@ -542,11 +561,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.domain in ("concurrency", "all"):
         from repro.analysis.concurrency import analyze_program
 
-        diags.extend(analyze_program(program, ignore=args.ignore))
+        diags.extend(analyze_program(program))
     if args.domain in ("performance", "all"):
         from repro.analysis.perf import analyze_program as analyze_perf
 
-        diags.extend(analyze_perf(program, ignore=args.ignore))
+        diags.extend(analyze_perf(program))
     if args.ignore:
         unwanted = set(args.ignore)
         diags = [d for d in diags if d.rule not in unwanted]
@@ -690,8 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="lint code for determinism hazards (unseeded RNGs, "
-             "unbounded caches, wall-clock reads), concurrency "
+        help="lint code for determinism hazards (unbounded caches, "
+             "wall-clock reads, float == on runtimes), concurrency "
              "hazards (lock discipline, thread-hostile APIs), or "
              "hot-path performance hazards (per-element loops over "
              "vectorizable work)",
@@ -713,9 +732,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--quiet", action="store_true",
                       help="print only the one-line summary")
     lint.add_argument("--select", nargs="*", default=(), metavar="RULE",
-                      help="report only these rule ids (e.g. DET006)")
+                      help="report only these rule ids (e.g. DET006); "
+                           "give paths before this option")
     lint.add_argument("--ignore", nargs="*", default=(), metavar="RULE",
-                      help="rule ids to suppress (e.g. CON008)")
+                      help="rule ids to drop from the report (e.g. "
+                           "CON008); give paths before this option")
     lint.add_argument("--statistics", action="store_true",
                       help="append per-domain, per-rule finding counts "
                            "after the report")

@@ -7,11 +7,9 @@ and every memo is a bounded, observable ``repro.caching.LRUCache``.  Nothing
 (stdlib :mod:`ast`, no third-party dependency) with rules tuned to the
 specific hazards that would silently break reproducibility or scalability:
 
-* ``DET001`` — unseeded module-level ``random`` / ``numpy.random`` calls
 * ``DET002`` — ``functools.lru_cache`` / ``functools.cache`` (unbounded or
   unobservable memoisation)
 * ``DET003`` — float ``==`` / ``!=`` on computed runtimes
-* ``DET004`` — mutable default arguments
 * ``DET005`` — wall-clock reads (``time.time`` / ``datetime.now``) in
   measurement paths
 * ``DET006`` — ``numpy.linalg.lstsq`` without an explicit ``rcond=``

@@ -23,26 +23,6 @@ from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint.program import Program
 from repro.lint.suppress import STALE_RULE, SuppressionIndex
 
-#: ``random`` module-level functions that draw from (or reseed) the hidden
-#: global RNG — the call-order dependence that breaks byte-identical
-#: parallel campaigns.
-_RANDOM_GLOBAL_FNS = frozenset({
-    "betavariate", "choice", "choices", "expovariate", "gammavariate",
-    "gauss", "getrandbits", "lognormvariate", "normalvariate",
-    "paretovariate", "randbytes", "randint", "random", "randrange",
-    "sample", "seed", "shuffle", "triangular", "uniform",
-    "vonmisesvariate", "weibullvariate",
-})
-
-#: Legacy ``numpy.random`` module-level functions (the global RandomState);
-#: ``numpy.random.default_rng(seed)`` and ``Generator`` methods are fine.
-_NUMPY_RANDOM_GLOBAL_FNS = frozenset({
-    "beta", "binomial", "choice", "exponential", "gamma", "get_state",
-    "lognormal", "normal", "permutation", "poisson", "rand", "randint",
-    "randn", "random", "random_sample", "ranf", "sample", "seed",
-    "set_state", "shuffle", "standard_normal", "uniform",
-})
-
 _UNBOUNDED_CACHES = frozenset({"functools.lru_cache", "functools.cache"})
 
 _WALL_CLOCK = frozenset({
@@ -50,8 +30,6 @@ _WALL_CLOCK = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today",
 })
-
-_MUTABLE_DEFAULT_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 
 #: Identifier segments that mark an operand as a computed runtime.
 _TIMING_SEGMENTS = frozenset({
@@ -136,30 +114,11 @@ class _FileLinter(ast.NodeVisitor):
                 self.aliases[local] = f"{node.module}.{alias.name}"
         self.generic_visit(node)
 
-    # -- DET001 / DET002 / DET005: hazardous calls -------------------------
+    # -- DET002 / DET005: hazardous calls ---------------------------------
 
     def _check_callable_ref(self, node: ast.expr) -> None:
         canonical = self._canonical(node)
-        if canonical is None:
-            return
-        module, _, fn = canonical.rpartition(".")
-        if module == "random" and fn in _RANDOM_GLOBAL_FNS:
-            self._report(
-                node, "DET001", Severity.ERROR,
-                f"call to the unseeded global RNG: {canonical}()",
-                hint="derive a seed from the measurement identity via "
-                "repro.hardware.noise.point_seed / stable_seed and use "
-                "numpy.random.default_rng(seed) or random.Random(seed)",
-            )
-        elif module == "numpy.random" and fn in _NUMPY_RANDOM_GLOBAL_FNS:
-            self._report(
-                node, "DET001", Severity.ERROR,
-                f"call to numpy's global RandomState: {canonical}()",
-                hint="use numpy.random.default_rng(seed) with a "
-                "point_seed-derived seed; global-state draws depend on "
-                "call order and break parallel determinism",
-            )
-        elif canonical in _UNBOUNDED_CACHES:
+        if canonical in _UNBOUNDED_CACHES:
             self._report(
                 node, "DET002", Severity.ERROR,
                 f"{canonical} is unbounded/unobservable memoisation",
@@ -207,37 +166,10 @@ class _FileLinter(ast.NodeVisitor):
             if not isinstance(dec, ast.Call):
                 self._check_callable_ref(dec)
 
-    # -- DET004: mutable default arguments ---------------------------------
-
-    def _is_mutable_default(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                             ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in _MUTABLE_DEFAULT_CALLS
-        return False
-
-    def _check_defaults(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if self._is_mutable_default(default):
-                self._report(
-                    default, "DET004", Severity.ERROR,
-                    f"mutable default argument in {node.name}()",
-                    hint="default to None and create the object inside "
-                    "the function; shared defaults leak state between "
-                    "calls",
-                )
-
     def visit_FunctionDef(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
         self._check_decorators(node)
-        self._check_defaults(node)
         self.generic_visit(node)
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
@@ -311,13 +243,10 @@ class LintRule:
 
 LINT_RULES: tuple[LintRule, ...] = (
     LintRule("DET000", Severity.ERROR, "unparseable/unreadable file"),
-    LintRule("DET001", Severity.ERROR,
-             "unseeded global random / numpy.random call"),
     LintRule("DET002", Severity.ERROR,
              "functools.lru_cache / cache instead of bounded LRUCache"),
     LintRule("DET003", Severity.WARN,
              "float ==/!= on computed runtimes"),
-    LintRule("DET004", Severity.ERROR, "mutable default argument"),
     LintRule("DET005", Severity.ERROR,
              "wall-clock read in a measurement path"),
     LintRule("DET006", Severity.WARN,

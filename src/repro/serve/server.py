@@ -56,6 +56,10 @@ WRITE_BUFFER_BYTES = 64 * 1024
 #: frees its handler thread after this long instead of pinning it.
 REQUEST_TIMEOUT_S = 30.0
 
+#: How often, seconds, a background server checks for ``shutdown()``.
+#: ``socketserver``'s default of 0.5 s makes every stop wait up to that.
+BACKGROUND_POLL_S = 0.05
+
 
 class PredictionServer(ThreadingHTTPServer):
     """HTTP server bound to one :class:`ModelRegistry`."""
@@ -99,9 +103,13 @@ class PredictionServer(ThreadingHTTPServer):
         }
 
     def serve_background(self) -> threading.Thread:
-        """Run ``serve_forever`` on a daemon thread (tests, bench mode)."""
+        """Run ``serve_forever`` on a daemon thread that ``shutdown()``
+        stops within ``BACKGROUND_POLL_S``."""
         thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": BACKGROUND_POLL_S},
+            name="repro-serve",
+            daemon=True,
         )
         thread.start()
         return thread

@@ -281,9 +281,9 @@ class TestLintDomains:
 
     RACY = (
         "import threading\n"
-        "STATE = {}\n"
+        "import warnings\n"
         "def worker():\n"
-        "    STATE['k'] = 1\n"
+        "    warnings.warn('racy')\n"
         "def spawn():\n"
         "    threading.Thread(target=worker).start()\n"
     )
@@ -295,15 +295,15 @@ class TestLintDomains:
         assert main(["lint", str(bad)]) == 0
         capsys.readouterr()
         assert main(["lint", "--domain", "concurrency", str(bad)]) == 1
-        assert "CON001" in capsys.readouterr().out
+        assert "CON006" in capsys.readouterr().out
 
     def test_domain_all_merges_both_reports(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("import random\n" + self.RACY +
-                       "def draw():\n    return random.random()\n")
+        bad.write_text("import time\n" + self.RACY +
+                       "def stamp():\n    return time.time()\n")
         assert main(["lint", "--domain", "all", str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "CON001" in out and "DET001" in out
+        assert "CON006" in out and "DET005" in out
 
     def test_ignore_rule_restores_exit_zero(self, tmp_path, capsys):
         bad = tmp_path / "racy.py"
@@ -311,7 +311,7 @@ class TestLintDomains:
         # Paths precede --ignore: the nargs="*" flag would swallow a
         # trailing positional (same ordering the DET006 CI step uses).
         rc = main(["lint", "--domain", "concurrency", str(bad),
-                   "--ignore", "CON001"])
+                   "--ignore", "CON006"])
         assert rc == 0
         assert "1 file" in capsys.readouterr().out
 
@@ -332,7 +332,7 @@ class TestLintDomains:
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == ["diagnostics", "summary"]
         diag = payload["diagnostics"][0]
-        assert diag["rule"] == "CON001"
+        assert diag["rule"] == "CON006"
         assert diag["severity"] == "ERROR"
         assert payload["summary"]["errors"] == 1
         assert payload["summary"]["unit"] == "file"
@@ -341,6 +341,41 @@ class TestLintDomains:
         with pytest.raises(SystemExit) as exc:
             main(["lint", "--domain", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, unknown", [
+        (["--select", "NOPE123"], ["'NOPE123'"]),
+        (["--ignore", "DET006", "CON004"], ["'CON004'"]),
+        # A path after --select is swallowed by it and named, rather
+        # than the default tree being linted instead.
+        (["--select", "DET006", "src"], ["'src'"]),
+    ])
+    def test_unknown_rule_id_is_usage_error(self, tmp_path, capsys, argv,
+                                            unknown):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        assert main(["lint", str(clean), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lint: unknown rule id ")
+        for rule in unknown:
+            assert rule in captured.err
+        assert "'DET006'" not in captured.err
+
+    def test_known_rule_ids_are_accepted(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        assert main(["lint", "--domain", "all", str(clean), "--select",
+                     "DET006", "CON002", "PERF001", "SUP001"]) == 0
+        assert "0 errors, 0 warnings across 1 file" in capsys.readouterr().out
+
+    def test_ignore_keeps_suppressions_used(self, capsys):
+        # Ignoring a rule must not turn the in-source suppressions of that
+        # rule into stale SUP001 warnings: the analyzers see every rule
+        # and the CLI drops ignored findings afterwards.
+        rc = main(["lint", "--domain", "performance", "src/repro",
+                   "--ignore", "PERF001", "PERF008"])
+        assert rc == 0
+        assert "0 errors, 0 warnings" in capsys.readouterr().out
 
 
 class TestLeaderboardCommand:

@@ -89,3 +89,47 @@ class TestDocsMentionRealArtifacts:
         text = (ROOT / "EXPERIMENTS.md").read_text()
         for bench in sorted((ROOT / "benchmarks").glob("test_*.py")):
             assert bench.name in text, bench.name
+
+def _registries():
+    from repro.analysis.concurrency import CONCURRENCY_RULES
+    from repro.analysis.perf import PERF_RULES
+    from repro.lint import LINT_RULES
+
+    return {
+        "Determinism rules": LINT_RULES,
+        "Concurrency rules": CONCURRENCY_RULES,
+        "Performance rules": PERF_RULES,
+    }
+
+
+_RULE_ID = re.compile(r"\b(?:DET|CON|PERF|SUP)\d{3}\b")
+
+
+class TestLintRuleCatalogue:
+    """`docs/static-analysis.md` and the rule registries list the same
+    lint rules, and no doc or module names a rule that does not exist."""
+
+    @staticmethod
+    def _table(heading: str) -> dict[str, str]:
+        """``{rule id: severity cell}`` of the table under ``## heading``."""
+        text = (ROOT / "docs" / "static-analysis.md").read_text()
+        sections = [s for s in text.split("\n## ") if s.startswith(heading)]
+        assert len(sections) == 1, heading
+        return dict(re.findall(r"^\| ([A-Z]+\d{3}) \| ([^|]+) \|",
+                               sections[0], re.MULTILINE))
+
+    @pytest.mark.parametrize("heading", sorted(_registries()))
+    def test_table_matches_registry(self, heading):
+        table = self._table(heading)
+        registry = _registries()[heading]
+        assert sorted(table) == sorted(r.rule for r in registry)
+        for rule in registry:
+            assert rule.severity.name in table[rule.rule], rule.rule
+
+    def test_every_named_rule_is_registered(self):
+        known = {r.rule for rules in _registries().values() for r in rules}
+        texts = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                 *sorted((ROOT / "src" / "repro").rglob("*.py"))]
+        for path in texts:
+            named = set(_RULE_ID.findall(path.read_text(encoding="utf-8")))
+            assert named <= known, (path.relative_to(ROOT), named - known)

@@ -65,12 +65,11 @@ def lint_tree(tmp_path):
         """
         import threading
         import time
-
-        STATE = {}
+        import warnings
 
 
         def worker():
-            STATE["k"] = time.time()  # repro-lint: disable=DET005
+            warnings.warn(str(time.time()))  # repro-lint: disable=DET005
 
 
         def spawn():
@@ -78,8 +77,8 @@ def lint_tree(tmp_path):
 
 
         def quiet():
-            x = 1  # repro-lint: disable=DET001
-            y = 2  # repro-lint: disable=CON001
+            x = 1  # repro-lint: disable=DET002
+            y = 2  # repro-lint: disable=CON002
             z = 3  # repro-lint: disable=PERF002
             return x + y + z
         """
@@ -122,7 +121,7 @@ class TestOneProgramForAllDomains:
         for rule in ("DET000", "CON000", "PERF000"):
             assert rules.count(rule) == 2  # broken.py and absent.py
         assert rules.count("SUP001") == 3  # one stale comment per domain
-        assert {"CON001", "PERF001", "PERF002"} <= set(rules)
+        assert {"CON006", "PERF001", "PERF002"} <= set(rules)
         assert "DET005" not in rules  # its suppression is used
 
     def test_reuse_and_domain_order_do_not_change_findings(self, lint_tree):
