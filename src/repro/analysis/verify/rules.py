@@ -1,10 +1,17 @@
 """The IR verification rules.
 
-Each rule is a pure function ``(graph, summary) -> Iterable[Diagnostic]``
-registered in :data:`IR_RULES`.  Rules re-derive every property they check
-from the layer definitions themselves rather than trusting the values the
-graph (or a cached profile) stores — the point of the verifier is to catch
-exactly the case where stored and recomputed numbers diverge.
+Each rule is a pure function registered in :data:`IR_RULES`.  Rules
+re-derive every property they check from the layer definitions themselves
+rather than trusting the values the graph (or a cached profile) stores —
+the point of the verifier is to catch exactly the case where stored and
+recomputed numbers diverge.
+
+A model's graphs at all image sizes are one topology, so the verifier
+takes a :class:`~repro.graph.graph.Topology` — shapes over an image axis —
+as well as a single graph.  The rules that read only layers, parameters
+and wiring (IR002, IR003, IR005, IR007) run once per topology and report
+at every image; the rest (``per_image``) run over the axis.  Either way a
+finding reads exactly as verifying the graph built at that image would.
 
 Rule ids are stable API (tests, suppression lists, and CI grep for them):
 
@@ -38,11 +45,11 @@ IR009     INFO       edge-memory advisory: training the graph at the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
-from repro.graph.graph import ComputeGraph, Node
+from repro.graph.graph import ComputeGraph, Node, Topology, shape_mismatches
 from repro.graph.layers import (
     Add,
     AvgPool2d,
@@ -55,6 +62,7 @@ from repro.graph.layers import (
     MaxPool2d,
 )
 from repro.graph.metrics import CostSummary, summarize_costs
+from repro.graph.tensor import at_image
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.hardware.roofline import CostProfile
@@ -80,40 +88,47 @@ def _pair(v: int | tuple[int, int]) -> tuple[int, int]:
     return v if isinstance(v, tuple) else (v, v)
 
 
+@dataclass(frozen=True)
+class ImageAxis:
+    """What the per-image rules read: a topology and, per image of its
+    axis, the production metric summary and cost profile (``None`` when
+    unavailable), plus the smallest batch a campaign would measure."""
+
+    topology: Topology
+    summaries: tuple[CostSummary, ...] | None
+    #: Names the summaries' origin in IR004 messages.
+    source: str
+    profiles: "tuple[CostProfile, ...] | None"
+    edge_batch: int = 1
+
+
 # -- IR001: shape-inference consistency --------------------------------------
 
 
-def check_shapes(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
-    index = {n.name: i for i, n in enumerate(graph)}
-    for node in graph:
-        # A forward edge (IR003's finding) makes input_shapes meaningless;
-        # don't cascade a second diagnostic onto the same defect.
-        if any(
-            p not in index or index[p] >= index[node.name]
-            for p in node.inputs
-        ):
-            continue
-        try:
-            inferred = node.layer.infer_shape(graph.input_shapes(node))
-        except (ValueError, TypeError) as exc:
+def check_shapes(axis: ImageAxis) -> Iterator[Diagnostic]:
+    topology = axis.topology
+    # Forward edges (IR003's finding) are skipped by shape_mismatches: they
+    # make input shapes meaningless, and one defect gets one diagnostic.
+    for node, i, stored, inferred in shape_mismatches(
+        topology.graph, len(topology.names)
+    ):
+        location = f"{topology.names[i]}:{node.name}"
+        if isinstance(inferred, Exception):
             yield Diagnostic(
                 "IR001",
                 Severity.ERROR,
-                _loc(graph, node),
+                location,
                 f"shape inference failed for "
-                f"{type(node.layer).__name__}: {exc}",
+                f"{type(node.layer).__name__}: {inferred}",
                 hint="the layer's parameters are inconsistent with its "
                 "input shapes",
             )
-            continue
-        if inferred != node.output_shape:
+        else:
             yield Diagnostic(
                 "IR001",
                 Severity.ERROR,
-                _loc(graph, node),
-                f"stored output shape {node.output_shape} does not match "
+                location,
+                f"stored output shape {stored} does not match "
                 f"re-inferred {inferred}",
                 hint="rebuild the graph; stored shapes must come from "
                 "Layer.infer_shape, never be hand-edited",
@@ -123,9 +138,7 @@ def check_shapes(
 # -- IR002: dead layers and dangling inputs ----------------------------------
 
 
-def check_dead_layers(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
+def check_dead_layers(graph: ComputeGraph) -> Iterator[Diagnostic]:
     if len(graph) == 0:
         yield Diagnostic(
             "IR002", Severity.ERROR, _loc(graph), "graph has no nodes"
@@ -162,9 +175,7 @@ def check_dead_layers(
 # -- IR003: topological order / cycle detection -------------------------------
 
 
-def check_topology(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
+def check_topology(graph: ComputeGraph) -> Iterator[Diagnostic]:
     index: dict[str, int] = {}
     for i, node in enumerate(graph):
         if node.name in index:
@@ -205,7 +216,8 @@ def _recompute_summary(graph: ComputeGraph) -> CostSummary:
     Deliberately does *not* call :func:`repro.graph.metrics.graph_costs`:
     this loop is the independent second opinion that catches double counting
     (for example a fused block contributing its FLOPs twice) in the
-    production accounting path or in a cached profile.
+    production accounting path or in a cached profile.  Over an image axis
+    every field is the column of all images' values.
     """
     flops = conv_in = conv_out = weights = layers = total_out = 0
     for node in graph:
@@ -252,31 +264,29 @@ def _topology_broken(graph: ComputeGraph) -> bool:
     )
 
 
-def check_metric_accounting(
-    graph: ComputeGraph,
-    summary: CostSummary | None,
-    source: str = "supplied summary",
-) -> Iterator[Diagnostic]:
-    """The production summary — ``summary``, or :func:`summarize_costs`
-    without one — must equal independent recomputation.  ``source`` names
-    it in the message."""
-    if _topology_broken(graph):
+def check_metric_accounting(axis: ImageAxis) -> Iterator[Diagnostic]:
+    """Each image's production summary must equal independent
+    recomputation; ``axis.source`` names the summary in the message."""
+    topology = axis.topology
+    if axis.summaries is None or _topology_broken(topology.graph):
         return
-    if summary is None:
-        summary, source = summarize_costs(graph), "summarize_costs"
-    recomputed = _recompute_summary(graph)
-    for attr, label in _METRIC_FIELDS:
-        got, want = getattr(summary, attr), getattr(recomputed, attr)
-        if got != want:
-            yield Diagnostic(
-                "IR004",
-                Severity.ERROR,
-                _loc(graph),
-                f"{label} from {source} is {got}, but independent "
-                f"per-layer recomputation gives {want}",
-                hint="a layer is double-counted or dropped "
-                "(fused-block accounting is the usual culprit)",
-            )
+    recomputed = _recompute_summary(topology.graph)
+    for i, (name, summary) in enumerate(
+        zip(topology.names, axis.summaries)
+    ):
+        for attr, label in _METRIC_FIELDS:
+            got = getattr(summary, attr)
+            want = at_image(getattr(recomputed, attr), i)
+            if got != want:
+                yield Diagnostic(
+                    "IR004",
+                    Severity.ERROR,
+                    name,
+                    f"{label} from {axis.source} is {got}, but independent "
+                    f"per-layer recomputation gives {want}",
+                    hint="a layer is double-counted or dropped "
+                    "(fused-block accounting is the usual culprit)",
+                )
 
 
 # -- IR005: parameter sanity ---------------------------------------------------
@@ -358,9 +368,7 @@ def _check_window(
         )
 
 
-def check_parameter_sanity(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
+def check_parameter_sanity(graph: ComputeGraph) -> Iterator[Diagnostic]:
     for node in graph:
         layer = node.layer
         if isinstance(layer, Conv2d):
@@ -426,13 +434,14 @@ def check_parameter_sanity(
 _PROBE_BATCHES = (2, 3, 7)
 
 
-def check_batch_scaling(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
-    if summary is None:
-        if _topology_broken(graph):
-            return
-        summary = summarize_costs(graph)
+def check_batch_scaling(axis: ImageAxis) -> Iterator[Diagnostic]:
+    if axis.summaries is None:
+        return
+    for name, summary in zip(axis.topology.names, axis.summaries):
+        yield from _batch_scaling(name, summary)
+
+
+def _batch_scaling(name: str, summary: CostSummary) -> Iterator[Diagnostic]:
     linear = (
         "flops", "conv_input_elems", "conv_output_elems",
         "total_output_elems",
@@ -445,7 +454,7 @@ def check_batch_scaling(
             yield Diagnostic(
                 "IR006",
                 Severity.ERROR,
-                _loc(graph),
+                name,
                 f"at_batch({batch}) raised: {exc}",
             )
             return
@@ -454,7 +463,7 @@ def check_batch_scaling(
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
-                    _loc(graph),
+                    name,
                     f"{attr} is not linear in the batch size: "
                     f"at_batch({batch}) gives {getattr(scaled, attr)}, "
                     f"expected {batch * getattr(summary, attr)}",
@@ -466,7 +475,7 @@ def check_batch_scaling(
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
-                    _loc(graph),
+                    name,
                     f"{attr} changed under batching: at_batch({batch}) "
                     f"gives {getattr(scaled, attr)}, expected the "
                     f"batch-invariant {getattr(summary, attr)}",
@@ -476,9 +485,7 @@ def check_batch_scaling(
 # -- IR007: unfused BatchNorm advisory ----------------------------------------
 
 
-def check_unfused_batchnorm(
-    graph: ComputeGraph, summary: CostSummary | None
-) -> Iterator[Diagnostic]:
+def check_unfused_batchnorm(graph: ComputeGraph) -> Iterator[Diagnostic]:
     """Advisory: the graph still carries *foldable* BatchNorm layers.
 
     Deployed inference stacks fold these into the preceding convolution, so
@@ -510,48 +517,40 @@ def check_unfused_batchnorm(
 # -- IR009: edge-memory advisory ----------------------------------------------
 
 
-def check_edge_memory(
-    graph: ComputeGraph,
-    summary: CostSummary | None,
-    min_batch: int = 1,
-    profile: "CostProfile | None" = None,
-) -> Iterator[Diagnostic]:
+def check_edge_memory(axis: ImageAxis) -> Iterator[Diagnostic]:
     """Advisory: no registered edge-GPU preset can train this graph.
 
     Checked under the edge backend's memory accounting (reserved carve-out,
-    enlarged workspace) at ``min_batch`` — the smallest batch a campaign
-    would attempt.  When even that fails on every Jetson-class preset, an
-    ``--backend edge`` campaign of this graph records nothing but OOM
-    markers; the advisory says so before the sweep is paid for.  One INFO
-    per graph, like IR007.  ``profile`` is the graph's raw
-    :class:`~repro.hardware.roofline.CostProfile` when the caller already
-    holds it; otherwise the graph is profiled here.
+    enlarged workspace) at ``axis.edge_batch`` — the smallest batch a
+    campaign would attempt.  When even that fails on every Jetson-class
+    preset, an ``--backend edge`` campaign of this graph records nothing
+    but OOM markers; the advisory says so before the sweep is paid for.
+    One INFO per graph, like IR007.  Without profiles (an uncostable
+    graph, which IR001–IR004 report) there is nothing to add.
     """
     from repro.hardware.backend import edge_backends
-    from repro.hardware.roofline import profile_graph
 
-    if profile is None:
-        try:
-            profile = profile_graph(graph)
-        except (ValueError, KeyError, TypeError):
-            # An uncostable graph is IR001-IR004 territory; nothing to add.
-            return
-    backends = edge_backends()
-    if any(b.fits(profile, min_batch, training=True) for b in backends):
+    if axis.profiles is None:
         return
-    need = min(b.training_memory_bytes(profile, min_batch) for b in backends)
-    biggest = max(backends, key=lambda b: b.memory_available())
-    yield Diagnostic(
-        "IR009",
-        Severity.INFO,
-        _loc(graph),
-        f"training at batch {min_batch} needs >= {need / 1e9:.1f} GB; no "
-        f"registered edge preset fits it (largest: {biggest.device.name}, "
-        f"{biggest.memory_available() / 1e9:.1f} GB usable)",
-        hint="an edge campaign (--backend edge) would record every point "
-        "of this configuration as OOM; reduce the image size or pick a "
-        "smaller model",
-    )
+    backends = edge_backends()
+    batch = axis.edge_batch
+    for name, profile in zip(axis.topology.names, axis.profiles):
+        if any(b.fits(profile, batch, training=True) for b in backends):
+            continue
+        need = min(b.training_memory_bytes(profile, batch) for b in backends)
+        biggest = max(backends, key=lambda b: b.memory_available())
+        yield Diagnostic(
+            "IR009",
+            Severity.INFO,
+            name,
+            f"training at batch {batch} needs >= {need / 1e9:.1f} GB; no "
+            f"registered edge preset fits it (largest: "
+            f"{biggest.device.name}, "
+            f"{biggest.memory_available() / 1e9:.1f} GB usable)",
+            hint="an edge campaign (--backend edge) would record every "
+            "point of this configuration as OOM; reduce the image size or "
+            "pick a smaller model",
+        )
 
 
 # -- IR008: transform semantic preservation -----------------------------------
@@ -654,31 +653,48 @@ class VerifyRule:
 
     rule: str
     title: str
-    check: Callable[
-        [ComputeGraph, CostSummary | None], Iterable[Diagnostic]
-    ]
+    #: ``(graph) -> findings`` for a rule that reads only layers,
+    #: parameters and wiring; ``(ImageAxis) -> findings`` when
+    #: ``per_image``.
+    check: Callable[..., Iterable[Diagnostic]]
+    #: Whether findings depend on the image size: such a rule runs over
+    #: the image axis, any other once per topology.
+    per_image: bool = False
 
 
 IR_RULES: tuple[VerifyRule, ...] = (
-    VerifyRule("IR001", "shape-inference consistency", check_shapes),
+    VerifyRule("IR001", "shape-inference consistency", check_shapes,
+               per_image=True),
     VerifyRule("IR002", "dead layers / dangling inputs", check_dead_layers),
     VerifyRule("IR003", "topological order and cycles", check_topology),
     VerifyRule("IR004", "metric-accounting invariants",
-               check_metric_accounting),
+               check_metric_accounting, per_image=True),
     VerifyRule("IR005", "layer parameter sanity", check_parameter_sanity),
-    VerifyRule("IR006", "batch-scaling coherence", check_batch_scaling),
+    VerifyRule("IR006", "batch-scaling coherence", check_batch_scaling,
+               per_image=True),
     VerifyRule("IR007", "unfused BatchNorm advisory",
                check_unfused_batchnorm),
-    VerifyRule("IR009", "edge-memory advisory", check_edge_memory),
+    VerifyRule("IR009", "edge-memory advisory", check_edge_memory,
+               per_image=True),
 )
 
 
+def _relocated(
+    diags: list[Diagnostic], old: str, new: str
+) -> list[Diagnostic]:
+    """Findings located in graph ``old`` (``old`` or ``old:<node>``),
+    moved to graph ``new``."""
+    if old == new:
+        return diags
+    return [replace(d, location=new + d.location[len(old):]) for d in diags]
+
+
 def verify_graph(
-    graph: ComputeGraph,
-    summary: CostSummary | None = None,
+    graph: ComputeGraph | Topology,
+    summary: CostSummary | Sequence[CostSummary] | None = None,
     ignore: Iterable[str] = (),
     edge_batch: int = 1,
-    profile: "CostProfile | None" = None,
+    profile: "CostProfile | Sequence[CostProfile] | None" = None,
 ) -> list[Diagnostic]:
     """Run every IR rule over a graph; most severe findings first.
 
@@ -694,28 +710,56 @@ def verify_graph(
     ``min(spec.batch_sizes)``).  ``profile`` is the graph's raw cost
     profile for IR009 when the caller already built it (campaigns measure
     that same profile).
+
+    ``graph`` may be a :class:`~repro.graph.graph.Topology` instead: then
+    ``summary`` and ``profile`` hold one entry per image of its axis, and
+    the result holds every image's findings, each located at that image's
+    graph name.  A plain graph is the one-image case of the same code.
     """
+    if isinstance(graph, Topology):
+        topology, summaries, profiles = graph, summary, profile
+    else:
+        topology = Topology.of(graph)
+        summaries = None if summary is None else (summary,)
+        profiles = None if profile is None else (profile,)
     skip = frozenset(ignore)
     source = "supplied summary"
     if (
-        summary is None
+        summaries is None
         and not {"IR004", "IR006"} <= skip
-        and not _topology_broken(graph)
+        and not _topology_broken(topology.graph)
     ):
-        # One production-path summary, shared by IR004 and IR006.
-        summary, source = summarize_costs(graph), "summarize_costs"
+        # One production-path summary per image, shared by IR004 and IR006.
+        whole = summarize_costs(topology.graph)
+        summaries = tuple(
+            CostSummary(
+                **{
+                    f: at_image(getattr(whole, f), i)
+                    for f, _ in _METRIC_FIELDS
+                }
+            )
+            for i in range(len(topology.names))
+        )
+        source = "summarize_costs"
+    if profiles is None and "IR009" not in skip:
+        from repro.hardware.roofline import profile_graph
+
+        try:
+            profiles = profile_graph(topology)
+        except (ValueError, KeyError, TypeError):
+            pass  # an uncostable graph is IR001-IR004 territory
+    axis = ImageAxis(topology, summaries, source, profiles, edge_batch)
     found: list[Diagnostic] = []
+    shared: list[Diagnostic] = []
     for rule in IR_RULES:
         if rule.rule in skip:
             continue
-        if rule.rule == "IR004":
-            found.extend(check_metric_accounting(graph, summary, source))
-        elif rule.rule == "IR009":
-            found.extend(
-                check_edge_memory(graph, summary, edge_batch, profile)
-            )
+        if rule.per_image:
+            found.extend(rule.check(axis))
         else:
-            found.extend(rule.check(graph, summary))
+            shared.extend(rule.check(topology.graph))
+    for name in topology.names:
+        found.extend(_relocated(shared, topology.graph.name, name))
     return sort_diagnostics(found)
 
 

@@ -14,18 +14,22 @@ sweep into an explicit point list and executes it through one engine:
   point index, so parallel runs are byte-identical to serial ones; all
   measurement noise is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
-* **Memoisation** — each graph is built and costed once per process into
-  :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`; per-point cache
-  deltas are aggregated across workers so the reported hit rate covers
-  the whole campaign.
+* **Memoisation** — each zoo model is built once per process and costed
+  over all its image sizes in one walk
+  (:func:`~repro.hardware.roofline.build_topology`); the per-image records
+  go into :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`, where fused
+  and block graphs are built and costed per image.  Per-point cache deltas
+  are aggregated across workers so the reported hit rate covers the whole
+  campaign.
 * **Resume** — with a :class:`repro.benchdata.store.CampaignStore`
   attached, each point's records (including the empty record lists of
   memory-gated points) are appended to a JSONL log as they complete;
   rerunning skips everything already on disk and appends only the rest.
 * **Verification** — before measuring, :func:`run_campaign` runs the graph
   IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
-  sweep will touch, and leaves each verified graph's record in the cache
-  the sweep reads.  ``verify="strict"`` refuses to measure a graph with
+  sweep will touch — once per model topology over its image axis for raw
+  zoo sweeps — and leaves each verified graph's record in the cache the
+  sweep reads.  ``verify="strict"`` refuses to measure a graph with
   ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
   warning and records the error count in :class:`CampaignStats`.  A store
   keeps each graph's verdict in its manifest, so a resume verifies only
@@ -59,7 +63,9 @@ from repro.hardware.roofline import (
     CostProfile,
     GraphRecord,
     build_graph,
+    build_topology,
     graph_record,
+    topology_records,
 )
 from repro.trace.tracer import merge_counters
 from repro.zoo.blocks import BLOCK_CATALOGUE
@@ -379,6 +385,40 @@ def _verify_graph_cached(
     )
 
 
+def _verify_topology(
+    model: str, images: list[int], advise_fusion: bool, edge_batch: int
+) -> None:
+    """Verify zoo model ``model`` at ``images`` in one pass over its
+    topology, leaving each image's verdict in :data:`VERIFY_CACHE` and its
+    record in the graph record cache — the very keys and values
+    :func:`_verify_graph_cached` would produce one graph at a time (which
+    it is left to do when the model's build is no shared topology)."""
+    # Imported lazily: see _verify_graph_cached.
+    from repro.analysis.verify import verify_graph
+
+    topology = build_topology(model, images)
+    if topology is None:
+        return  # no shared topology: campaign_verdicts verifies per image
+    records = topology_records(model, images, topology)
+    found = verify_graph(
+        topology,
+        summary=tuple(r.summary for r in records),
+        profile=tuple(r.profile for r in records),
+        ignore=() if advise_fusion else ("IR007",),
+        edge_batch=edge_batch,
+    )
+    # Every finding is located at its image's graph name (``name`` or
+    # ``name:node``); ``found`` is sorted, and so is each image's share.
+    by_name: dict[str, list[Diagnostic]] = {n: [] for n in topology.names}
+    for diag in found:
+        by_name[diag.location.split(":", 1)[0]].append(diag)
+    for image, name in zip(images, topology.names):
+        VERIFY_CACHE.add(
+            ("model", model, image, "", advise_fusion, edge_batch),
+            tuple(by_name[name]),
+        )
+
+
 def campaign_verdicts(
     spec: CampaignSpec,
     points: list[SweepPoint],
@@ -401,17 +441,27 @@ def campaign_verdicts(
     kind = "block" if spec.scenario == "blocks" else "model"
     advise_fusion = spec.scenario == "inference" and not spec.transform
     edge_batch = min(spec.batch_sizes)
+    graphs = dict.fromkeys((p.model, p.image_size) for p in points)
+    if kind == "model" and not spec.transform:
+        # Raw zoo graphs: verify each model once over its missing images.
+        missing: dict[str, list[int]] = {}
+        for model, image in graphs:
+            cached = (kind, model, image, "", advise_fusion, edge_batch)
+            if f"{model}@{image}" not in persisted and cached not in (
+                VERIFY_CACHE
+            ):
+                missing.setdefault(model, []).append(image)
+        for model, images in missing.items():
+            _verify_topology(model, images, advise_fusion, edge_batch)
     verdicts: Verdicts = {}
-    for point in points:
-        key = f"{point.model}@{point.image_size}"
-        if key in verdicts:
-            continue
+    for model, image in graphs:
+        key = f"{model}@{image}"
         if key in persisted:
             verdicts[key] = persisted[key]
         else:
             verdicts[key] = _verify_graph_cached(
-                kind, point.model, point.image_size, spec.transform,
-                advise_fusion, edge_batch=edge_batch,
+                kind, model, image, spec.transform, advise_fusion,
+                edge_batch=edge_batch,
             )
     return verdicts
 
@@ -470,7 +520,15 @@ def _point_record(spec: CampaignSpec, point: SweepPoint) -> GraphRecord:
     # and resumed runs share the same cached records as a serial run.
     kind = "block" if spec.scenario == "blocks" else "model"
     pipeline = resolve_transform(spec.transform)
-    return graph_record(kind, point.model, point.image_size, pipeline)
+    # A raw model's first point costs every image of its sweep at once;
+    # records are exact per image, so which point comes first (any worker
+    # layout or resume split) does not matter.
+    images = () if kind == "block" else _valid_images(
+        point.model, spec.image_sizes
+    )
+    return graph_record(
+        kind, point.model, point.image_size, pipeline, images=images
+    )
 
 
 def _gated(

@@ -8,13 +8,19 @@ Blocks — the repeating units the paper predicts in Section 4.1.2 — are
 recorded as hierarchical scope strings on each node (for example
 ``"layer1.0"``), and :meth:`ComputeGraph.block_subgraph` extracts a block as
 a standalone graph so the same performance model applies unchanged.
+
+A model's graphs at different image sizes share one topology
+(:func:`same_topology`), so :func:`over_images` infers the shapes of one
+built graph over a whole axis of image sizes at once: a :class:`Topology`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.graph.layers import Input, Layer
 from repro.graph.tensor import TensorShape
@@ -245,13 +251,13 @@ class ComputeGraph:
 
     def validate(self) -> None:
         """Re-run shape inference on every node and check stored shapes."""
-        for node in self:
-            inferred = node.layer.infer_shape(self.input_shapes(node))
-            if inferred != node.output_shape:
-                raise ValueError(
-                    f"stored shape {node.output_shape} of {node.name!r} does not "
-                    f"match inferred {inferred}"
-                )
+        for node, _, stored, inferred in shape_mismatches(self):
+            if isinstance(inferred, Exception):
+                raise inferred
+            raise ValueError(
+                f"stored shape {stored} of {node.name!r} does not "
+                f"match inferred {inferred}"
+            )
 
     def parameter_count(self) -> int:
         """Total learnable parameters (the paper's Weights metric W)."""
@@ -283,18 +289,123 @@ def sequential_shapes(graph: ComputeGraph) -> list[tuple[str, TensorShape]]:
     return [(n.name, n.output_shape) for n in graph.topological_order()]
 
 
-def check_same_topology(a: ComputeGraph, b: ComputeGraph) -> bool:
-    """True when two graphs share layer sequence and wiring (ignoring names)."""
+def _reinfer(
+    layer: Layer, inputs: Sequence[TensorShape]
+) -> TensorShape | Exception:
+    """``layer``'s inferred output shape, or the error inference raised."""
+    try:
+        return layer.infer_shape(inputs)
+    except (ValueError, TypeError) as exc:
+        return exc
+
+
+def shape_mismatches(
+    graph: ComputeGraph, n_images: int = 1
+) -> Iterator[tuple[Node, int, TensorShape, TensorShape | Exception]]:
+    """Where a stored output shape differs from re-run shape inference.
+
+    Yields ``(node, i, stored, inferred)`` for each image ``i`` of the
+    graph's axis (``n_images`` entries; a plain graph has one) at which
+    they differ, with both shapes at that image; ``inferred`` is the
+    ``ValueError``/``TypeError`` inference raised instead, if it did.
+    Inference runs over the whole axis at once; only a node that fails
+    there is re-inferred image by image, for the exact per-image finding.
+    Nodes with an edge to an unknown or later node are skipped: their input
+    shapes mean nothing.  :meth:`ComputeGraph.validate` and the verifier's
+    IR001 both read this one check.
+    """
+    index = {n.name: i for i, n in enumerate(graph)}
+    for node in graph:
+        if any(
+            p not in index or index[p] >= index[node.name]
+            for p in node.inputs
+        ):
+            continue
+        inputs = graph.input_shapes(node)
+        if _reinfer(node.layer, inputs) == node.output_shape:
+            continue
+        for i in range(n_images):
+            stored = node.output_shape.at(i)
+            inferred = _reinfer(node.layer.at(i), [s.at(i) for s in inputs])
+            if isinstance(inferred, Exception) or inferred != stored:
+                yield node, i, stored, inferred
+
+
+@dataclass(frozen=True)
+class Topology:
+    """One graph's layers and wiring with its shapes over an image axis.
+
+    Node ``k`` of ``graph`` carries its output shape over the axis: each
+    dim is an ``int`` or an int64 column with one entry per image, and the
+    image-dependent layers (``Layer.IMAGE_DEPENDENT``) are re-derived over
+    it.  ``names`` are the graph's names at those images, in axis order.
+    Costing or verifying ``graph`` gives every image's result in one walk;
+    entry ``i`` equals the result on the graph built at image ``i``.
+    """
+
+    graph: ComputeGraph
+    names: tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return self.graph.name
+
+    @staticmethod
+    def of(graph: ComputeGraph) -> "Topology":
+        """A plain graph as the one-image topology of its stored shapes."""
+        return Topology(graph, (graph.name,))
+
+
+def over_images(
+    graph: ComputeGraph, images: Sequence[int], names: Sequence[str]
+) -> Topology:
+    """``graph`` with its shapes inferred over square ``images``.
+
+    ``graph`` is any one member of a topology (its stored shapes are not
+    read); ``names[i]`` is the graph's name at ``images[i]``.  Shape
+    inference runs once per node over the whole axis; an edge to an
+    unknown or later node raises ``ValueError``.
+    """
+    axis = np.asarray(images, dtype=np.int64)
+    out = ComputeGraph(graph.name)
+    for node in graph:
+        if not all(p in out for p in node.inputs):
+            raise ValueError(
+                f"node {node.name!r} reads an input that is unknown or "
+                "later in the order"
+            )
+        inputs = out.input_shapes(node)
+        layer = node.layer
+        if layer.IMAGE_DEPENDENT:
+            layer = layer.over_images(axis, inputs)
+        out.add_node(
+            Node(
+                node.name, layer, node.inputs, layer.infer_shape(inputs),
+                node.block,
+            )
+        )
+    return Topology(out, tuple(names))
+
+
+def same_topology(a: ComputeGraph, b: ComputeGraph) -> bool:
+    """True when two graphs are one topology.
+
+    Both have the same node names in the same order, the same wiring and
+    block scopes, and equal layers, parameters included — except that an
+    image-dependent layer (``Layer.IMAGE_DEPENDENT``: the graph input and
+    ViT's position embedding) need only have the same type.  Graph names
+    and stored shapes are not compared.  A zoo model's graphs at all
+    campaign image sizes are one topology, which is what lets
+    :func:`over_images` cost them from a single build.
+    """
     if len(a) != len(b):
         return False
-    index_a = {n.name: i for i, n in enumerate(a)}
-    index_b = {n.name: i for i, n in enumerate(b)}
     for na, nb in zip(a, b):
+        if (na.name, na.inputs, na.block) != (nb.name, nb.inputs, nb.block):
+            return False
         if type(na.layer) is not type(nb.layer):
             return False
-        if tuple(index_a[p] for p in na.inputs) != tuple(
-            index_b[p] for p in nb.inputs
-        ):
+        if not na.layer.IMAGE_DEPENDENT and na.layer != nb.layer:
             return False
     return True
 
@@ -303,5 +414,8 @@ __all__ = [
     "Node",
     "ComputeGraph",
     "sequential_shapes",
-    "check_same_topology",
+    "shape_mismatches",
+    "Topology",
+    "over_images",
+    "same_topology",
 ]

@@ -6,14 +6,26 @@ sample.  FLOPs follow the paper's convention (Section 3): the cost of the
 mathematical definition of the operator, "without considering any
 optimization techniques or actual hardware implementation".  Multiply and
 accumulate are counted as two FLOPs.
+
+Shape inference, parameter and FLOP counts are integer expressions that
+also hold over an image axis (see :mod:`repro.graph.tensor`): evaluated on
+a graph whose dims are int64 columns, they give every image's value at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from repro.graph.tensor import TensorShape, conv_output_hw, pool_output_hw_ceil
+import numpy as np
+
+from repro.graph.tensor import (
+    TensorShape,
+    anywhere,
+    conv_output_hw,
+    pool_output_hw_ceil,
+    same_dim,
+)
 
 
 def _pair(v: int | tuple[int, int]) -> tuple[int, int]:
@@ -22,12 +34,42 @@ def _pair(v: int | tuple[int, int]) -> tuple[int, int]:
     return (v, v)
 
 
+def _window_hw(
+    shape: TensorShape,
+    kernel: int | tuple[int, int],
+    stride: int | tuple[int, int],
+    padding: int | tuple[int, int],
+    dilation: int = 1,
+    ceil_mode: bool = False,
+) -> tuple[int, int]:
+    """Output height and width of a sliding window over a feature map.
+
+    A square window over a map whose two sides are one object (every
+    square image axis) computes one side and returns it twice.
+    """
+    (kh, kw), (sh, sw), (ph, pw) = _pair(kernel), _pair(stride), _pair(padding)
+
+    def side(size, k: int, s: int, p: int):
+        if ceil_mode:
+            return pool_output_hw_ceil(size, k, s, p)
+        return conv_output_hw(size, k, s, p, dilation)
+
+    out_h = side(shape.height, kh, sh, ph)
+    if shape.width is shape.height and (kw, sw, pw) == (kh, sh, ph):
+        return out_h, out_h
+    return out_h, side(shape.width, kw, sw, pw)
+
+
 @dataclass(frozen=True)
 class Layer:
     """Base class for all IR layers."""
 
     #: Number of inputs the layer expects; ``None`` means variadic (>= 1).
     ARITY: int | None = field(default=1, init=False, repr=False)
+    #: True for the layers whose parameters follow from the image size —
+    #: the graph input and ViT's position embedding.  Every other layer is
+    #: identical at every image size of a model.
+    IMAGE_DEPENDENT: ClassVar[bool] = False
 
     def infer_shape(self, inputs: Sequence[TensorShape]) -> TensorShape:
         """Output shape given per-sample input shapes."""
@@ -47,6 +89,17 @@ class Layer:
                 f"got {len(inputs)}"
             )
 
+    def over_images(
+        self, images: np.ndarray, inputs: Sequence[TensorShape]
+    ) -> "Layer":
+        """This layer over an axis of square ``images``, given its input
+        shapes over that axis; only image-dependent layers change."""
+        return self
+
+    def at(self, i: int) -> "Layer":
+        """This layer at image ``i`` of its axis (see :meth:`over_images`)."""
+        return self
+
     def param_count(self) -> int:
         """Number of learnable parameters."""
         return 0
@@ -62,7 +115,7 @@ class Layer:
 
     @property
     def has_params(self) -> bool:
-        return self.param_count() > 0
+        return anywhere(self.param_count() > 0)
 
 
 @dataclass(frozen=True)
@@ -72,9 +125,18 @@ class Input(Layer):
     shape: TensorShape = TensorShape(3, 224, 224)
 
     ARITY = 0
+    IMAGE_DEPENDENT = True
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         return self.shape
+
+    def over_images(
+        self, images: np.ndarray, inputs: Sequence[TensorShape]
+    ) -> "Input":
+        return Input(TensorShape(self.shape.channels, images, images))
+
+    def at(self, i: int) -> "Input":
+        return Input(self.shape.at(i))
 
 
 @dataclass(frozen=True)
@@ -112,15 +174,13 @@ class Conv2d(Layer):
         (shape,) = inputs
         if not shape.is_spatial:
             raise ValueError("Conv2d requires a spatial input")
-        if shape.channels != self.in_channels:
+        if anywhere(shape.channels != self.in_channels):
             raise ValueError(
                 f"Conv2d expects {self.in_channels} channels, got {shape.channels}"
             )
-        kh, kw = _pair(self.kernel_size)
-        sh, sw = _pair(self.stride)
-        ph, pw = _pair(self.padding)
-        out_h = conv_output_hw(shape.height, kh, sh, ph, self.dilation)
-        out_w = conv_output_hw(shape.width, kw, sw, pw, self.dilation)
+        out_h, out_w = _window_hw(
+            shape, self.kernel_size, self.stride, self.padding, self.dilation
+        )
         return TensorShape(self.out_channels, out_h, out_w)
 
     def param_count(self) -> int:
@@ -144,7 +204,7 @@ class BatchNorm2d(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if shape.channels != self.num_features:
+        if anywhere(shape.channels != self.num_features):
             raise ValueError(
                 f"BatchNorm2d expects {self.num_features} channels, "
                 f"got {shape.channels}"
@@ -237,16 +297,11 @@ class _Pool2d(Layer):
         (shape,) = inputs
         if not shape.is_spatial:
             raise ValueError(f"{type(self).__name__} requires a spatial input")
-        kh, kw = _pair(self.kernel_size)
         stride = self.stride if self.stride is not None else self.kernel_size
-        sh, sw = _pair(stride)
-        ph, pw = _pair(self.padding)
-        if self.ceil_mode:
-            out_h = pool_output_hw_ceil(shape.height, kh, sh, ph)
-            out_w = pool_output_hw_ceil(shape.width, kw, sw, pw)
-        else:
-            out_h = conv_output_hw(shape.height, kh, sh, ph)
-            out_w = conv_output_hw(shape.width, kw, sw, pw)
+        out_h, out_w = _window_hw(
+            shape, self.kernel_size, stride, self.padding,
+            ceil_mode=self.ceil_mode,
+        )
         return TensorShape(shape.channels, out_h, out_w)
 
     def flops(self, inputs: Sequence[TensorShape], output: TensorShape) -> int:
@@ -308,7 +363,7 @@ class Linear(Layer):
         (shape,) = inputs
         if shape.is_spatial:
             raise ValueError("Linear requires a flat input; insert Flatten first")
-        if shape.channels != self.in_features:
+        if anywhere(shape.channels != self.in_features):
             raise ValueError(
                 f"Linear expects {self.in_features} features, got {shape.channels}"
             )
@@ -387,7 +442,10 @@ class Concat(Layer):
         if not first.is_spatial:
             raise ValueError("Concat requires spatial inputs")
         for other in inputs[1:]:
-            if (other.height, other.width) != (first.height, first.width):
+            if not (
+                same_dim(other.height, first.height)
+                and same_dim(other.width, first.width)
+            ):
                 raise ValueError(
                     f"Concat spatial dims differ: {first} vs {other}"
                 )
@@ -403,10 +461,16 @@ class Multiply(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         a, b = inputs
-        if a.channels != b.channels:
+        if anywhere(a.channels != b.channels):
             raise ValueError(f"Multiply channel mismatch: {a} vs {b}")
         # Broadcast the (C,1,1) gate over the (C,H,W) map.
-        return a if a.numel >= b.numel else b
+        if not anywhere(a.numel < b.numel):
+            return a
+        if not anywhere(a.numel >= b.numel):
+            return b
+        raise ValueError(
+            f"Multiply broadcast direction differs across images: {a} vs {b}"
+        )
 
     def flops(self, inputs: Sequence[TensorShape], output: TensorShape) -> int:
         return output.numel

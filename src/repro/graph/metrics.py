@@ -3,7 +3,9 @@
 These counts are the raw material for ConvMeter's metric vector (Section 3
 of the paper): FLOPs per layer, input/output tensor element counts, and
 parameter counts — all per sample (batch size one), since every one of these
-quantities scales linearly with the batch size.
+quantities scales linearly with the batch size.  On a graph whose shapes
+are inferred over an image axis (:func:`repro.graph.graph.over_images`),
+every count is an int64 column with one entry per image.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.graph import ComputeGraph, Node
-from repro.graph.layers import Input
+from repro.graph.layers import Conv2d, Input
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,6 @@ class CostSummary:
 
 def node_cost(graph: ComputeGraph, node: Node) -> LayerCost:
     """Cost record for one node."""
-    from repro.graph.layers import Conv2d
-
     in_shapes = graph.input_shapes(node)
     out_shape = node.output_shape
     layer = node.layer

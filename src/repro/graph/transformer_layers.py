@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.graph.layers import Layer
-from repro.graph.tensor import TensorShape
+from repro.graph.tensor import TensorShape, anywhere, at_image
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class ClassToken(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if shape.channels != self.dim:
+        if anywhere(shape.channels != self.dim):
             raise ValueError(
                 f"ClassToken expects dim {self.dim}, got {shape.channels}"
             )
@@ -51,14 +53,30 @@ class ClassToken(Layer):
 
 @dataclass(frozen=True)
 class PositionalEmbedding(Layer):
-    """Add a learned positional embedding of shape (dim, seq_len)."""
+    """Add a learned positional embedding of shape (dim, seq_len).
+
+    Image-dependent: ``seq_len`` is the token count of the input, so over
+    an image axis it is the input's token column.
+    """
 
     dim: int = 0
     seq_len: int = 0
 
+    IMAGE_DEPENDENT = True
+
+    def over_images(
+        self, images: np.ndarray, inputs: Sequence[TensorShape]
+    ) -> "PositionalEmbedding":
+        return PositionalEmbedding(self.dim, inputs[0].height)
+
+    def at(self, i: int) -> "PositionalEmbedding":
+        return PositionalEmbedding(self.dim, at_image(self.seq_len, i))
+
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if shape.channels != self.dim or shape.height != self.seq_len:
+        if anywhere(shape.channels != self.dim) or anywhere(
+            shape.height != self.seq_len
+        ):
             raise ValueError(
                 f"PositionalEmbedding expects ({self.dim}, {self.seq_len}),"
                 f" got {shape}"
@@ -80,7 +98,7 @@ class LayerNorm(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if shape.channels != self.dim:
+        if anywhere(shape.channels != self.dim):
             raise ValueError(
                 f"LayerNorm expects dim {self.dim}, got {shape.channels}"
             )
@@ -104,9 +122,9 @@ class TokenLinear(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if not shape.is_spatial or shape.width != 1:
+        if not shape.is_spatial or anywhere(shape.width != 1):
             raise ValueError("TokenLinear requires a (d, S, 1) token tensor")
-        if shape.channels != self.in_features:
+        if anywhere(shape.channels != self.in_features):
             raise ValueError(
                 f"TokenLinear expects {self.in_features} features, "
                 f"got {shape.channels}"
@@ -142,7 +160,7 @@ class ScaledDotProductAttention(Layer):
             raise ValueError(
                 f"attention inputs must share a shape, got {q}, {k}, {v}"
             )
-        if not q.is_spatial or q.width != 1:
+        if not q.is_spatial or anywhere(q.width != 1):
             raise ValueError("attention requires (d, S, 1) token tensors")
         if q.channels % self.num_heads:
             raise ValueError(
@@ -166,9 +184,9 @@ class SelectToken(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         (shape,) = inputs
-        if not shape.is_spatial or shape.width != 1:
+        if not shape.is_spatial or anywhere(shape.width != 1):
             raise ValueError("SelectToken requires a (d, S, 1) token tensor")
-        if not 0 <= self.index < shape.height:
+        if self.index < 0 or anywhere(shape.height <= self.index):
             raise ValueError(
                 f"token index {self.index} out of range for S={shape.height}"
             )

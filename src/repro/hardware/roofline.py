@@ -24,12 +24,12 @@ aggregate metrics — the realistic regime for ConvMeter's regression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.caching import LRUCache
-from repro.graph.graph import ComputeGraph
+from repro.graph.graph import ComputeGraph, Topology, over_images
 from repro.graph.metrics import CostSummary, LayerCost, graph_costs
 from repro.hardware.device import DeviceSpec
 
@@ -140,28 +140,45 @@ class CostProfile:
         return float(self.output_elems[self.is_conv].sum())
 
     @staticmethod
-    def from_costs(graph_name: str, costs: list[LayerCost]) -> "CostProfile":
-        return CostProfile(
-            graph_name=graph_name,
-            flops=np.array([c.flops for c in costs], dtype=np.float64),
-            act_bytes=np.array(
-                [c.input_bytes + c.output_bytes for c in costs], dtype=np.float64
-            ),
-            weight_bytes=np.array(
-                [c.weight_bytes for c in costs], dtype=np.float64
-            ),
-            eff_class=np.array([_classify(c) for c in costs], dtype=np.int64),
-            has_params=np.array([c.params > 0 for c in costs], dtype=bool),
-            param_counts=np.array([c.params for c in costs], dtype=np.float64),
-            input_elems=np.array(
-                [c.input_elems for c in costs], dtype=np.float64
-            ),
-            output_elems=np.array(
-                [c.output_elems for c in costs], dtype=np.float64
-            ),
-            is_conv=np.array([c.is_conv for c in costs], dtype=bool),
-            layer_names=tuple(c.name for c in costs),
-            layer_types=tuple(c.layer_type for c in costs),
+    def from_costs(
+        names: Sequence[str], costs: list[LayerCost]
+    ) -> tuple["CostProfile", ...]:
+        """One profile per image of the costs' axis, ``names[i]`` naming
+        image ``i``'s graph; plain-``int`` costs give one image."""
+        n = len(names)
+
+        def column(values) -> np.ndarray:
+            # int64[L, images]: a plain count is the same at every image.
+            out = np.empty((len(costs), n), dtype=np.int64)
+            for k, value in enumerate(values):
+                out[k] = value
+            return out
+
+        flops = column(c.flops for c in costs)
+        inputs = column(c.input_elems for c in costs)
+        outputs = column(c.output_elems for c in costs)
+        params = column(c.params for c in costs)
+        act_bytes = 4 * inputs + 4 * outputs
+        eff_class = np.array([_classify(c) for c in costs], dtype=np.int64)
+        is_conv = np.array([c.is_conv for c in costs], dtype=bool)
+        layer_names = tuple(c.name for c in costs)
+        layer_types = tuple(c.layer_type for c in costs)
+        return tuple(
+            CostProfile(
+                graph_name=name,
+                flops=flops[:, i].astype(np.float64),
+                act_bytes=act_bytes[:, i].astype(np.float64),
+                weight_bytes=(4 * params[:, i]).astype(np.float64),
+                eff_class=eff_class,
+                has_params=params[:, i] > 0,
+                param_counts=params[:, i].astype(np.float64),
+                input_elems=inputs[:, i].astype(np.float64),
+                output_elems=outputs[:, i].astype(np.float64),
+                is_conv=is_conv,
+                layer_names=layer_names,
+                layer_types=layer_types,
+            )
+            for i, name in enumerate(names)
         )
 
     def span_names(self) -> tuple[str, ...]:
@@ -172,8 +189,8 @@ class CostProfile:
 
 
 def profile_graph(
-    graph: ComputeGraph, pipeline: "PassPipeline | None" = None
-) -> CostProfile:
+    graph: ComputeGraph | Topology, pipeline: "PassPipeline | None" = None
+) -> CostProfile | tuple[CostProfile, ...]:
     """Compile a graph into a :class:`CostProfile`.
 
     With a ``pipeline`` (see :mod:`repro.graph.passes`), the graph is
@@ -182,10 +199,16 @@ def profile_graph(
     ``conv+bn+relu``-style spans.  The graph's name is preserved across
     transformation, keeping noise seeding (which keys on the name)
     comparable between raw and fused measurements of the same model.
+
+    A :class:`~repro.graph.graph.Topology` gives one profile per image of
+    its axis, from one cost walk; a plain graph is the one-image case of
+    the same code.
     """
+    if isinstance(graph, Topology):
+        return CostProfile.from_costs(graph.names, graph_costs(graph.graph))
     if pipeline is not None:
         graph = pipeline.run(graph).graph
-    return CostProfile.from_costs(graph.name, graph_costs(graph))
+    return CostProfile.from_costs((graph.name,), graph_costs(graph))[0]
 
 
 def layer_times(
@@ -250,18 +273,17 @@ class GraphRecord:
     features: "ConvNetFeatures"
 
     @staticmethod
-    def of(graph: ComputeGraph) -> "GraphRecord":
+    def of(profile: CostProfile) -> "GraphRecord":
         # Imported lazily: repro.benchdata imports this module.
         from repro.benchdata.records import ConvNetFeatures
 
-        profile = profile_graph(graph)
         # Exact sums: every per-layer count is an integer far below 2**53.
         summary = CostSummary(
             flops=int(profile.total_flops),
             conv_input_elems=int(profile.conv_input_elems),
             conv_output_elems=int(profile.conv_output_elems),
-            weights=graph.parameter_count(),
-            layers=graph.parametric_layer_count(),
+            weights=int(profile.total_params),
+            layers=profile.parametric_layers,
             total_output_elems=int(profile.output_elems.sum()),
         )
         features = ConvNetFeatures.from_profile(profile)
@@ -291,25 +313,85 @@ def build_graph(kind: str, name: str, image_size: int) -> ComputeGraph:
     return build_model(name, image_size)
 
 
+def build_topology(name: str, images: Sequence[int]) -> Topology | None:
+    """Zoo model ``name`` over square ``images``: one build, at the largest
+    image, with its shapes inferred over the whole axis.
+
+    Every image is checked the way :func:`~repro.zoo.build_model` checks
+    it, so an image the model cannot be built at raises here too.  ``None``
+    when the build cannot stand for the others — it is not named
+    ``<name>_<image>``, shape inference over the axis fails, or the axis
+    does not reproduce the build's own shapes and layers at its size — so
+    each image must be built and costed on its own.
+    """
+    from repro.zoo import build_model
+    from repro.zoo.registry import check_image_size
+
+    for image in images:
+        check_image_size(name, image)
+    image = max(images)
+    graph = build_model(name, image)
+    if graph.name != f"{name}_{image}":
+        return None
+    try:
+        topology = over_images(
+            graph, images, tuple(f"{name}_{i}" for i in images)
+        )
+    except (ValueError, TypeError):
+        return None
+    k = list(images).index(image)
+    for built, axis in zip(graph, topology.graph):
+        if axis.output_shape.at(k) != built.output_shape or (
+            axis.layer.IMAGE_DEPENDENT and axis.layer.at(k) != built.layer
+        ):
+            return None
+    return topology
+
+
+def topology_records(
+    name: str, images: Sequence[int], topology: Topology
+) -> tuple[GraphRecord, ...]:
+    """Raw records of zoo model ``name`` at ``images`` from ``topology``
+    (:func:`build_topology` of the same arguments), costed in one walk.
+
+    Each is left in :data:`GRAPH_RECORD_CACHE` under its ``graph_record``
+    key; a record already cached there is kept and returned instead, so a
+    campaign verifies and measures the very same record.
+    """
+    return tuple(
+        GRAPH_RECORD_CACHE.add(("model", name, image, ""), GraphRecord.of(p))
+        for image, p in zip(images, profile_graph(topology))
+    )
+
+
 def graph_record(
     kind: str,
     name: str,
     image_size: int,
     pipeline: "PassPipeline | None" = None,
     graph: ComputeGraph | None = None,
+    images: Sequence[int] = (),
 ) -> GraphRecord:
     """Cached record of a zoo graph, optionally transformed by ``pipeline``.
 
     ``graph`` is the caller's already-built raw graph for this key, so
     verification, which needs the graph itself, builds it only once.
+    ``images`` are the sizes a campaign sweeps a raw zoo model at
+    (``image_size`` among them): a miss costs them all from one
+    :func:`build_topology` and caches every record.
     """
     fingerprint = "" if pipeline is None else pipeline.fingerprint()
 
     def build() -> GraphRecord:
+        if images and kind == "model" and pipeline is None and graph is None:
+            topology = build_topology(name, images)
+            if topology is not None:
+                records = topology_records(name, images, topology)
+                return records[list(images).index(image_size)]
         g = graph if graph is not None else build_graph(kind, name, image_size)
         if pipeline is not None:
             g = pipeline.run(g).graph
-        return GraphRecord.of(g)
+        return GraphRecord.of(profile_graph(g))
 
     return GRAPH_RECORD_CACHE.get_or_compute(
         (kind, name, image_size, fingerprint), build

@@ -3,8 +3,11 @@
 Models register themselves via :func:`register_model`; consumers call
 :func:`build_model`, which validates the requested image size against the
 architecture's minimum (stride pyramids eventually shrink a feature map to
-nothing) — mirroring the paper's campaign, which only runs configurations
-the architecture and device memory allow.
+nothing) and required multiple (ViT's patch size) — mirroring the paper's
+campaign, which only runs configurations the architecture and device memory
+allow.  A builder branches on the image size for nothing else, and names
+its graph ``<name>_<image_size>``: a model's graphs at all valid sizes are
+one topology (:func:`repro.graph.graph.same_topology`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ class ModelEntry:
     family: str
     #: Short display name used in the paper's tables.
     display: str
+    #: The image size must be a multiple of this (a ViT's patch size).
+    image_multiple: int = 1
 
 
 _REGISTRY: dict[str, ModelEntry] = {}
@@ -57,6 +62,7 @@ def register_model(
     min_image_size: int = 32,
     family: str = "generic",
     display: str | None = None,
+    image_multiple: int = 1,
 ) -> None:
     if name in _REGISTRY:
         raise ValueError(f"model {name!r} already registered")
@@ -66,6 +72,7 @@ def register_model(
         min_image_size=min_image_size,
         family=family,
         display=display or name,
+        image_multiple=image_multiple,
     )
 
 
@@ -93,14 +100,24 @@ def get_entry(name: str) -> ModelEntry:
         ) from None
 
 
-def build_model(
-    name: str, image_size: int = 224, num_classes: int = 1000
-) -> ComputeGraph:
-    """Build a registered architecture for a given square image size."""
+def check_image_size(name: str, image_size: int) -> None:
+    """Raise ``ValueError`` unless ``name`` can be built at ``image_size``."""
     entry = get_entry(name)
     if image_size < entry.min_image_size:
         raise ValueError(
             f"{name} requires image_size >= {entry.min_image_size}, "
             f"got {image_size}"
         )
-    return entry.builder(image_size, num_classes)
+    if image_size % entry.image_multiple:
+        raise ValueError(
+            f"{name} requires image_size divisible by "
+            f"{entry.image_multiple}, got {image_size}"
+        )
+
+
+def build_model(
+    name: str, image_size: int = 224, num_classes: int = 1000
+) -> ComputeGraph:
+    """Build a registered architecture for a given square image size."""
+    check_image_size(name, image_size)
+    return get_entry(name).builder(image_size, num_classes)

@@ -61,11 +61,6 @@ def _encoder_block(b: GraphBuilder, x: str, cfg: _ViTConfig) -> str:
 def _build_vit(
     name: str, cfg: _ViTConfig, image_size: int, num_classes: int
 ) -> ComputeGraph:
-    if image_size % cfg.patch:
-        raise ValueError(
-            f"{name} requires image_size divisible by patch {cfg.patch}, "
-            f"got {image_size}"
-        )
     b = GraphBuilder(f"{name}_{image_size}")
     x = b.input(3, image_size, image_size)
 
@@ -103,9 +98,13 @@ def build_vit_base(image_size: int = 224, num_classes: int = 1000) -> ComputeGra
                       num_classes)
 
 
+# The patch embedding tiles the image: sizes must be a patch multiple.
 register_model("vit_tiny_16", build_vit_tiny, min_image_size=32,
-               family="transformer", display="ViT-Ti/16")
+               family="transformer", display="ViT-Ti/16",
+               image_multiple=_CONFIGS["vit_tiny_16"].patch)
 register_model("vit_small_16", build_vit_small, min_image_size=32,
-               family="transformer", display="ViT-S/16")
+               family="transformer", display="ViT-S/16",
+               image_multiple=_CONFIGS["vit_small_16"].patch)
 register_model("vit_base_16", build_vit_base, min_image_size=32,
-               family="transformer", display="ViT-B/16")
+               family="transformer", display="ViT-B/16",
+               image_multiple=_CONFIGS["vit_base_16"].patch)

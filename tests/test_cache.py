@@ -55,6 +55,16 @@ class TestLRUCache:
         assert len(cache) == 0
         assert cache.stats().misses == 1
 
+    def test_add_keeps_a_cached_value_and_counts_no_lookup(self):
+        cache = LRUCache(maxsize=2)
+        assert cache.add("a", 1) == 1
+        assert cache.add("a", 2) == 1  # the cached value stays
+        assert cache.get_or_compute("a", lambda: 3) == 1
+        assert cache.stats() == CacheStats(hits=1, misses=0, evictions=0)
+        cache.add("b", 2)
+        cache.add("c", 3)
+        assert len(cache) == 2 and cache.stats().evictions == 1
+
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError, match="maxsize"):
             LRUCache(maxsize=0)

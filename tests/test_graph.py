@@ -1,9 +1,20 @@
 """Unit tests for the DAG container, blocks, and graph metrics."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.graph import ComputeGraph, Node, check_same_topology, sequential_shapes
+from repro.graph.graph import (
+    ComputeGraph,
+    Node,
+    Topology,
+    over_images,
+    same_topology,
+    sequential_shapes,
+    shape_mismatches,
+)
 from repro.graph.layers import Activation, Conv2d, Input
 from repro.graph.metrics import graph_costs, node_cost, summarize_costs
 from repro.graph.tensor import TensorShape
@@ -136,19 +147,93 @@ class TestBlocks:
 
 class TestTopologyComparison:
     def test_same_graph_matches(self):
-        assert check_same_topology(_linear_chain(), _linear_chain())
+        assert same_topology(_linear_chain(), _linear_chain())
 
     def test_different_layer_type_fails(self):
         b = GraphBuilder("other")
         x = b.input(3, 8, 8)
         x = b.conv(x, 4, kernel_size=3, padding=1)
         x = b.bn(x)
-        assert not check_same_topology(_linear_chain(), b.finish())
+        assert not same_topology(_linear_chain(), b.finish())
 
     def test_different_length_fails(self):
         b = GraphBuilder("short")
         b.input(3, 8, 8)
-        assert not check_same_topology(_linear_chain(), b.finish())
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_other_image_size_is_the_same_topology(self):
+        b = GraphBuilder("chain_16")
+        x = b.input(3, 16, 16)
+        x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.relu(x)
+        assert same_topology(_linear_chain(), b.finish())
+
+    def test_different_layer_parameters_fail(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        x = b.conv(x, 4, kernel_size=3, padding=1, bias=False)
+        b.relu(x)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_different_block_scope_fails(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        with b.block("stem"):
+            x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.relu(x)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_different_node_names_fail(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.add_layer(Activation("relu"), x, name="act")
+        assert not same_topology(_linear_chain(), b.finish())
+
+
+class TestOverImages:
+    def _axis(self) -> Topology:
+        return over_images(_linear_chain(), (8, 12, 16), ("c8", "c12", "c16"))
+
+    def test_shapes_are_columns_over_the_axis(self):
+        conv = self._axis().graph.nodes[1]
+        assert conv.output_shape.channels == 4
+        assert conv.output_shape.height.tolist() == [8, 12, 16]
+        assert conv.output_shape.at(1) == TensorShape(4, 12, 12)
+
+    def test_costs_equal_the_graph_built_at_each_image(self):
+        axis = self._axis()
+        costs = graph_costs(axis.graph)
+        for i, size in enumerate((8, 12, 16)):
+            b = GraphBuilder("chain")
+            x = b.input(3, size, size)
+            x = b.conv(x, 4, kernel_size=3, padding=1)
+            b.relu(x)
+            plain = graph_costs(b.finish())
+            for column, scalar in zip(costs, plain):
+                assert int(column.flops[i]) == scalar.flops
+                assert int(column.output_elems[i]) == scalar.output_elems
+
+    def test_one_image_topology_of_a_plain_graph(self):
+        g = _linear_chain()
+        assert Topology.of(g).names == ("chain",)
+        assert Topology.of(g).graph is g
+
+    def test_shape_mismatch_is_reported_at_its_image_only(self):
+        axis = self._axis()
+        g = axis.graph
+        conv = g.nodes[1]
+        bad = TensorShape(4, np.array([8, 99, 16]), np.array([8, 12, 16]))
+        g._nodes[conv.name] = dataclasses.replace(conv, output_shape=bad)
+        found = list(shape_mismatches(g, 3))
+        # The activation re-infers from the corrupt shape, so it differs too.
+        assert [(n.name, i) for n, i, _, _ in found] == [
+            (conv.name, 1), ("activation_0", 1)
+        ]
+        _, _, stored, inferred = found[0]
+        assert (stored, inferred) == (
+            TensorShape(4, 99, 12), TensorShape(4, 12, 12)
+        )
 
 
 class TestGraphMetrics:

@@ -486,6 +486,23 @@ class TestCampaignVerification:
         with pytest.raises(ValueError, match="verify mode"):
             run_campaign(self._spec("alexnet"), verify="paranoid")
 
+    def test_model_without_a_shared_topology_is_verified_per_image(
+        self, monkeypatch
+    ):
+        """A build that cannot stand for the model's other image sizes
+        (here its stored shapes lie) is verified graph by graph: each
+        image's verdict is exactly that of the graph built there."""
+        from repro.benchdata.engine import campaign_verdicts, enumerate_points
+
+        name = _register_broken_model(monkeypatch, "brokennet-axis")
+        spec = dataclasses.replace(self._spec(name), image_sizes=(32, 48))
+        verdicts = campaign_verdicts(spec, enumerate_points(spec))
+        assert list(verdicts) == [f"{name}@32", f"{name}@48"]
+        for image in (32, 48):
+            expected = verify_graph(registry.build_model(name, image))
+            assert list(verdicts[f"{name}@{image}"]) == expected
+            assert "IR001" in rules_fired(expected)
+
     def test_verify_errors_land_in_store_manifest(self, monkeypatch,
                                                   tmp_path):
         from repro.benchdata.store import CampaignStore

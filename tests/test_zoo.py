@@ -7,9 +7,14 @@ architectures the paper profiled.
 
 import pytest
 
+from repro.graph.graph import same_topology
 from repro.graph.metrics import summarize_costs
+from repro.hardware.roofline import build_topology
 from repro.zoo import available_models, build_model, get_entry
 from repro.zoo.blocks import BLOCK_CATALOGUE, block_by_name, build_block
+
+#: The paper's campaign image sizes.
+CAMPAIGN_IMAGES = (32, 64, 96, 128, 160, 192, 224)
 
 #: Published torchvision parameter counts (1000 classes).
 PUBLISHED_PARAMS = {
@@ -203,6 +208,36 @@ class TestArchitecturalFidelity:
             if type(n.layer).__name__ == "Linear"
         )
         assert fc_params > 0.9 * g.parameter_count()
+
+
+class TestOneTopologyPerModel:
+    """The invariant image-axis costing relies on: a model's graphs at all
+    campaign image sizes are one topology, and its shapes inferred over
+    the axis equal the stored shapes of the graph built at each size."""
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_every_image_size_is_one_topology(self, name):
+        images = [
+            i for i in CAMPAIGN_IMAGES
+            if i >= get_entry(name).min_image_size
+        ]
+        topology = build_topology(name, images)
+        reference = build_model(name, max(images))
+        for i, image in enumerate(images):
+            graph = build_model(name, image)
+            assert graph.name == topology.names[i] == f"{name}_{image}"
+            assert same_topology(reference, graph)
+            for built, axis in zip(graph, topology.graph):
+                assert axis.layer.at(i) == built.layer
+                assert axis.output_shape.at(i) == built.output_shape
+
+    def test_image_size_must_be_a_patch_multiple_on_the_axis(self):
+        with pytest.raises(ValueError, match="divisible"):
+            build_topology("vit_tiny_16", (96, 100))
+
+    def test_image_size_below_the_minimum_is_refused_on_the_axis(self):
+        with pytest.raises(ValueError, match="requires image_size >="):
+            build_topology("alexnet", (32, 224))
 
 
 class TestBlocks:
