@@ -562,7 +562,7 @@ def _primary_conv_flops(graph: ComputeGraph) -> int:
     Folding a BatchNorm rescales kernels in place and absorbing an
     activation only appends clamp arithmetic, so this quantity is exactly
     conserved by the inference fusion pipeline — the cross-graph invariant
-    IR008 pins down.
+    IR008 pins down (a column of per-image sums over an image axis).
     """
     total = 0
     for node in graph:
@@ -578,7 +578,7 @@ def _primary_conv_flops(graph: ComputeGraph) -> int:
 
 
 def verify_transform(
-    before: ComputeGraph, after: ComputeGraph
+    before: ComputeGraph | Topology, after: ComputeGraph | Topology
 ) -> list[Diagnostic]:
     """Check that a pass pipeline preserved the graph's semantics (IR008).
 
@@ -587,58 +587,60 @@ def verify_transform(
     (conv FLOPs excluding epilogues), and the output shape all have to
     survive.  Runs on a (raw, transformed) graph pair — the two-graph
     counterpart of the single-graph rules in :data:`IR_RULES`.
+
+    The pair may be two :class:`~repro.graph.graph.Topology` s over one
+    image axis (``after`` as the pipeline rewrote ``before``): each image's
+    findings are located at ``<image's graph name>:transform`` and read
+    exactly as checking the pair built at that image would.
     """
-    loc = f"{before.name}:transform"
-    found: list[Diagnostic] = []
-    if before.parameter_count() != after.parameter_count():
-        found.append(
-            Diagnostic(
-                "IR008",
-                Severity.ERROR,
-                loc,
-                f"parameter count changed under transformation: "
-                f"{before.parameter_count()} before, "
-                f"{after.parameter_count()} after",
-                hint="folded layers must keep their parameters accounted "
-                "(FusedConv2d.bn_features); the Weights metric W feeds the "
-                "fitted models",
-            )
-        )
-    flops_before = _primary_conv_flops(before)
-    flops_after = _primary_conv_flops(after)
-    if flops_before != flops_after:
-        found.append(
-            Diagnostic(
-                "IR008",
-                Severity.ERROR,
-                loc,
-                f"conv FLOPs changed under transformation: {flops_before} "
-                f"before, {flops_after} after",
-                hint="BN folding rescales kernels in place; the "
-                "convolution's mathematical cost must be untouched",
-            )
-        )
+    if not isinstance(before, Topology):
+        before = Topology.of(before)
+    raw = before.graph
+    fused = after.graph if isinstance(after, Topology) else after
+    conserved = (
+        ("parameter count", raw.parameter_count(), fused.parameter_count(),
+         "folded layers must keep their parameters accounted "
+         "(FusedConv2d.bn_features); the Weights metric W feeds the fitted "
+         "models"),
+        ("conv FLOPs", _primary_conv_flops(raw), _primary_conv_flops(fused),
+         "BN folding rescales kernels in place; the convolution's "
+         "mathematical cost must be untouched"),
+    )
     try:
-        shape_before = before.output_node.output_shape
-        shape_after = after.output_node.output_shape
+        shapes = (raw.output_node.output_shape, fused.output_node.output_shape)
     except ValueError as exc:
-        found.append(
+        shapes = exc
+    found: list[Diagnostic] = []
+    for i, name in enumerate(before.names):
+        loc = f"{name}:transform"
+        pairs = [
+            (label, at_image(b, i), at_image(a, i), hint)
+            for label, b, a, hint in conserved
+        ]
+        if not isinstance(shapes, ValueError):
+            pairs.append(("output shape", shapes[0].at(i), shapes[1].at(i), ""))
+        found.extend(
             Diagnostic(
                 "IR008",
                 Severity.ERROR,
                 loc,
-                f"cannot compare output shapes: {exc}",
+                f"{label} changed under transformation: {b} before, "
+                f"{a} after",
+                hint=hint,
             )
+            for label, b, a, hint in pairs
+            if b != a
         )
-    else:
-        if shape_before != shape_after:
+        if isinstance(shapes, ValueError):
+            # The sink count is the same at every image; the message names
+            # the graph, so it names this image's graph.
+            message = str(shapes).replace(repr(raw.name), repr(name))
             found.append(
                 Diagnostic(
                     "IR008",
                     Severity.ERROR,
                     loc,
-                    f"output shape changed under transformation: "
-                    f"{shape_before} before, {shape_after} after",
+                    f"cannot compare output shapes: {message}",
                 )
             )
     return sort_diagnostics(found)

@@ -14,22 +14,22 @@ sweep into an explicit point list and executes it through one engine:
   point index, so parallel runs are byte-identical to serial ones; all
   measurement noise is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
-* **Memoisation** — each zoo model is built once per process and costed
-  over all its image sizes in one walk
-  (:func:`~repro.hardware.roofline.build_topology`); the per-image records
-  go into :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`, where fused
-  and block graphs are built and costed per image.  Per-point cache deltas
-  are aggregated across workers so the reported hit rate covers the whole
-  campaign.
+* **Memoisation** — each zoo model is built once per process, and its
+  graph — raw, rewritten by the spec's transform, or cut down to a Table 2
+  block — is costed over all its image sizes in one walk
+  (:func:`~repro.hardware.roofline.topologies`); the per-image records go
+  into :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`.  Per-point
+  cache deltas are aggregated across workers so the reported hit rate
+  covers the whole campaign.
 * **Resume** — with a :class:`repro.benchdata.store.CampaignStore`
   attached, each point's records (including the empty record lists of
   memory-gated points) are appended to a JSONL log as they complete;
   rerunning skips everything already on disk and appends only the rest.
 * **Verification** — before measuring, :func:`run_campaign` runs the graph
   IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
-  sweep will touch — once per model topology over its image axis for raw
-  zoo sweeps — and leaves each verified graph's record in the cache the
-  sweep reads.  ``verify="strict"`` refuses to measure a graph with
+  sweep will touch — once per model or block topology over its image
+  axis — and leaves each verified graph's record in the cache the sweep
+  reads.  ``verify="strict"`` refuses to measure a graph with
   ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
   warning and records the error count in :class:`CampaignStats`.  A store
   keeps each graph's verdict in its manifest, so a resume verifies only
@@ -53,8 +53,8 @@ from repro.caching import CacheStats, LRUCache
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.trainer import DistributedTrainer
-from repro.graph.graph import ComputeGraph
-from repro.graph.passes import resolve_transform
+from repro.graph.graph import Topology
+from repro.graph.passes import PassPipeline, resolve_transform
 from repro.hardware import roofline
 from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
 from repro.hardware.device import DeviceSpec
@@ -62,13 +62,12 @@ from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.roofline import (
     CostProfile,
     GraphRecord,
-    build_graph,
-    build_topology,
     graph_record,
+    topologies,
     topology_records,
 )
 from repro.trace.tracer import merge_counters
-from repro.zoo.blocks import BLOCK_CATALOGUE
+from repro.zoo.blocks import BLOCK_CATALOGUE, block_by_name
 from repro.zoo.registry import get_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
@@ -229,6 +228,11 @@ class CampaignSpec:
             # construction, not mid-campaign.
             get_backend(self.backend, self.device)
 
+    @property
+    def kind(self) -> str:
+        """The :func:`~repro.hardware.roofline.graph_record` kind swept."""
+        return "block" if self.scenario == "blocks" else "model"
+
     def manifest(self) -> dict:
         """JSON-serialisable description, written to the store manifest."""
         m = {
@@ -257,9 +261,12 @@ class CampaignSpec:
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def _valid_images(model: str, image_sizes: tuple[int, ...]) -> list[int]:
+def _valid_images(spec: CampaignSpec, name: str) -> tuple[int, ...]:
+    """The spec's image sizes that model or block ``name`` can be built
+    at: those at or above its (parent) model's minimum."""
+    model = block_by_name(name).model if spec.kind == "block" else name
     min_size = get_entry(model).min_image_size
-    return [s for s in image_sizes if s >= min_size]
+    return tuple(s for s in spec.image_sizes if s >= min_size)
 
 
 def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
@@ -267,43 +274,25 @@ def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
 
     Only architecture constraints (minimum image size) are applied here;
     memory and runtime-budget gating need a built profile and therefore
-    happen inside :func:`execute_point`, where the build is cached.
+    happen inside :func:`_measure_point`, where the build is cached.
     """
-    points: list[SweepPoint] = []
-    if spec.scenario == "blocks":
-        catalogue = (
-            [b for b in BLOCK_CATALOGUE if b.name in spec.models]
-            if spec.models
-            else list(BLOCK_CATALOGUE)
+    names = spec.models
+    if spec.kind == "block":
+        names = tuple(
+            b.name for b in BLOCK_CATALOGUE
+            if not spec.models or b.name in spec.models
         )
-        for block in catalogue:
-            min_size = get_entry(block.model).min_image_size
-            for image in spec.image_sizes:
-                if image < min_size:
-                    continue
-                for batch in spec.batch_sizes:
-                    for rep in range(spec.reps):
-                        points.append(
-                            SweepPoint(
-                                spec.scenario, block.name, image, batch,
-                                rep=rep,
-                            )
-                        )
-        return points
-
     node_counts = spec.node_counts if spec.scenario == "distributed" else (1,)
-    for nodes in node_counts:
-        for model in spec.models:
-            for image in _valid_images(model, spec.image_sizes):
-                for batch in spec.batch_sizes:
-                    for rep in range(spec.reps):
-                        points.append(
-                            SweepPoint(
-                                spec.scenario, model, image, batch,
-                                nodes=nodes, rep=rep,
-                            )
-                        )
-    return points
+    return [
+        SweepPoint(
+            spec.scenario, name, image, batch, nodes=nodes, rep=rep
+        )
+        for nodes in node_counts
+        for name in names
+        for image in _valid_images(spec, name)
+        for batch in spec.batch_sizes
+        for rep in range(spec.reps)
+    ]
 
 
 # -- verify-before-measure ---------------------------------------------------
@@ -319,104 +308,79 @@ VERIFY_CACHE: LRUCache[
 ] = LRUCache(maxsize=512)
 
 
-def _verify_with_record(
-    graph: ComputeGraph, record: Callable[[], GraphRecord], **kwargs
+def _verify_half(
+    kind: str,
+    name: str,
+    images: tuple[int, ...],
+    raw: Topology,
+    pipeline: PassPipeline | None,
+    **kwargs,
 ) -> list[Diagnostic]:
-    """Verify ``graph`` against the record the sweep will measure; an
+    """Verify ``raw`` after ``pipeline`` (memoised: the very graph the
+    records are costed from) against the records the sweep measures; an
     uncostable graph has none, and IR001–IR004 report why."""
+    # Imported lazily: repro.analysis pulls in repro.core, which imports
+    # this package's records module — a cycle at module-import time.
     from repro.analysis.verify import verify_graph
 
     try:
-        r = record()
+        records = topology_records(kind, name, images, raw, pipeline)
     except (ValueError, KeyError, TypeError):
-        return verify_graph(graph, **kwargs)
-    return verify_graph(graph, summary=r.summary, profile=r.profile, **kwargs)
-
-
-def _verify_graph_cached(
-    kind: str,
-    name: str,
-    image_size: int,
-    transform: str = "",
-    advise_fusion: bool = False,
-    edge_batch: int = 1,
-) -> tuple[Diagnostic, ...]:
-    def build() -> tuple[Diagnostic, ...]:
-        # Imported lazily: repro.analysis pulls in repro.core, which imports
-        # this package's records module — a cycle at module-import time.
-        from repro.analysis.verify import verify_transform
-
-        # The verified graph instance is the one the sweep measures: its
-        # record goes into the slot _measure_point reads, so a verified
-        # cold campaign builds and costs each graph once.
-        graph = build_graph(kind, name, image_size)
-        # IR007 (fold your BatchNorms) is only actionable advice for raw
-        # inference sweeps; training needs live BatchNorm and a fused sweep
-        # already took the advice.
-        found = _verify_with_record(
-            graph,
-            lambda: graph_record(kind, name, image_size, graph=graph),
-            ignore=() if advise_fusion else ("IR007",),
-            edge_batch=edge_batch,
-        )
-        pipeline = resolve_transform(transform)
-        if pipeline is not None:
-            # PassPipeline.run is memoised, so this is the very graph the
-            # fused record is costed from.
-            transformed = pipeline.run(graph).graph
-            # Both halves of the contract: the rewritten graph is itself a
-            # well-formed IR, and the rewrite preserved the semantics.
-            # IR009 is skipped on the fused half — one edge-memory advisory
-            # per graph is enough.
-            found.extend(
-                _verify_with_record(
-                    transformed,
-                    lambda: graph_record(
-                        kind, name, image_size, pipeline, graph
-                    ),
-                    ignore=("IR007", "IR009"),
-                )
-            )
-            found.extend(verify_transform(graph, transformed))
-        return tuple(sort_diagnostics(found))
-
-    return VERIFY_CACHE.get_or_compute(
-        (kind, name, image_size, transform, advise_fusion, edge_batch), build
+        records = ()
+    return verify_graph(
+        raw if pipeline is None else raw.rewritten(pipeline),
+        summary=tuple(r.summary for r in records) or None,
+        profile=tuple(r.profile for r in records) or None,
+        **kwargs,
     )
 
 
 def _verify_topology(
-    model: str, images: list[int], advise_fusion: bool, edge_batch: int
-) -> None:
-    """Verify zoo model ``model`` at ``images`` in one pass over its
-    topology, leaving each image's verdict in :data:`VERIFY_CACHE` and its
-    record in the graph record cache — the very keys and values
-    :func:`_verify_graph_cached` would produce one graph at a time (which
-    it is left to do when the model's build is no shared topology)."""
-    # Imported lazily: see _verify_graph_cached.
-    from repro.analysis.verify import verify_graph
+    kind: str,
+    name: str,
+    images: list[int],
+    transform: str,
+    advise_fusion: bool,
+    edge_batch: int,
+) -> list[tuple[Diagnostic, ...]]:
+    """Verify ``name`` at ``images`` one raw topology at a time
+    (:func:`~repro.hardware.roofline.topologies`), leaving each image's
+    verdict in :data:`VERIFY_CACHE` and its records in the graph record
+    cache the sweep reads; returns the verdicts in image order."""
+    from repro.analysis.verify import verify_transform
 
-    topology = build_topology(model, images)
-    if topology is None:
-        return  # no shared topology: campaign_verdicts verifies per image
-    records = topology_records(model, images, topology)
-    found = verify_graph(
-        topology,
-        summary=tuple(r.summary for r in records),
-        profile=tuple(r.profile for r in records),
-        ignore=() if advise_fusion else ("IR007",),
-        edge_batch=edge_batch,
-    )
-    # Every finding is located at its image's graph name (``name`` or
-    # ``name:node``); ``found`` is sorted, and so is each image's share.
-    by_name: dict[str, list[Diagnostic]] = {n: [] for n in topology.names}
-    for diag in found:
-        by_name[diag.location.split(":", 1)[0]].append(diag)
-    for image, name in zip(images, topology.names):
-        VERIFY_CACHE.add(
-            ("model", model, image, "", advise_fusion, edge_batch),
-            tuple(by_name[name]),
+    pipeline = resolve_transform(transform)
+    verdicts: list[tuple[Diagnostic, ...]] = []
+    for covered, raw in topologies(kind, name, images):
+        # IR007 (fold your BatchNorms) is only actionable advice for raw
+        # inference sweeps; training needs live BatchNorm and a fused
+        # sweep already took the advice.
+        found = _verify_half(
+            kind, name, covered, raw, None,
+            ignore=() if advise_fusion else ("IR007",),
+            edge_batch=edge_batch,
         )
+        if pipeline is not None:
+            # Both halves of the contract: the rewritten graph is itself a
+            # well-formed IR, and the rewrite preserved the semantics.
+            # IR009 is skipped on the fused half — one edge-memory
+            # advisory per graph is enough.
+            found += _verify_half(
+                kind, name, covered, raw, pipeline, ignore=("IR007", "IR009")
+            ) + verify_transform(raw, raw.rewritten(pipeline))
+        for image, graph in zip(covered, raw.names):
+            # Each finding is located at its image's graph: graph or
+            # graph:<node>.
+            verdict = tuple(sort_diagnostics(
+                d for d in found
+                if d.location == graph or d.location.startswith(graph + ":")
+            ))
+            VERIFY_CACHE.add(
+                (kind, name, image, transform, advise_fusion, edge_batch),
+                verdict,
+            )
+            verdicts.append(verdict)
+    return verdicts
 
 
 def campaign_verdicts(
@@ -429,40 +393,41 @@ def campaign_verdicts(
 
     A graph with a ``persisted`` verdict (a store's, from an earlier run of
     the same spec) is not verified again.  The rest are verified once per
-    process and cached.  Verification builds each unique graph once and
-    leaves its record (the fused one too, for transformed campaigns) in the
-    record cache the sweep reads, so the measuring loop neither rebuilds
-    nor re-costs it, and IR004 checks the very summary the record carries;
-    what verification adds on top is the rule work itself.  For transformed
-    campaigns each graph is verified twice — raw and after the pipeline —
-    plus the IR008 preservation check across the pair.
+    process and cached: each model or block once over its missing images
+    (:func:`_verify_topology`).  Verification builds each topology once
+    and leaves its records (the fused ones too, for transformed campaigns)
+    in the record cache the sweep reads, so the measuring loop neither
+    rebuilds nor re-costs them, and IR004 checks the very summaries the
+    records carry; what verification adds on top is the rule work itself.
+    For transformed campaigns each topology is verified twice — raw and
+    after the pipeline — plus the IR008 preservation check across the
+    pair.
     """
     persisted = persisted or {}
-    kind = "block" if spec.scenario == "blocks" else "model"
-    advise_fusion = spec.scenario == "inference" and not spec.transform
-    edge_batch = min(spec.batch_sizes)
+    policy = (
+        spec.transform,
+        spec.scenario == "inference" and not spec.transform,  # IR007 gate
+        min(spec.batch_sizes),  # IR009's edge batch
+    )
     graphs = dict.fromkeys((p.model, p.image_size) for p in points)
-    if kind == "model" and not spec.transform:
-        # Raw zoo graphs: verify each model once over its missing images.
-        missing: dict[str, list[int]] = {}
-        for model, image in graphs:
-            cached = (kind, model, image, "", advise_fusion, edge_batch)
-            if f"{model}@{image}" not in persisted and cached not in (
-                VERIFY_CACHE
-            ):
-                missing.setdefault(model, []).append(image)
-        for model, images in missing.items():
-            _verify_topology(model, images, advise_fusion, edge_batch)
+    missing: dict[str, list[int]] = {}
+    for name, image in graphs:
+        if f"{name}@{image}" not in persisted and (
+            (spec.kind, name, image, *policy) not in VERIFY_CACHE
+        ):
+            missing.setdefault(name, []).append(image)
+    for name, images in missing.items():
+        _verify_topology(spec.kind, name, images, *policy)
     verdicts: Verdicts = {}
-    for model, image in graphs:
-        key = f"{model}@{image}"
-        if key in persisted:
-            verdicts[key] = persisted[key]
-        else:
-            verdicts[key] = _verify_graph_cached(
-                kind, model, image, spec.transform, advise_fusion,
-                edge_batch=edge_batch,
+    for name, image in graphs:
+        key = f"{name}@{image}"
+        # A verdict the bounded cache has evicted since is verified again.
+        verdicts[key] = persisted[key] if key in persisted else (
+            VERIFY_CACHE.get_or_compute(
+                (spec.kind, name, image, *policy),
+                lambda: _verify_topology(spec.kind, name, [image], *policy)[0],
             )
+        )
     return verdicts
 
 
@@ -515,19 +480,16 @@ def _run_verification(
 
 
 def _point_record(spec: CampaignSpec, point: SweepPoint) -> GraphRecord:
-    # Resolving is a memoised lookup ("" resolves to no pipeline); the
-    # build+rewrite is memoised under the pipeline fingerprint, so workers
-    # and resumed runs share the same cached records as a serial run.
-    kind = "block" if spec.scenario == "blocks" else "model"
-    pipeline = resolve_transform(spec.transform)
-    # A raw model's first point costs every image of its sweep at once;
-    # records are exact per image, so which point comes first (any worker
-    # layout or resume split) does not matter.
-    images = () if kind == "block" else _valid_images(
-        point.model, spec.image_sizes
-    )
+    # Resolving is a memoised lookup ("" resolves to no pipeline).  A
+    # graph's first point costs every image of its sweep at once; records
+    # are exact per image, so which point comes first (any worker layout
+    # or resume split) does not matter.
     return graph_record(
-        kind, point.model, point.image_size, pipeline, images=images
+        spec.kind,
+        point.model,
+        point.image_size,
+        resolve_transform(spec.transform),
+        images=_valid_images(spec, point.model),
     )
 
 
@@ -720,16 +682,6 @@ def _measure_point(
     flops, nbytes = grid.work[row].tolist()
     counters = _counters(spec, point, flops, nbytes, grid.grad_bytes)
     return [record], counters, ""
-
-
-def execute_point(spec: CampaignSpec, point: SweepPoint) -> list[TimingRecord]:
-    """Measure one sweep point; empty list when gated out (OOM / budget).
-
-    Pure in the campaign sense: output depends only on ``(spec, point)``,
-    so any execution order, process placement, or resume split yields the
-    same records.
-    """
-    return _measure_point(spec, point)[0]
 
 
 def trace_campaign(

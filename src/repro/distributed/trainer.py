@@ -234,7 +234,7 @@ class DistributedTrainer:
             record_layer_phase(
                 tracer,
                 "backward",
-                profile.span_names()[::-1],
+                profile.layer_names[::-1],
                 bwd_layer_times,
                 flops[::-1],
                 nbytes[::-1],

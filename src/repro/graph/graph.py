@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.graph.layers import Input, Layer
 from repro.graph.tensor import TensorShape
+
+if TYPE_CHECKING:  # pragma: no cover - repro.graph.passes imports this module
+    from repro.graph.passes import PassPipeline
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,7 @@ class ComputeGraph:
         self._nodes: dict[str, Node] = {}
         self._order: list[str] = []
         self._fingerprint: str | None = None
+        self._successors: dict[str, list[Node]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -64,6 +68,7 @@ class ComputeGraph:
         self._nodes[node.name] = node
         self._order.append(node.name)
         self._fingerprint = None
+        self._successors = None
 
     def fingerprint(self) -> str:
         """Stable content hash of the graph: name, node order, layer
@@ -135,7 +140,16 @@ class ComputeGraph:
         return [self._nodes[p].output_shape for p in node.inputs]
 
     def successors(self, name: str) -> list[Node]:
-        return [n for n in self if name in n.inputs]
+        """The nodes that read ``name``, each once, in insertion order —
+        from an index built on the first query, dropped by :meth:`add_node`.
+        """
+        if self._successors is None:
+            index: dict[str, list[Node]] = {}
+            for node in self:
+                for parent in dict.fromkeys(node.inputs):
+                    index.setdefault(parent, []).append(node)
+            self._successors = index
+        return list(self._successors.get(name, ()))
 
     # -- traversals --------------------------------------------------------
 
@@ -354,6 +368,10 @@ class Topology:
     def of(graph: ComputeGraph) -> "Topology":
         """A plain graph as the one-image topology of its stored shapes."""
         return Topology(graph, (graph.name,))
+
+    def rewritten(self, pipeline: "PassPipeline") -> "Topology":
+        """This topology after a pass pipeline; passes keep graph names."""
+        return Topology(pipeline.run(self.graph).graph, self.names)
 
 
 def over_images(

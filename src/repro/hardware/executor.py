@@ -144,7 +144,7 @@ class SimulatedExecutor:
         backward = phase == "backward"
         times = self.backend.layer_times(profile, batch, backward) * noise
         flops, nbytes = phase_work(profile, batch, phase)
-        names = profile.span_names()
+        names = profile.layer_names
         if backward:
             times, flops, nbytes = times[::-1], flops[::-1], nbytes[::-1]
             names = names[::-1]

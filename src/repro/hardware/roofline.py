@@ -24,7 +24,7 @@ aggregate metrics — the realistic regime for ConvMeter's regression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -104,11 +104,9 @@ class CostProfile:
     output_elems: np.ndarray  # float64[L]: per-sample activation footprint
     is_conv: np.ndarray       # bool[L]
     #: Graph node names / layer types, aligned with the cost arrays — the
-    #: labels the tracing layer puts on per-layer spans.  Empty tuples on
-    #: profiles built before these fields existed; span emission falls
-    #: back to positional names.
-    layer_names: tuple[str, ...] = ()
-    layer_types: tuple[str, ...] = ()
+    #: labels the tracing layer puts on per-layer spans.
+    layer_names: tuple[str, ...]
+    layer_types: tuple[str, ...]
 
     @property
     def n_layers(self) -> int:
@@ -181,12 +179,6 @@ class CostProfile:
             for i, name in enumerate(names)
         )
 
-    def span_names(self) -> tuple[str, ...]:
-        """Per-layer span labels; positional fallbacks for old profiles."""
-        if len(self.layer_names) == self.n_layers:
-            return self.layer_names
-        return tuple(f"layer[{i}]" for i in range(self.n_layers))
-
 
 def profile_graph(
     graph: ComputeGraph | Topology, pipeline: "PassPipeline | None" = None
@@ -195,7 +187,7 @@ def profile_graph(
 
     With a ``pipeline`` (see :mod:`repro.graph.passes`), the graph is
     transformed first and the *optimized* graph is costed — the fused
-    layer names flow into :meth:`CostProfile.span_names`, so traces show
+    layer names flow into :attr:`CostProfile.layer_names`, so traces show
     ``conv+bn+relu``-style spans.  The graph's name is preserved across
     transformation, keeping noise seeding (which keys on the name)
     comparable between raw and fused measurements of the same model.
@@ -204,11 +196,13 @@ def profile_graph(
     its axis, from one cost walk; a plain graph is the one-image case of
     the same code.
     """
-    if isinstance(graph, Topology):
-        return CostProfile.from_costs(graph.names, graph_costs(graph.graph))
+    topology = graph if isinstance(graph, Topology) else Topology.of(graph)
     if pipeline is not None:
-        graph = pipeline.run(graph).graph
-    return CostProfile.from_costs((graph.name,), graph_costs(graph))[0]
+        topology = topology.rewritten(pipeline)
+    profiles = CostProfile.from_costs(
+        topology.names, graph_costs(topology.graph)
+    )
+    return profiles if isinstance(graph, Topology) else profiles[0]
 
 
 def layer_times(
@@ -299,20 +293,6 @@ GRAPH_RECORD_CACHE: LRUCache[tuple[str, str, int, str], GraphRecord] = (
 )
 
 
-def build_graph(kind: str, name: str, image_size: int) -> ComputeGraph:
-    """A zoo model (``kind="model"``) or Table 2 block (``"block"``)."""
-    if kind == "block":
-        from repro.zoo.blocks import BLOCK_CATALOGUE, build_block
-
-        for spec in BLOCK_CATALOGUE:
-            if spec.name == name:
-                return build_block(spec, image_size)
-        raise KeyError(f"unknown block {name!r}")
-    from repro.zoo import build_model
-
-    return build_model(name, image_size)
-
-
 def build_topology(name: str, images: Sequence[int]) -> Topology | None:
     """Zoo model ``name`` over square ``images``: one build, at the largest
     image, with its shapes inferred over the whole axis.
@@ -348,19 +328,61 @@ def build_topology(name: str, images: Sequence[int]) -> Topology | None:
     return topology
 
 
-def topology_records(
-    name: str, images: Sequence[int], topology: Topology
-) -> tuple[GraphRecord, ...]:
-    """Raw records of zoo model ``name`` at ``images`` from ``topology``
-    (:func:`build_topology` of the same arguments), costed in one walk.
+def topologies(
+    kind: str, name: str, images: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], Topology]]:
+    """Raw topologies of a zoo model (``kind="model"``) or Table 2 block
+    (``"block"``), as ``(images, topology)`` pairs covering ``images`` in
+    order.
 
-    Each is left in :data:`GRAPH_RECORD_CACHE` under its ``graph_record``
-    key; a record already cached there is kept and returned instead, so a
-    campaign verifies and measures the very same record.
+    One pair covers them all when one build can stand for every image
+    (:func:`build_topology`); a block is cut from its parent model's
+    topology and named ``<graph>/<scope>``.  Otherwise, and for a single
+    image, each image is the one-image topology of its own build.
     """
+    from repro.zoo import build_model
+    from repro.zoo.blocks import block_by_name, build_block
+
+    images = tuple(images)
+    block = block_by_name(name) if kind == "block" else None
+    topology = None
+    if len(images) > 1:
+        topology = build_topology(block.model if block else name, images)
+    if topology is None:
+        for image in images:
+            graph = (
+                build_block(block, image) if block else build_model(name, image)
+            )
+            yield (image,), Topology.of(graph)
+    elif block is None:
+        yield images, topology
+    else:
+        yield images, Topology(
+            topology.graph.block_subgraph(block.scope),
+            tuple(f"{n}/{block.scope}" for n in topology.names),
+        )
+
+
+def topology_records(
+    kind: str,
+    name: str,
+    images: Sequence[int],
+    topology: Topology,
+    pipeline: "PassPipeline | None" = None,
+) -> tuple[GraphRecord, ...]:
+    """Records of ``name`` at ``images``, costed in one walk of its raw
+    ``topology`` over them (from :func:`topologies`) after ``pipeline``.
+
+    Each is left in :data:`GRAPH_RECORD_CACHE` under its
+    :func:`graph_record` key; a record already cached there is kept and
+    returned instead, so a campaign verifies and measures the same record.
+    """
+    fingerprint = "" if pipeline is None else pipeline.fingerprint()
     return tuple(
-        GRAPH_RECORD_CACHE.add(("model", name, image, ""), GraphRecord.of(p))
-        for image, p in zip(images, profile_graph(topology))
+        GRAPH_RECORD_CACHE.add(
+            (kind, name, image, fingerprint), GraphRecord.of(profile)
+        )
+        for image, profile in zip(images, profile_graph(topology, pipeline))
     )
 
 
@@ -372,26 +394,30 @@ def graph_record(
     graph: ComputeGraph | None = None,
     images: Sequence[int] = (),
 ) -> GraphRecord:
-    """Cached record of a zoo graph, optionally transformed by ``pipeline``.
+    """Cached record of a zoo model (``kind="model"``) or Table 2 block
+    (``"block"``), optionally transformed by ``pipeline``.
 
-    ``graph`` is the caller's already-built raw graph for this key, so
-    verification, which needs the graph itself, builds it only once.
-    ``images`` are the sizes a campaign sweeps a raw zoo model at
-    (``image_size`` among them): a miss costs them all from one
-    :func:`build_topology` and caches every record.
+    ``images`` are the sizes a campaign sweeps ``name`` at (``image_size``
+    among them): a miss costs every image its topology covers in one walk
+    (:func:`topologies`, :func:`topology_records`) and caches each record.
+    ``graph`` is the caller's already-built raw graph for this key, costed
+    as its one-image topology.
     """
     fingerprint = "" if pipeline is None else pipeline.fingerprint()
 
     def build() -> GraphRecord:
-        if images and kind == "model" and pipeline is None and graph is None:
-            topology = build_topology(name, images)
-            if topology is not None:
-                records = topology_records(name, images, topology)
-                return records[list(images).index(image_size)]
-        g = graph if graph is not None else build_graph(kind, name, image_size)
-        if pipeline is not None:
-            g = pipeline.run(g).graph
-        return GraphRecord.of(profile_graph(g))
+        pairs = (
+            [((image_size,), Topology.of(graph))]
+            if graph is not None
+            else topologies(kind, name, tuple(images) or (image_size,))
+        )
+        for covered, topology in pairs:
+            if image_size in covered:
+                records = topology_records(
+                    kind, name, covered, topology, pipeline
+                )
+                return records[covered.index(image_size)]
+        raise ValueError(f"image {image_size} is not among {tuple(images)}")
 
     return GRAPH_RECORD_CACHE.get_or_compute(
         (kind, name, image_size, fingerprint), build

@@ -530,8 +530,9 @@ class TestVerifiedGraphsAreMeasured:
     @pytest.mark.parametrize("name", ["training", "blocks", "fused"])
     def test_one_cost_walk_per_graph(self, monkeypatch, name):
         """Verification and the sweep share one ``graph_costs`` walk per
-        unique graph: IR004 checks the record's summary instead of
-        summarising the graph a second time."""
+        model or block topology over all its images (one per half for
+        fused sweeps): IR004 checks the records' summaries instead of
+        summarising the graphs a second time."""
         from repro.graph import metrics
         from repro.hardware import roofline
 
@@ -547,13 +548,8 @@ class TestVerifiedGraphsAreMeasured:
         monkeypatch.setattr(roofline, "graph_costs", counting)
         spec = VERIFY_EQUIVALENCE_SPECS[name]
         result = run_campaign(spec, workers=1, verify="warn")
-        unique = {(p.model, p.image_size) for p in enumerate_points(spec)}
-        if spec.transform or spec.scenario == "blocks":
-            per_graph = 2 if spec.transform else 1  # raw, plus fused
-            assert len(walked) == per_graph * len(unique)
-        else:
-            # Raw zoo graphs: one walk per model over all its images.
-            assert len(walked) == len(spec.models)
+        per_topology = 2 if spec.transform else 1  # raw, plus fused
+        assert len(walked) == per_topology * len(spec.models)
         assert result.stats.cache.hit_rate == 1.0
 
     def test_strict_campaign_refuses_a_corrupt_record_summary(

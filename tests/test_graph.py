@@ -18,6 +18,7 @@ from repro.graph.graph import (
 from repro.graph.layers import Activation, Conv2d, Input
 from repro.graph.metrics import graph_costs, node_cost, summarize_costs
 from repro.graph.tensor import TensorShape
+from repro.zoo import available_models, build_model, get_entry
 
 
 def _linear_chain() -> ComputeGraph:
@@ -94,6 +95,89 @@ class TestComputeGraph:
         pairs = sequential_shapes(g)
         assert len(pairs) == 3
         assert pairs[0][1] == TensorShape(3, 8, 8)
+
+
+def _scan_order(graph: ComputeGraph) -> list[str]:
+    """``topological_order`` as it was before the successor index: the
+    same Kahn walk, finding each node's successors by scanning every
+    node."""
+    indegree = {n.name: 0 for n in graph}
+    for node in graph:
+        for parent in node.inputs:
+            if parent not in indegree:
+                raise ValueError(
+                    f"node {node.name!r} references unknown input {parent!r}"
+                )
+            indegree[node.name] += 1
+    ready = [name for name in indegree if indegree[name] == 0]
+    ordered: list[str] = []
+    while ready:
+        name = ready.pop(0)
+        ordered.append(name)
+        for succ in [n for n in graph if name in n.inputs]:
+            indegree[succ.name] -= 1
+            if indegree[succ.name] == 0:
+                ready.append(succ.name)
+    if len(ordered) != len(indegree):
+        stuck = sorted(set(indegree) - set(ordered))
+        raise ValueError(
+            f"graph {graph.name!r} has no topological order; nodes "
+            f"{stuck} sit on a cycle"
+        )
+    return ordered
+
+
+def _rewired(graph: ComputeGraph, name: str, inputs: tuple) -> ComputeGraph:
+    graph._nodes[name] = dataclasses.replace(graph.node(name), inputs=inputs)
+    return graph
+
+
+def _order_or_error(order) -> list[str] | str:
+    try:
+        return [n if isinstance(n, str) else n.name for n in order()]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSuccessorIndex:
+    """``successors`` reads an index built once per graph; the Kahn walk
+    over it is the old one, node for node and error for error."""
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_order_and_errors_unchanged_on_every_zoo_graph(self, name):
+        image = get_entry(name).min_image_size
+        g = build_model(name, image)
+        for node in g:
+            assert g.successors(node.name) == [
+                n for n in g if node.name in n.inputs
+            ]
+        assert _order_or_error(g.topological_order) == _scan_order(g)
+        first, last = g.nodes[1].name, g.nodes[-1].name
+        corrupt = {
+            "cycle": (first, (last,)),
+            "unknown-input": (last, ("ghost",)),
+        }
+        for node_name, inputs in corrupt.values():
+            bad = _rewired(build_model(name, image), node_name, inputs)
+            expected = _order_or_error(lambda: _scan_order(bad))
+            assert isinstance(expected, str)
+            assert _order_or_error(bad.topological_order) == expected
+
+    def test_a_node_added_after_a_query_is_seen(self):
+        g = _linear_chain()
+        last = g.nodes[-1]
+        assert g.successors(last.name) == []
+        shape = last.output_shape
+        g.add_node(Node("tail", Activation("relu"), (last.name,), shape))
+        assert [n.name for n in g.successors(last.name)] == ["tail"]
+        assert g.topological_order()[-1].name == "tail"
+
+    def test_a_node_reading_one_input_twice_is_one_successor(self):
+        b = GraphBuilder("twice")
+        x = b.input(3, 4, 4)
+        b.add(x, x)
+        g = b.finish()
+        assert len(g.successors(g.nodes[0].name)) == 1
 
 
 class TestBlocks:

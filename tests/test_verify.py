@@ -20,7 +20,9 @@ from repro.analysis.verify import (
 )
 from repro.benchdata.engine import CampaignSpec, run_campaign
 from repro.cli import main
-from repro.graph.graph import ComputeGraph, Node
+from repro.diagnostics import sort_diagnostics
+from repro.graph.builder import GraphBuilder
+from repro.graph.graph import ComputeGraph, Node, Topology, over_images
 from repro.graph.layers import (
     Activation,
     Add,
@@ -376,6 +378,86 @@ class TestTransformPreservation:
         assert not any(d.rule == "IR007" for d in diags)
 
 
+def _bn_net(size: int) -> ComputeGraph:
+    """conv -> bn -> relu -> strided conv: parameters and a spatial output
+    that the fusion pipeline must both keep."""
+    b = GraphBuilder(f"bnnet_{size}")
+    x = b.input(3, size, size)
+    x = b.relu(b.bn(b.conv(x, 8, kernel_size=3, padding=1)))
+    b.conv(x, 4, kernel_size=3, stride=2)
+    return b.finish()
+
+
+def _drop_bn(g: ComputeGraph) -> ComputeGraph:
+    """A broken "fold" that deletes the BatchNorm and its parameters."""
+    bn = next(n for n in g if isinstance(n.layer, BatchNorm2d))
+    out = ComputeGraph(g.name)
+    for node in g:
+        if node is not bn:
+            inputs = tuple(bn.inputs[0] if p == bn.name else p
+                           for p in node.inputs)
+            out.add_node(dataclasses.replace(node, inputs=inputs))
+    return out
+
+
+def _restride_sink(g: ComputeGraph) -> ComputeGraph:
+    """A broken rewrite that changes the output shape at every image."""
+    out = ComputeGraph(g.name)
+    for node in g:
+        if node is g.output_node:
+            layer = dataclasses.replace(node.layer, stride=1)
+            shape = layer.infer_shape(out.input_shapes(node))
+            node = dataclasses.replace(node, layer=layer, output_shape=shape)
+        out.add_node(node)
+    return out
+
+
+def _extra_sink(g: ComputeGraph) -> ComputeGraph:
+    """A broken rewrite that leaves a second sink: no output to compare."""
+    out = ComputeGraph(g.name)
+    for node in g:
+        out.add_node(node)
+    first = g.nodes[1]
+    out.add_node(dataclasses.replace(first, name="stray"))
+    return out
+
+
+class TestTransformOverAnAxis:
+    """IR008 over a topology reports, at ``<image's graph>:transform``,
+    exactly what checking each image's pair of graphs reports."""
+
+    IMAGES = (16, 24, 32)
+
+    @pytest.mark.parametrize(
+        "broken", [_drop_bn, _restride_sink, _extra_sink],
+        ids=["dropped-parameter", "changed-output-shape", "two-sinks"],
+    )
+    def test_findings_equal_the_per_image_findings(self, broken):
+        names = tuple(f"bnnet_{i}" for i in self.IMAGES)
+        raw = over_images(_bn_net(max(self.IMAGES)), self.IMAGES, names)
+        per_image = sort_diagnostics(
+            d
+            for image in self.IMAGES
+            for d in verify_transform(
+                _bn_net(image), broken(_bn_net(image))
+            )
+        )
+        assert per_image  # the broken rewrite is caught at every image
+        assert {d.location for d in per_image} == {
+            f"{name}:transform" for name in names
+        }
+        found = verify_transform(raw, Topology(broken(raw.graph), names))
+        assert found == per_image
+
+    def test_the_fusion_pipeline_is_clean_over_the_axis(self):
+        from repro.graph.passes import default_inference_pipeline
+
+        names = tuple(f"bnnet_{i}" for i in self.IMAGES)
+        raw = over_images(_bn_net(max(self.IMAGES)), self.IMAGES, names)
+        fused = raw.rewritten(default_inference_pipeline())
+        assert verify_transform(raw, fused) == []
+
+
 class TestDownsampleShortcutRecognition:
     def test_downsample_shortcut_does_not_warn(self):
         diags = verify_graph(downsample_graph())
@@ -492,14 +574,40 @@ class TestCampaignVerification:
         """A build that cannot stand for the model's other image sizes
         (here its stored shapes lie) is verified graph by graph: each
         image's verdict is exactly that of the graph built there."""
-        from repro.benchdata.engine import campaign_verdicts, enumerate_points
+        self._check_per_image_verdicts(monkeypatch, "")
 
-        name = _register_broken_model(monkeypatch, "brokennet-axis")
-        spec = dataclasses.replace(self._spec(name), image_sizes=(32, 48))
+    def test_fused_model_without_a_shared_topology_is_verified_per_image(
+        self, monkeypatch
+    ):
+        """The same for a fused campaign: each image's verdict is its raw
+        and fused verdicts and IR008 across the pair."""
+        self._check_per_image_verdicts(monkeypatch, "inference")
+
+    def _check_per_image_verdicts(self, monkeypatch, transform):
+        from repro.benchdata.engine import campaign_verdicts, enumerate_points
+        from repro.graph.passes import default_inference_pipeline
+
+        name = _register_broken_model(
+            monkeypatch, f"brokennet-axis-{transform or 'raw'}"
+        )
+        spec = dataclasses.replace(
+            self._spec(name), image_sizes=(32, 48), transform=transform
+        )
         verdicts = campaign_verdicts(spec, enumerate_points(spec))
         assert list(verdicts) == [f"{name}@32", f"{name}@48"]
         for image in (32, 48):
-            expected = verify_graph(registry.build_model(name, image))
+            graph = registry.build_model(name, image)
+            if transform:
+                fused = default_inference_pipeline().run(graph).graph
+                expected = sort_diagnostics(
+                    verify_graph(graph, ignore=("IR007",))
+                    + verify_graph(fused, ignore=("IR007", "IR009"))
+                    + verify_transform(graph, fused)
+                )
+                # Re-inference fixes the lie, so the output shape moved.
+                assert "IR008" in rules_fired(expected)
+            else:
+                expected = verify_graph(graph)
             assert list(verdicts[f"{name}@{image}"]) == expected
             assert "IR001" in rules_fired(expected)
 
