@@ -27,7 +27,7 @@ PERF008   WARN    exception handling or logging work in a hot loop
 ========  ======  ====================================================
 
 Hot roots come from three sources: a fixed table of hot entry points by
-name (``_measure_point``, ``zoo_profile``, ``predict_one`` …), methods
+name (``_measure_grid``, ``zoo_profile``, ``predict_one`` …), methods
 of request-handler/threaded classes (the serve path), ``run`` methods of
 ``*Pipeline`` classes, and an explicit ``# repro-perf: hot`` marker on
 (or directly above) a ``def`` line for code the tables cannot know.
@@ -71,7 +71,7 @@ _HOT_MARKER = re.compile(r"#\s*repro-perf:\s*hot\b")
 #: its fixtures): the campaign point loop, profiling, prediction, the
 #: serve handler and the scaling-curve evaluators.
 _HOT_ROOT_NAMES: dict[str, str] = {
-    "_measure_point": "campaign point measurement",
+    "_measure_grid": "campaign grid measurement",
     "run_campaign": "campaign sweep driver",
     "trace_campaign": "campaign trace driver",
     "profile_graph": "graph profiling",
@@ -144,14 +144,13 @@ _BATCHABLE: dict[str, str] = {
     "profile_graph":
         "profile once per graph outside the sweep loop",
     "measure_inference":
-        "precompute the clean-time grid for the whole batch sweep "
-        "(SimulatedExecutor.clean_time_grids) and reuse it per point",
+        "precompute the clean-time and noise grids for the whole batch "
+        "sweep (SimulatedExecutor.clean_time_grids / noise_grids) and pass "
+        "each point its row, as engine._measure_grid does",
     "measure_training_step":
-        "precompute the clean-time grid for the whole batch sweep "
-        "(SimulatedExecutor.clean_time_grids) and reuse it per point",
-    "_measure_point":
-        "batch the per-model clean phase times over the whole grid "
-        "(engine clean-time grid cache)",
+        "precompute the clean-time and noise grids for the whole batch "
+        "sweep (SimulatedExecutor.clean_time_grids / noise_grids) and pass "
+        "each point its row, as engine._measure_grid does",
 }
 
 #: Logging/printing entry points that do formatting work per call.

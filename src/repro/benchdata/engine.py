@@ -8,23 +8,28 @@ sweep into an explicit point list and executes it through one engine:
   :class:`CampaignSpec` into a deterministic, ordered list of
   :class:`SweepPoint` s.  The order is part of the contract: the assembled
   dataset always follows enumeration order, never completion order.
-* **Execution** — :func:`run_campaign` measures every point either in
-  process (``workers <= 1``) or fanned out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Results are keyed by
-  point index, so parallel runs are byte-identical to serial ones; all
-  measurement noise is seeded from the point identity via
+* **Execution** — :func:`run_campaign` measures the points one
+  ``(nodes, model, image)`` grid at a time (:func:`_measure_grid`: one
+  graph record lookup, one clean-time/noise/work grid and one gate per
+  batch, then only the per-point measurement), either in process
+  (``workers <= 1``) or fanned out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` one grid per task.
+  Results are keyed by point index and merged in enumeration order, so
+  parallel runs are byte-identical to serial ones; all measurement noise
+  is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
 * **Memoisation** — each zoo model is built once per process, and its
   graph — raw, rewritten by the spec's transform, or cut down to a Table 2
   block — is costed over all its image sizes in one walk
   (:func:`~repro.hardware.roofline.topologies`); the per-image records go
-  into :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`.  Per-point
+  into :data:`~repro.hardware.roofline.GRAPH_RECORD_CACHE`.  Per-grid
   cache deltas are aggregated across workers so the reported hit rate
   covers the whole campaign.
 * **Resume** — with a :class:`repro.benchdata.store.CampaignStore`
   attached, each point's records (including the empty record lists of
-  memory-gated points) are appended to a JSONL log as they complete;
-  rerunning skips everything already on disk and appends only the rest.
+  memory-gated points) are appended to a JSONL log, one write per grid
+  as it completes; rerunning skips every point already on disk and
+  appends only the rest, so a killed run re-measures at most one grid.
 * **Verification** — before measuring, :func:`run_campaign` runs the graph
   IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
   sweep will touch — once per model or block topology over its image
@@ -43,7 +48,9 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -61,7 +68,6 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.roofline import (
     CostProfile,
-    GraphRecord,
     graph_record,
     topologies,
     topology_records,
@@ -122,18 +128,19 @@ CLEAN_TIME_CACHE: LRUCache[
 
 def _point_grid(
     spec: CampaignSpec,
-    point: SweepPoint,
+    model: str,
+    image_size: int,
     profile: CostProfile,
     executor: SimulatedExecutor,
 ) -> PointGrid:
-    """The cached :class:`PointGrid` of the point's ``(model, image)``."""
+    """The cached :class:`PointGrid` of ``(model, image_size)``."""
     key = (
         spec.device,
         spec.backend,
         spec.scenario,
         spec.transform,
-        point.model,
-        point.image_size,
+        model,
+        image_size,
         spec.batch_sizes,
         spec.seed,
         spec.reps,
@@ -274,7 +281,7 @@ def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
 
     Only architecture constraints (minimum image size) are applied here;
     memory and runtime-budget gating need a built profile and therefore
-    happen inside :func:`_measure_point`, where the build is cached.
+    happen inside :func:`_measure_grid`, once per grid and batch.
     """
     names = spec.models
     if spec.kind == "block":
@@ -479,38 +486,25 @@ def _run_verification(
     return len(errors), verdicts
 
 
-def _point_record(spec: CampaignSpec, point: SweepPoint) -> GraphRecord:
-    # Resolving is a memoised lookup ("" resolves to no pipeline).  A
-    # graph's first point costs every image of its sweep at once; records
-    # are exact per image, so which point comes first (any worker layout
-    # or resume split) does not matter.
-    return graph_record(
-        spec.kind,
-        point.model,
-        point.image_size,
-        resolve_transform(spec.transform),
-        images=_valid_images(spec, point.model),
-    )
-
-
 def _gated(
     spec: CampaignSpec,
-    point: SweepPoint,
+    batch: int,
     profile: CostProfile,
     backend: ExecutionBackend,
     clean: tuple[float, ...] | None,
 ) -> str:
-    """Why a point is excluded: ``"oom"`` (does not fit device memory),
-    ``"budget"`` (over the runtime budget), or ``""`` (measurable).
+    """Why the points at ``batch`` are excluded: ``"oom"`` (does not fit
+    device memory), ``"budget"`` (over the runtime budget), or ``""``
+    (measurable).
 
-    Gating depends only on ``(spec, point)``, never on whether the point is
-    being measured or traced — which is what makes the per-point OOM
-    markers in the store deterministic across workers and resume splits.
-    ``clean`` is the point's row of the clean-time grid (forward first,
-    backward second for training; ``None`` for distributed points, which
-    have no runtime budget)."""
+    Gating depends only on the spec, the graph and the batch — never on
+    the rep, nor on whether the point is being measured or traced — which
+    is what makes the per-point OOM markers in the store deterministic
+    across workers and resume splits.  ``clean`` is the batch's row of the
+    clean-time grid (forward first, backward second for training; ``None``
+    for distributed points, which have no runtime budget)."""
     training = spec.scenario in ("training", "distributed")
-    if not backend.fits(profile, point.batch, training=training):
+    if not backend.fits(profile, batch, training=training):
         return "oom"
     if spec.max_seconds is None or clean is None:
         return ""
@@ -581,107 +575,159 @@ def point_counters(
     )
 
 
-def _measure_point(
-    spec: CampaignSpec,
-    point: SweepPoint,
-    tracer: "Tracer | None" = None,
-) -> tuple[list[TimingRecord], dict[str, float], str]:
-    """Measure one sweep point: ``(records, counters, gate_status)``.
+#: What measuring one sweep point yields: its records (empty when gated),
+#: its work counters and its gate status (``""``, ``"oom"`` or
+#: ``"budget"``).
+PointOutcome = tuple[list[TimingRecord], dict[str, float], str]
 
-    Gated points return ``([], {}, "oom" | "budget")`` — a graceful
+
+def _grids(
+    pending: list[tuple[int, SweepPoint]]
+) -> list[list[tuple[int, SweepPoint]]]:
+    """``pending`` split into its ``(nodes, model, image)`` runs.  Each run
+    is contiguous in enumeration order (batch and rep vary fastest), so a
+    run is the pending part of one grid."""
+    return [
+        list(run)
+        for _, run in groupby(
+            pending, key=lambda item: (
+                item[1].nodes, item[1].model, item[1].image_size
+            ),
+        )
+    ]
+
+
+def _measure_grid(
+    spec: CampaignSpec,
+    points: list[SweepPoint],
+    tracer: "Tracer | None" = None,
+) -> list[PointOutcome]:
+    """Measure points of one ``(nodes, model, image)`` grid, in order.
+
+    Everything that depends only on the grid is resolved once: the graph
+    record (a graph's first grid costs every image of its sweep at once;
+    records are exact per image, so which grid comes first — any worker
+    layout or resume split — does not matter), the backend and executor,
+    the :class:`PointGrid` of clean times, noise factors and work sums in
+    :data:`CLEAN_TIME_CACHE`, and the memory and budget gate of each batch.
+    Per point only the executor's measurement, its record and its counters
+    are left; the executor skips its memory re-check, since gating already
+    proved the fit.
+
+    Gated points yield ``([], {}, "oom" | "budget")`` — a graceful
     per-point record of *why* nothing was measured, which the store
     persists so e.g. an edge-backend campaign maps its OOM frontier
-    instead of crashing.  With a ``tracer``, the measurement is
+    instead of crashing.  With a ``tracer``, each measurement is
     additionally wrapped in a ``model`` span with the per-phase/per-layer
     spans the executor and trainer emit; the recorded values are identical
     either way.
-
-    The clean-time components, the noise factors and the work counters
-    come from the point's :class:`PointGrid` in :data:`CLEAN_TIME_CACHE`
-    — computed once per ``(model, image_size)`` instead of once per point
-    — and the executor skips its memory re-check, since gating already
-    proved the fit.
     """
-    record = _point_record(spec, point)
+    first = points[0]
+    record = graph_record(
+        spec.kind,
+        first.model,
+        first.image_size,
+        resolve_transform(spec.transform),
+        images=_valid_images(spec, first.model),
+    )
     profile = record.profile
     backend = get_backend(spec.backend, spec.device)
     executor = SimulatedExecutor(seed=spec.seed, backend=backend)
-    grid = _point_grid(spec, point, profile, executor)
-    row = spec.batch_sizes.index(point.batch)
-    clean = None if grid.clean is None else tuple(grid.clean[row].tolist())
-    gate = _gated(spec, point, profile, backend, clean)
-    if gate:
-        return [], {}, gate
-    tracing = tracer is not None and tracer.enabled
-    if tracing:
-        tracer.begin(
-            point.key,
-            category="model",
-            attrs={
-                "model": point.model,
-                "image_size": point.image_size,
-                "batch": point.batch,
-                "nodes": point.nodes,
-                "rep": point.rep,
-            },
-        )
-
+    grid = _point_grid(spec, first.model, first.image_size, profile, executor)
+    clean = None if grid.clean is None else grid.clean.tolist()
+    noise = None if grid.noise is None else grid.noise.tolist()
+    work = grid.work.tolist()
+    trainer = None
     devices = 1
-    if spec.scenario in ("inference", "blocks"):
-        t = executor.measure_inference(
-            profile,
-            point.batch,
-            rep=point.rep,
-            tracer=tracer,
-            enforce_memory=False,
-            clean_time=clean[0],
-            noise_factor=float(grid.noise[row, point.rep, 0]),
-        )
-        times = (t, 0.0, 0.0)
-    elif spec.scenario == "training":
-        phases = executor.measure_training_step(
-            profile,
-            point.batch,
-            rep=point.rep,
-            tracer=tracer,
-            enforce_memory=False,
-            clean_times=clean,
-            noise_factors=tuple(grid.noise[row, point.rep].tolist()),
-        )
-        times = (phases.forward, phases.backward, phases.grad_update)
-    else:
+    if spec.scenario == "distributed":
         cluster = ClusterSpec(
-            nodes=point.nodes,
+            nodes=first.nodes,
             gpus_per_node=spec.gpus_per_node,
             device=spec.device,
         )
         devices = cluster.total_devices
-        phases = DistributedTrainer(
-            cluster, seed=spec.seed, backend=backend
-        ).measure_step(profile, point.batch, rep=point.rep, tracer=tracer)
-        times = (phases.forward, phases.backward, phases.grad_update)
-
-    if tracing:
-        tracer.end()
-    record = TimingRecord(
-        model=point.model,
-        device=spec.device.name,
-        image_size=point.image_size,
-        batch=point.batch,
-        nodes=point.nodes,
-        devices=devices,
-        # Block points are forward passes of a network fragment.
-        scenario="inference" if spec.scenario == "blocks" else spec.scenario,
-        features=record.features,
-        t_fwd=times[0],
-        t_bwd=times[1],
-        t_grad=times[2],
-        rep=point.rep,
-        backend=spec.backend,
-    )
-    flops, nbytes = grid.work[row].tolist()
-    counters = _counters(spec, point, flops, nbytes, grid.grad_bytes)
-    return [record], counters, ""
+        trainer = DistributedTrainer(cluster, seed=spec.seed, backend=backend)
+    # Block points are forward passes of a network fragment.
+    scenario = "inference" if spec.scenario == "blocks" else spec.scenario
+    tracing = tracer is not None and tracer.enabled
+    # batch -> (grid row, clean times, gate status, work counters)
+    batches: dict[int, tuple[int, tuple | None, str, dict]] = {}
+    outcomes: list[PointOutcome] = []
+    for point in points:
+        if point.batch not in batches:
+            row = spec.batch_sizes.index(point.batch)
+            times = None if clean is None else tuple(clean[row])
+            flops, nbytes = work[row]
+            batches[point.batch] = (
+                row,
+                times,
+                _gated(spec, point.batch, profile, backend, times),
+                _counters(spec, point, flops, nbytes, grid.grad_bytes),
+            )
+        row, times, gate, counters = batches[point.batch]
+        if gate:
+            outcomes.append(([], {}, gate))
+            continue
+        if tracing:
+            tracer.begin(
+                point.key,
+                category="model",
+                attrs={
+                    "model": point.model,
+                    "image_size": point.image_size,
+                    "batch": point.batch,
+                    "nodes": point.nodes,
+                    "rep": point.rep,
+                },
+            )
+        # The measure_* calls below are per point by design (PERF006): each
+        # gets its clean times and noise factors from the grid's rows, so
+        # what is left per point is the product and the span emission.
+        if trainer is not None:
+            phases = trainer.measure_step(
+                profile, point.batch, rep=point.rep, tracer=tracer
+            )
+            t = (phases.forward, phases.backward, phases.grad_update)
+        elif spec.scenario == "training":
+            phases = executor.measure_training_step(  # repro-lint: disable=PERF006
+                profile,
+                point.batch,
+                rep=point.rep,
+                tracer=tracer,
+                enforce_memory=False,
+                clean_times=times,
+                noise_factors=tuple(noise[row][point.rep]),
+            )
+            t = (phases.forward, phases.backward, phases.grad_update)
+        else:
+            t = (executor.measure_inference(  # repro-lint: disable=PERF006
+                profile,
+                point.batch,
+                rep=point.rep,
+                tracer=tracer,
+                enforce_memory=False,
+                clean_time=times[0],
+                noise_factor=noise[row][point.rep][0],
+            ), 0.0, 0.0)
+        if tracing:
+            tracer.end()
+        measured = TimingRecord(
+            model=point.model,
+            device=spec.device.name,
+            image_size=point.image_size,
+            batch=point.batch,
+            nodes=point.nodes,
+            devices=devices,
+            scenario=scenario,
+            features=record.features,
+            t_fwd=t[0],
+            t_bwd=t[1],
+            t_grad=t[2],
+            rep=point.rep,
+            backend=spec.backend,
+        )
+        outcomes.append(([measured], counters, ""))
+    return outcomes
 
 
 def trace_campaign(
@@ -705,14 +751,10 @@ def trace_campaign(
         category="campaign",
         attrs={"device": spec.device.name, "n_points": len(points)},
     )
-    # Per-point measurement is the tracing contract: every span re-derives
-    # from point-identity noise seeding, and batching across points would
-    # interleave span streams.  The batchable clean times, noise draws and
-    # work counters are already amortised through CLEAN_TIME_CACHE.
-    for point in points:
-        _measure_point(  # repro-lint: disable=PERF006
-            spec, point, tracer=tracer
-        )
+    # One span stream per point, in enumeration order: the grid function
+    # measures its points one after another under the tracer.
+    for grid in _grids(list(enumerate(points))):
+        _measure_grid(spec, [point for _, point in grid], tracer=tracer)
     tracer.end()
 
 
@@ -726,20 +768,22 @@ def _init_worker(spec: CampaignSpec) -> None:
     _WORKER_SPEC = spec
 
 
-def _run_point_task(
-    task: tuple[int, SweepPoint]
-) -> tuple[int, str, list[TimingRecord], dict[str, float], CacheStats, str]:
-    """Executed inside a pool worker; returns per-point counter and cache
-    deltas so the parent can aggregate campaign-wide totals across
-    processes."""
-    index, point = task
-    assert _WORKER_SPEC is not None, "worker pool not initialised"
+def _measure_counted(
+    spec: CampaignSpec, points: list[SweepPoint]
+) -> tuple[list[PointOutcome], CacheStats]:
+    """:func:`_measure_grid` with the grid's graph record cache delta, so
+    campaign-wide totals aggregate across processes."""
     before = roofline.GRAPH_RECORD_CACHE.stats()
-    records, counters, gate = _measure_point(_WORKER_SPEC, point)
-    return (
-        index, point.key, records, counters,
-        roofline.GRAPH_RECORD_CACHE.stats() - before, gate,
-    )
+    outcomes = _measure_grid(spec, points)
+    return outcomes, roofline.GRAPH_RECORD_CACHE.stats() - before
+
+
+def _run_grid_task(
+    points: list[SweepPoint],
+) -> tuple[list[PointOutcome], CacheStats]:
+    """Executed inside a pool worker: one grid, measured and counted."""
+    assert _WORKER_SPEC is not None, "worker pool not initialised"
+    return _measure_counted(_WORKER_SPEC, points)
 
 
 # -- driver ------------------------------------------------------------------
@@ -824,12 +868,15 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign and assemble its dataset in enumeration order.
 
-    ``workers <= 1`` measures in process; larger values fan points out over
-    a process pool.  Either way the record stream is identical.  With a
-    ``store``, already-recorded points are restored instead of re-measured
-    and new results are appended as they complete, making interrupted
-    campaigns resumable at point granularity.  ``progress(done, total)`` is
-    invoked after each newly measured point.
+    Points are measured one ``(nodes, model, image)`` grid at a time
+    (:func:`_measure_grid`).  ``workers <= 1`` measures in process; larger
+    values fan grids out over a process pool.  Either way the record
+    stream is identical.  With a ``store``, already-recorded points are
+    restored instead of re-measured and each grid's results are appended
+    as it completes, making interrupted campaigns resumable at point
+    granularity: a killed run re-measures at most one grid.
+    ``progress(done, total)`` is invoked after each newly measured grid
+    with the number of points measured so far.
 
     ``verify`` controls pre-measurement graph verification: ``"warn"``
     (default) measures despite ERROR diagnostics but warns and counts them
@@ -847,62 +894,56 @@ def run_campaign(
         spec, points, verify, store
     )
     restored = store.restored_points() if store is not None else {}
+    keys = [p.key for p in points]
     pending = [
-        (i, p) for i, p in enumerate(points) if p.key not in restored
+        (i, p) for i, p in enumerate(points) if keys[i] not in restored
     ]
 
+    grids = _grids(pending)
+    tasks = [[point for _, point in grid] for grid in grids]
     results: dict[int, list[TimingRecord]] = {}
     counters: dict[str, float] = {}
     cache_delta = CacheStats()
     n_oom = 0
     start = time.perf_counter()
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            chunksize = max(1, len(pending) // (workers * 8))
-            outcomes = pool.map(_run_point_task, pending, chunksize=chunksize)
-            # pool.map yields in submission (= enumeration) order, so the
-            # counter floats accumulate identically to a serial run.
-            for index, key, records, point_delta, delta, gate in outcomes:
+    with ExitStack() as stack:
+        if workers > 1 and tasks:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(spec,),
+            ))
+            measured = pool.map(
+                _run_grid_task, tasks,
+                chunksize=max(1, len(tasks) // (workers * 8)),
+            )
+        else:
+            measured = (_measure_counted(spec, task) for task in tasks)
+        # Grids come back in submission (= enumeration) order and each
+        # grid's points in order, so the counter floats accumulate in the
+        # same order for any worker count; the store checkpoints between
+        # grids, one write per grid.
+        for grid, (outcomes, delta) in zip(grids, measured):
+            cache_delta += delta
+            for (index, _), (records, point_delta, gate) in zip(
+                grid, outcomes
+            ):
                 results[index] = records
                 merge_counters(counters, point_delta)
-                cache_delta += delta
                 n_oom += gate == "oom"
-                if store is not None:
-                    store.append(key, records, status=gate)
-                if progress is not None:
-                    progress(len(results), len(pending))
-    else:
-        # One _measure_point call per point is the determinism contract:
-        # noise is seeded from each point's identity, records append in
-        # enumeration order, and the store checkpoints between points.
-        # The batchable clean times, noise draws and work counters are
-        # amortised per (model, image) via the grid cache, not by batching
-        # points.
-        for index, point in pending:
-            before = roofline.GRAPH_RECORD_CACHE.stats()
-            records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006
-                spec, point
-            )
-            cache_delta += roofline.GRAPH_RECORD_CACHE.stats() - before
-            results[index] = records
-            merge_counters(counters, point_delta)
-            n_oom += gate == "oom"
             if store is not None:
-                store.append(point.key, records, status=gate)
+                store.append([
+                    (keys[index], records, gate)
+                    for (index, _), (records, _, gate) in zip(grid, outcomes)
+                ])
             if progress is not None:
                 progress(len(results), len(pending))
     elapsed = time.perf_counter() - start
 
     dataset = Dataset()
-    for i, point in enumerate(points):
-        if point.key in restored:
-            dataset.extend(restored[point.key])
-        else:
-            dataset.extend(results[i])
+    for i, key in enumerate(keys):
+        records = restored.get(key)
+        dataset.extend(results[i] if records is None else records)
 
     if tracer is not None and tracer.enabled:
         trace_campaign(spec, tracer, points)

@@ -3,7 +3,8 @@
 Layout of a store directory::
 
     manifest.json    # spec fingerprint + status; written once, updated last
-    records.jsonl    # one line per completed sweep point, appended live
+    records.jsonl    # one line per completed sweep point, appended
+                     # one (model, image) grid at a time
 
 Each JSONL line is ``{"key": <point key>, "records": [<record dicts>]}``.
 Gated points (out of memory, over the runtime budget) are logged with an
@@ -11,10 +12,11 @@ empty record list, so a resumed run restores the *decision*, not just the
 measurements, and never re-profiles a configuration it already rejected.
 
 A truncated trailing line — the signature of a killed process — is ignored
-on load and cut off before the next append, so that point is simply
-re-measured onto a clean line.  Because every measurement is seeded by
-point identity (:func:`repro.hardware.noise.point_seed`), an
-interrupted-then-resumed campaign is byte-identical to an uninterrupted one.
+on load and cut off before the next append, so that point (and any point
+of its grid never written) is simply re-measured onto a clean line.
+Because every measurement is seeded by point identity
+(:func:`repro.hardware.noise.point_seed`), an interrupted-then-resumed
+campaign is byte-identical to an uninterrupted one.
 The manifest is replaced atomically, so a crash while writing it leaves
 the previous version in place.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, IO
+from typing import TYPE_CHECKING, IO, Iterable
 
 from repro.benchdata.records import TimingRecord
 from repro.diagnostics import Diagnostic
@@ -216,24 +218,30 @@ class CampaignStore:
         return done
 
     def append(
-        self, key: str, records: list[TimingRecord], status: str = ""
+        self, entries: "Iterable[tuple[str, list[TimingRecord], str]]"
     ) -> None:
-        """Log one completed point (empty ``records`` = gated out).
+        """Log completed points, one line each, in one write and one flush.
 
-        ``status`` marks *why* a point has no records — ``"oom"`` for
-        memory-gated points (the edge-backend frontier perf4sight maps) or
-        ``"budget"`` for runtime-budget gating.  It is omitted for measured
-        points, so pre-status stores remain byte-identical, and it is
-        deterministic: gating depends only on ``(spec, point)``.
+        Each entry is ``(key, records, status)``; empty ``records`` means
+        gated out, and ``status`` marks *why* — ``"oom"`` for memory-gated
+        points (the edge-backend frontier perf4sight maps) or ``"budget"``
+        for runtime-budget gating.  It is omitted for measured points, so
+        pre-status stores remain byte-identical, and it is deterministic:
+        gating depends only on the spec, the graph and the batch.  The
+        engine appends one grid's points per call.
         """
         if self._handle is None:
             _cut_torn_tail(self.records_path)
             self._handle = self.records_path.open("a")
-        entry: dict = {"key": key, "records": [r.to_dict() for r in records]}
-        if status:
-            entry["status"] = status
-        line = json.dumps(entry)
-        self._handle.write(line + "\n")
+        lines = []
+        for key, records, status in entries:
+            entry: dict = {
+                "key": key, "records": [r.to_dict() for r in records]
+            }
+            if status:
+                entry["status"] = status
+            lines.append(json.dumps(entry) + "\n")
+        self._handle.write("".join(lines))
         self._handle.flush()
 
     def persisted_verdicts(self) -> Verdicts:

@@ -17,7 +17,7 @@ built graph over a whole axis of image sizes at once: a :class:`Topology`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -42,6 +42,30 @@ class Node:
     def in_block(self, scope: str) -> bool:
         """True if this node lives in ``scope`` or a nested scope of it."""
         return self.block == scope or self.block.startswith(scope + ".")
+
+
+def _has_column(shape: TensorShape) -> bool:
+    return (
+        isinstance(shape.channels, np.ndarray)
+        or isinstance(shape.height, np.ndarray)
+        or isinstance(shape.width, np.ndarray)
+    )
+
+
+def _content(value: object) -> str:
+    """``repr(value)``, except that an image-axis column is spelled by its
+    values behind a ``col`` marker — also inside a dataclass — instead of
+    going through numpy's array printing.  A plain-``int`` value gives its
+    ``repr`` exactly, and a one-image column differs from the same int."""
+    if isinstance(value, np.ndarray):
+        return f"col{value.tolist()}"
+    if is_dataclass(value) and not isinstance(value, type):
+        parts = ", ".join(
+            f"{f.name}={_content(getattr(value, f.name))}"
+            for f in fields(value) if f.repr
+        )
+        return f"{type(value).__qualname__}({parts})"
+    return repr(value)
 
 
 class ComputeGraph:
@@ -78,7 +102,9 @@ class ComputeGraph:
         a deterministic pass pipeline rewrites them identically — the
         cache key :data:`repro.graph.passes.PIPELINE_CACHE` relies on.
         Layer configurations enter through their dataclass ``repr``, which
-        covers every cost-relevant field.  Cached until the next
+        covers every cost-relevant field; image-axis columns (in shapes
+        and image-dependent layers) enter by their values behind a column
+        marker (:func:`_content`).  Cached until the next
         :meth:`add_node`.
         """
         if self._fingerprint is None:
@@ -86,13 +112,16 @@ class ComputeGraph:
             h.update(self.name.encode())
             for name in self._order:
                 node = self._nodes[name]
+                layer, shape = node.layer, node.output_shape
                 h.update(
                     "\x1f".join(
                         (
                             node.name,
-                            repr(node.layer),
+                            _content(layer) if layer.IMAGE_DEPENDENT
+                            else repr(layer),
                             "\x1e".join(node.inputs),
-                            repr(node.output_shape),
+                            _content(shape) if _has_column(shape)
+                            else repr(shape),
                             node.block,
                         )
                     ).encode()

@@ -42,7 +42,7 @@ from repro.hardware.device import (
     JETSON_ORIN,
     DeviceSpec,
 )
-from repro.hardware.noise import lognormal_factor, point_seed
+from repro.hardware.noise import lognormal_factor, point_seed, point_seeds
 from repro.hardware.roofline import CostProfile, layer_times
 
 #: Backward FLOPs of a parametric layer ≈ 2× forward (input-gradient plus
@@ -194,15 +194,18 @@ class ExecutionBackend:
         return lognormal_factor(self.noise_sigma, seed)
 
     def noise_factors(
-        self, campaign_seed: int, identities: "list[tuple]"
+        self,
+        campaign_seed: int,
+        identities: "list[tuple]",
+        shared: tuple = (),
     ) -> np.ndarray:
         """The :meth:`noise_factor` draws of many identities in one batched
-        call: element ``i`` equals ``noise_factor(campaign_seed,
-        *identities[i])`` bit for bit."""
-        tag = self.noise_tag
-        seeds = np.array(
-            [point_seed(campaign_seed, tag, *ident) for ident in identities],
-            dtype=np.uint64,
+        call: element ``i`` equals ``noise_factor(campaign_seed, *shared,
+        *identities[i])`` bit for bit.  The seeds' common prefix — the
+        campaign seed, the noise tag and the ``shared`` parts — is hashed
+        once (:func:`~repro.hardware.noise.point_seeds`)."""
+        seeds = point_seeds(
+            campaign_seed, (self.noise_tag, *shared), identities
         )
         return lognormal_factor(self.noise_sigma, seeds)
 

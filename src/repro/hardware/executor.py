@@ -109,14 +109,15 @@ class SimulatedExecutor:
         bit-identical to the draw that method makes for its point.
         """
         tags = _STEP_TAGS if training else (_INFERENCE_TAG,)
-        name = profile.graph_name
         identities = [
-            (name, batch, tag, rep)
+            (batch, tag, rep)
             for batch in batches
             for rep in range(reps)
             for tag in tags
         ]
-        factors = self.backend.noise_factors(self.seed, identities)
+        factors = self.backend.noise_factors(
+            self.seed, identities, shared=(profile.graph_name,)
+        )
         return factors.reshape(len(batches), reps, len(tags))
 
     # -- span emission -------------------------------------------------------

@@ -14,17 +14,20 @@ any number of worker processes, or resumed from a partial record store
 therefore yields byte-identical timings.
 
 :func:`lognormal_factor` also takes a 1-D array of seeds: the campaign
-engine draws every factor of a ``(model, image)`` grid in one call.  The
-array path reproduces ``np.random.default_rng(seed)`` bit for bit without
-building one ``SeedSequence``/``PCG64``/``Generator`` per seed: numpy's
-seed-sequence hashing runs vectorised over the seeds, PCG64's two 128-bit
-seeding steps run in Python ints, and one generator local to the call is
-re-seeded by assigning its ``.state`` before each draw.
+engine draws every factor of a ``(model, image)`` grid in one call, with
+the seeds from :func:`point_seeds`, which hashes the identities' shared
+prefix once.  The array path reproduces ``np.random.default_rng(seed)``
+bit for bit without building one ``SeedSequence``/``PCG64``/``Generator``
+per seed: numpy's seed-sequence hashing runs vectorised over the seeds,
+PCG64's two 128-bit seeding steps run in Python ints, and one generator
+local to the call is re-seeded by assigning its ``.state`` before each
+draw.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -35,18 +38,22 @@ import numpy as np
 _IDENTITY_TYPES = frozenset({int, str, float, bool, type(None)})
 
 
-def stable_seed(*parts: object) -> int:
-    """64-bit seed derived from a stable hash of the given identity parts.
-
-    Parts must be builtin ``int``, ``str``, ``float``, ``bool`` or
-    ``None``; anything else raises :class:`TypeError`.
-    """
+def _check_parts(parts: tuple) -> None:
     for p in parts:
         if type(p) not in _IDENTITY_TYPES:
             raise TypeError(
                 f"seed identity part {p!r} is a {type(p).__name__}; "
                 "use a builtin int, str, float, bool or None"
             )
+
+
+def stable_seed(*parts: object) -> int:
+    """64-bit seed derived from a stable hash of the given identity parts.
+
+    Parts must be builtin ``int``, ``str``, ``float``, ``bool`` or
+    ``None``; anything else raises :class:`TypeError`.
+    """
+    _check_parts(parts)
     key = "\x1f".join(repr(p) for p in parts).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little")
@@ -60,6 +67,33 @@ def point_seed(campaign_seed: int, *identity: object) -> int:
     which the campaign engine happens to execute points.
     """
     return stable_seed(campaign_seed, *identity)
+
+
+def point_seeds(
+    campaign_seed: int, shared: tuple, identities: "Sequence[tuple]"
+) -> np.ndarray:
+    """``point_seed(campaign_seed, *shared, *identity)`` of each identity,
+    as a uint64 array.
+
+    The key of a seed is its parts' reprs joined by ``\\x1f``, so every
+    identity's key starts with the same ``(campaign_seed, *shared)``
+    prefix: it is hashed once, and each identity continues from a copy of
+    that hash state.  Parts are checked as :func:`stable_seed` checks them.
+    """
+    prefix = (campaign_seed, *shared)
+    _check_parts(prefix)
+    head = hashlib.blake2b(
+        "\x1f".join(map(repr, prefix)).encode(), digest_size=8
+    )
+    digests = []
+    for identity in identities:
+        _check_parts(identity)
+        h = head.copy()
+        if identity:
+            h.update(("\x1f" + "\x1f".join(map(repr, identity))).encode())
+        digests.append(h.digest())
+    # stable_seed reads each digest as a little-endian integer.
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
 
 
 def lognormal_factor(

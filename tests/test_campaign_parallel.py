@@ -408,6 +408,13 @@ class TestTraceDeterminism:
         assert diags == [], [d.render() for d in diags]
 
 
+def _n_grids(spec: CampaignSpec) -> int:
+    """Number of (nodes, model, image) grids a campaign measures."""
+    return len({
+        (p.nodes, p.model, p.image_size) for p in enumerate_points(spec)
+    })
+
+
 class TestStatsCounters:
     def test_throughput_and_cache_counters(self, serial_result):
         stats = serial_result.stats
@@ -417,13 +424,14 @@ class TestStatsCounters:
         assert stats.elapsed_seconds > 0
         assert stats.points_per_second > 0
         assert 0.0 <= stats.cache.hit_rate <= 1.0
-        # Each (model, image) pair misses once at most; everything else hits.
-        assert stats.cache.lookups == stats.n_points
+        # One lookup per measured (model, image) grid; each pair misses
+        # once at most, everything else hits.
+        assert stats.cache.lookups == _n_grids(REFERENCE_SPEC)
         assert stats.cache.misses <= 3 * 2  # |models| × |image sizes|
 
     def test_parallel_cache_counters_aggregate_across_workers(self):
         result = run_campaign(REFERENCE_SPEC, workers=2)
-        assert result.stats.cache.lookups == result.stats.n_points
+        assert result.stats.cache.lookups == _n_grids(REFERENCE_SPEC)
         assert result.stats.cache.hits > 0
 
     def test_summary_mentions_throughput_and_hit_rate(self, serial_result):

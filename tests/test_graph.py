@@ -320,6 +320,99 @@ class TestOverImages:
         )
 
 
+class TestColumnFingerprint:
+    """Image-axis columns enter a graph's fingerprint by their values."""
+
+    AXIS = (64, 128, 224)
+
+    @staticmethod
+    def _edited(graph: ComputeGraph, index: int, **changes) -> ComputeGraph:
+        """A copy of ``graph`` with node ``index`` replaced field-wise."""
+        out = ComputeGraph(graph.name)
+        for i, node in enumerate(graph):
+            out.add_node(
+                dataclasses.replace(node, **changes) if i == index else node
+            )
+        return out
+
+    @pytest.mark.parametrize("name", ["resnet50", "vit_tiny_16"])
+    def test_equal_topologies_have_equal_fingerprints(self, name):
+        from repro.hardware.roofline import build_topology
+
+        axis = (224, 256) if name.startswith("vit") else self.AXIS
+        first = build_topology(name, axis).graph
+        second = build_topology(name, axis).graph
+        assert first is not second
+        assert first.fingerprint() == second.fingerprint()
+        assert self._edited(first, 0).fingerprint() == first.fingerprint()
+        other = build_topology(name, axis[1:]).graph
+        assert other.fingerprint() != first.fingerprint()
+
+    @pytest.mark.parametrize("name", ["resnet50", "vit_tiny_16"])
+    def test_changing_one_column_entry_changes_it(self, name):
+        from repro.hardware.roofline import build_topology
+
+        axis = (224, 256) if name.startswith("vit") else self.AXIS
+        graph = build_topology(name, axis).graph
+        before = graph.fingerprint()
+        index = len(graph) // 2
+        shape = graph.nodes[index].output_shape
+        height = shape.height.copy()
+        height[-1] += 1
+        moved = dataclasses.replace(shape, height=height)
+        assert self._edited(graph, index, output_shape=moved).fingerprint() \
+            != before
+        # An image-dependent layer's column counts too.
+        for i, node in enumerate(graph):
+            if node.layer.IMAGE_DEPENDENT and i > 0:
+                seq = node.layer.seq_len.copy()
+                seq[0] += 1
+                layer = dataclasses.replace(node.layer, seq_len=seq)
+                assert self._edited(graph, i, layer=layer).fingerprint() \
+                    != before
+        first = graph.nodes[0].layer
+        channels = np.array([first.shape.channels] * len(axis))
+        layer = dataclasses.replace(
+            first, shape=dataclasses.replace(first.shape, channels=channels)
+        )
+        assert self._edited(graph, 0, layer=layer).fingerprint() != before
+
+    def test_a_one_image_column_differs_from_the_plain_int(self):
+        plain = build_model("resnet50", 224)
+        column = over_images(plain, (224,), (plain.name,)).graph
+        assert column.name == plain.name
+        assert [n.output_shape.at(0) for n in column] == [
+            n.output_shape for n in plain
+        ]
+        assert column.fingerprint() != plain.fingerprint()
+
+    def test_plain_graph_fingerprints_are_unchanged(self):
+        from repro.graph.passes import default_inference_pipeline
+
+        resnet = build_model("resnet50", 224)
+        assert build_model("alexnet", 64).fingerprint() == (
+            "2128696fa17db58dc4a9bfcce35fb55d"
+        )
+        assert resnet.fingerprint() == "7aac47881df9b804e688687dff8a454f"
+        fused = default_inference_pipeline().run(resnet).graph
+        assert fused.fingerprint() == "81b76bb29b32551fc58bf55cf1720f07"
+
+    def test_pipeline_cache_hits_on_an_equal_topology(self, monkeypatch):
+        from repro.caching import LRUCache
+        from repro.graph import passes
+        from repro.hardware.roofline import build_topology
+
+        monkeypatch.setattr(passes, "PIPELINE_CACHE", LRUCache(maxsize=256))
+        pipeline = passes.default_inference_pipeline()
+        first = pipeline.run(build_topology("resnet50", self.AXIS).graph)
+        again = pipeline.run(build_topology("resnet50", self.AXIS).graph)
+        assert again is first
+        other = pipeline.run(build_topology("resnet50", self.AXIS[1:]).graph)
+        assert other is not first
+        stats = passes.PIPELINE_CACHE.stats()
+        assert (stats.hits, stats.misses) == (1, 2)
+
+
 class TestGraphMetrics:
     def test_parameter_count(self, tiny_graph):
         expected = sum(n.layer.param_count() for n in tiny_graph)

@@ -10,6 +10,11 @@ value must equal its per-point definition bit for bit:
 * ``CampaignStats.counters`` (and the manifest's copy) equal the sum of
   :func:`point_counters` over the measured points;
 * ``TimingRecord.to_dict`` keeps the ``asdict`` keys, order and bytes.
+
+The measuring loop itself takes one ``(nodes, model, image)`` grid per
+call (``engine._measure_grid``): its records, counters and gate statuses
+must equal what each point gives measured alone, the store must take one
+write per grid, and a store cut inside a grid must resume exactly.
 """
 
 import dataclasses
@@ -20,6 +25,7 @@ import pytest
 
 from repro.benchdata import (
     CampaignSpec,
+    SweepPoint,
     CampaignStore,
     ConvNetFeatures,
     Dataset,
@@ -28,6 +34,9 @@ from repro.benchdata import (
     point_counters,
     run_campaign,
 )
+from repro.distributed.cluster import ClusterSpec
+from repro.distributed.trainer import DistributedTrainer
+from repro.graph.passes import resolve_transform
 from repro.hardware.backend import get_backend
 from repro.hardware.device import A100_80GB, JETSON_ORIN
 from repro.hardware.executor import SimulatedExecutor
@@ -272,6 +281,274 @@ class TestGridMatchesPerPointPath:
             assert r.t_fwd == backend.forward_time_clean(profile, r.batch)
 
 
+# -- one grid per call ---------------------------------------------------------
+
+#: One spec per measuring branch of the grid function; the edge spec has
+#: OOM points and runtime-budget points.
+GRID_SPECS = {
+    "inference": SPECS["inference"],
+    "training": SPECS["training"],
+    "blocks": CampaignSpec(
+        scenario="blocks",
+        models=("BasicBlock7", "InvertedResidual3"),
+        device=A100_80GB,
+        batch_sizes=(1, 16),
+        image_sizes=(64, 224),
+        seed=3,
+        reps=2,
+    ),
+    "fused": CampaignSpec(
+        scenario="inference",
+        models=("resnet18", "mobilenet_v2"),
+        device=A100_80GB,
+        batch_sizes=(1, 8, 64),
+        image_sizes=(64, 128),
+        seed=3,
+        reps=2,
+        transform="inference",
+    ),
+    "distributed": CampaignSpec(
+        scenario="distributed",
+        models=("alexnet", "resnet18"),
+        device=A100_80GB,
+        batch_sizes=(8, 64),
+        image_sizes=(64, 128),
+        seed=3,
+        reps=2,
+        node_counts=(1, 2),
+    ),
+    "edge": CampaignSpec(
+        scenario="training",
+        models=("vgg16", "resnet18"),
+        device=JETSON_ORIN,
+        batch_sizes=(8, 64, 256, 1024),
+        image_sizes=(64, 224),
+        seed=3,
+        reps=2,
+        max_seconds=2.0,
+        backend="edge",
+    ),
+}
+
+
+def _point_reference(spec: CampaignSpec, point: SweepPoint) -> tuple:
+    """``(records, counters, gate)`` of ``point`` measured alone, from
+    the per-point definitions: the executor's (or trainer's) own clean
+    times and noise draws, :func:`point_counters` and ``_gated``."""
+    from repro.benchdata.engine import _gated
+
+    record = graph_record(
+        spec.kind, point.model, point.image_size,
+        resolve_transform(spec.transform),
+    )
+    profile = record.profile
+    backend = get_backend(spec.backend, spec.device)
+    executor = SimulatedExecutor(seed=spec.seed, backend=backend)
+    clean = None
+    if spec.scenario == "training":
+        clean = (
+            backend.forward_time_clean(profile, point.batch),
+            backend.backward_time_clean(profile, point.batch),
+            backend.grad_update_time_clean(profile),
+        )
+    elif spec.scenario != "distributed":
+        clean = (backend.forward_time_clean(profile, point.batch),)
+    gate = _gated(spec, point.batch, profile, backend, clean)
+    if gate:
+        return [], {}, gate
+    devices = 1
+    if spec.scenario == "distributed":
+        cluster = ClusterSpec(
+            nodes=point.nodes, gpus_per_node=spec.gpus_per_node,
+            device=spec.device,
+        )
+        devices = cluster.total_devices
+        phases = DistributedTrainer(
+            cluster, seed=spec.seed, backend=backend
+        ).measure_step(profile, point.batch, rep=point.rep)
+        times = (phases.forward, phases.backward, phases.grad_update)
+    elif spec.scenario == "training":
+        phases = executor.measure_training_step(
+            profile, point.batch, rep=point.rep, enforce_memory=False
+        )
+        times = (phases.forward, phases.backward, phases.grad_update)
+    else:
+        times = (executor.measure_inference(
+            profile, point.batch, rep=point.rep, enforce_memory=False
+        ), 0.0, 0.0)
+    measured = TimingRecord(
+        model=point.model, device=spec.device.name,
+        image_size=point.image_size, batch=point.batch, nodes=point.nodes,
+        devices=devices,
+        scenario="inference" if spec.scenario == "blocks" else spec.scenario,
+        features=record.features,
+        t_fwd=times[0], t_bwd=times[1], t_grad=times[2], rep=point.rep,
+        backend=spec.backend,
+    )
+    return [measured], point_counters(spec, point, profile, backend), ""
+
+
+def _grid_runs(spec: CampaignSpec) -> list[list[SweepPoint]]:
+    """The spec's points, split into (nodes, model, image) runs."""
+    runs: dict[tuple, list[SweepPoint]] = {}
+    for p in enumerate_points(spec):
+        runs.setdefault((p.nodes, p.model, p.image_size), []).append(p)
+    return list(runs.values())
+
+
+@pytest.fixture
+def append_calls(monkeypatch):
+    """The keys of each ``CampaignStore.append`` call, in call order."""
+    calls: list[list[str]] = []
+    append = CampaignStore.append
+
+    def counting(self, entries):
+        entries = list(entries)
+        calls.append([key for key, _, _ in entries])
+        return append(self, entries)
+
+    monkeypatch.setattr(CampaignStore, "append", counting)
+    return calls
+
+
+class TestGridFunction:
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_each_grid_equals_the_per_point_reference(self, name):
+        from repro.benchdata import engine
+
+        spec = GRID_SPECS[name]
+        gates = set()
+        for points in _grid_runs(spec):
+            want = [_point_reference(spec, p) for p in points]
+            assert engine._measure_grid(spec, points) == want
+            # Any tail of a grid (a resume inside it) measures the same.
+            assert engine._measure_grid(spec, points[1:]) == want[1:]
+            gates.update(gate for _, _, gate in want)
+        assert gates == ({"", "oom", "budget"} if name == "edge" else {""})
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_campaign_and_store_equal_the_per_point_reference(
+        self, tmp_path, append_calls, name, workers
+    ):
+        spec = GRID_SPECS[name]
+        want = [_point_reference(spec, p) for p in enumerate_points(spec)]
+        with CampaignStore.open(tmp_path / "run", spec) as store:
+            result = run_campaign(spec, workers=workers, store=store)
+        assert result.dataset.records == [
+            r for records, _, _ in want for r in records
+        ]
+        work: dict = {}
+        for _, counters, _ in want:
+            merge_counters(work, counters)
+        assert _work(result.stats.counters) == work
+        assert result.stats.n_oom == sum(g == "oom" for _, _, g in want)
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "run" / "records.jsonl").open()
+        ]
+        assert [(e["key"], e.get("status", "")) for e in lines] == [
+            (p.key, gate)
+            for p, (_, _, gate) in zip(enumerate_points(spec), want)
+        ]
+        # One store write per grid, holding exactly that grid's points.
+        assert append_calls == [
+            [p.key for p in points] for points in _grid_runs(spec)
+        ]
+        assert result.stats.cache.lookups == len(_grid_runs(spec))
+
+
+class TestStoreCutInsideAGrid:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", ["training", "edge"])
+    def test_resume_measures_exactly_the_missing_points(
+        self, tmp_path, append_calls, name, workers
+    ):
+        spec = GRID_SPECS[name]
+        with CampaignStore.open(tmp_path / "cold", spec) as store:
+            cold = run_campaign(spec, workers=1, store=store)
+        log = tmp_path / "cold" / "records.jsonl"
+        complete = log.read_text()
+        lines = complete.splitlines(keepends=True)
+        runs = _grid_runs(spec)
+        # Keep the first grid, k lines of the second, and a torn line.
+        k = 3
+        keep = len(runs[0]) + k
+        assert k < len(runs[1])
+        directory = tmp_path / "cut"
+        directory.mkdir()
+        manifest = json.loads(
+            (tmp_path / "cold" / "manifest.json").read_text()
+        )
+        manifest["complete"] = False
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        (directory / "records.jsonl").write_text(
+            "".join(lines[:keep]) + lines[keep][:25]
+        )
+        append_calls.clear()
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            resumed = run_campaign(spec, workers=workers, store=store)
+        assert resumed.stats.n_restored == keep
+        assert resumed.stats.n_executed == len(lines) - keep
+        assert resumed.dataset.records == cold.dataset.records
+        assert (directory / "records.jsonl").read_text() == complete
+        # The cut grid's missing points go out in one write, then one
+        # write per remaining grid.
+        missing = [[p.key for p in runs[1][k:]]] + [
+            [p.key for p in points] for points in runs[2:]
+        ]
+        assert append_calls == missing
+
+
+class TestPrefixHashedSeeds:
+    IDENTITIES = [
+        (1, "fwd", 0), (2048, "grad", 2), ("x",), (), (0.5, None, True),
+    ]
+
+    @pytest.mark.parametrize(
+        "shared", [(), ("a100-80gb",), ("edge:jetson-agx-orin", "vgg16_224")]
+    )
+    @pytest.mark.parametrize("seed", [0, 17, 2**40])
+    def test_equal_point_seed_bit_for_bit(self, seed, shared):
+        from repro.hardware.noise import point_seeds
+
+        got = point_seeds(seed, shared, self.IDENTITIES)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [
+            point_seed(seed, *shared, *ident) for ident in self.IDENTITIES
+        ]
+        assert point_seeds(seed, shared, []).tolist() == []
+
+    @pytest.mark.parametrize(
+        "part", [np.int64(8), np.float64(0.5), np.bool_(True), (1, 2)],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_numpy_scalar_parts_raise(self, part):
+        from repro.hardware.noise import point_seeds
+
+        with pytest.raises(TypeError, match="builtin"):
+            point_seeds(0, ("a100-80gb", part), [(1, "fwd", 0)])
+        with pytest.raises(TypeError, match="builtin"):
+            point_seeds(0, ("a100-80gb",), [(1, "fwd", 0), (part, "fwd", 0)])
+        with pytest.raises(TypeError, match="builtin"):
+            point_seeds(part, (), [(1,)])
+
+    @pytest.mark.parametrize("backend", ["", "edge", "fp16"])
+    def test_backend_noise_factors_with_a_shared_prefix(self, backend):
+        device = JETSON_ORIN if backend == "edge" else A100_80GB
+        b = get_backend(backend, device)
+        identities = [
+            (batch, phase, rep)
+            for batch in (1, 64)
+            for phase in ("fwd", "bwd", "grad", "inference")
+            for rep in range(2)
+        ]
+        got = b.noise_factors(7, identities, shared=("resnet18_64",))
+        assert got.tolist() == [
+            b.noise_factor(7, "resnet18_64", *ident) for ident in identities
+        ]
+
+
 # -- record encoding -------------------------------------------------------------
 
 FEATURES = ConvNetFeatures(
@@ -334,7 +611,7 @@ class TestRecordEncoding:
     def test_store_line_bytes_are_unchanged(self, tmp_path):
         spec = SPECS["training"]
         with CampaignStore.open(tmp_path / "store", spec) as store:
-            store.append("training:alexnet:64:4:1:1", RECORDS)
+            store.append([("training:alexnet:64:4:1:1", RECORDS, "")])
         line = (tmp_path / "store" / "records.jsonl").read_text()
         assert line == (
             '{"key": "training:alexnet:64:4:1:1", "records": '
