@@ -5,12 +5,18 @@ ConvNet metric vector (batch-size-one FLOPs/Inputs/Outputs/Weights/Layers)
 of the network it was measured on, so performance models can be fitted from
 a dataset alone — no zoo access needed.  That also makes the leave-one-out
 protocol a pure dataset operation.
+
+The JSON codec of records is shared by datasets and the campaign store:
+:func:`encode_records` writes ``json.dumps(record.to_dict())`` byte for
+byte while encoding what a run of records shares once, and
+:class:`RecordDecoder` reads the dicts back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -98,6 +104,127 @@ class TimingRecord:
             ) from exc
 
 
+#: The fields a grid's records do not share, in field order, and the
+#: exact types the encoder formats itself: it ``repr`` s those, and leaves
+#: any other value to ``json.dumps``.
+_VARYING = ("batch", "t_fwd", "t_bwd", "t_grad", "rep")
+_VARYING_TYPES = (int, float, float, float, int)
+#: Stands in for each varying field when a template is encoded.  ``\x00``
+#: is escaped by ``json.dumps``, so its encoding cannot come from any
+#: other character.
+_HOLE = "\x00"
+_ENCODED_HOLE = json.dumps(_HOLE)
+
+
+def _template(record: TimingRecord) -> "list[str] | None":
+    """``json.dumps(record.to_dict())`` cut around the varying fields, or
+    ``None`` when a shared field's encoding holds the hole marker too."""
+    d = record.to_dict()
+    for name in _VARYING:
+        d[name] = _HOLE
+    parts = json.dumps(d).split(_ENCODED_HOLE)
+    return parts if len(parts) == len(_VARYING) + 1 else None
+
+
+def encode_records(records: Iterable[TimingRecord]) -> list[str]:
+    """``json.dumps(r.to_dict())`` of every record, byte for byte.
+
+    Records that share model, device, image, nodes, devices, scenario,
+    backend and features object share one encoding of those fields, so
+    per record only batch, rep and the three times are formatted, with
+    ``int.__repr__`` and ``float.__repr__``.  A record holding any other
+    value there (a non-finite time, a numpy scalar, a bool) is encoded
+    whole by ``json.dumps``.
+    """
+    templates: dict[tuple, "list[str] | None"] = {}
+    lines = []
+    for r in records:
+        parts = None
+        # Equal values of other types (1, True, 1.0) encode differently.
+        if (
+            type(r.model) is type(r.device) is type(r.scenario)
+            is type(r.backend) is str
+            and type(r.image_size) is type(r.nodes) is type(r.devices) is int
+        ):
+            key = (r.model, r.device, r.image_size, r.nodes, r.devices,
+                   r.scenario, r.backend, id(r.features))
+            if key not in templates:
+                templates[key] = _template(r)
+            parts = templates[key]
+        batch, t_fwd, t_bwd, t_grad, rep = (
+            r.batch, r.t_fwd, r.t_bwd, r.t_grad, r.rep
+        )
+        if (
+            parts is None
+            or (type(batch), type(t_fwd), type(t_bwd), type(t_grad),
+                type(rep)) != _VARYING_TYPES
+            # Finite only if every time is; a sum that overflows merely
+            # sends a finite record the slow way.
+            or not math.isfinite(t_fwd + t_bwd + t_grad)
+        ):
+            lines.append(json.dumps(r.to_dict()))
+            continue
+        head, p_batch, p_fwd, p_bwd, p_grad, tail = parts
+        lines.append(
+            f"{head}{batch!r}{p_batch}{t_fwd!r}{p_fwd}{t_bwd!r}{p_bwd}"
+            f"{t_grad!r}{p_grad}{rep!r}{tail}"
+        )
+    return lines
+
+
+_RECORD_KEYS = frozenset(f.name for f in fields(TimingRecord))
+#: A default-backend record's dict omits ``backend``.
+_DEFAULT_BACKEND_KEYS = _RECORD_KEYS - {"backend"}
+_FEATURE_FIELDS = tuple(f.name for f in fields(ConvNetFeatures))
+_FEATURE_KEYS = frozenset(_FEATURE_FIELDS)
+
+
+class RecordDecoder:
+    """Reads record dicts back, sharing one :class:`ConvNetFeatures` per
+    distinct features dict across every call.
+
+    A dict with exactly a record's keys (and features with exactly the
+    features' keys) is read field by field in field order; any other goes
+    through :meth:`TimingRecord.from_dict`, which raises ``ValueError`` for
+    a malformed one.
+    """
+
+    def __init__(self) -> None:
+        self._features: dict[tuple, ConvNetFeatures] = {}
+
+    def _features_of(self, d: dict) -> ConvNetFeatures:
+        values = tuple(map(d.__getitem__, _FEATURE_FIELDS))
+        # Types and zeros keep equal-but-differently-encoded values
+        # (1, 1.0 and true; 0.0 and -0.0) apart.
+        if 0 in values:
+            return ConvNetFeatures(*values)
+        key = (values, tuple(map(type, values)))
+        try:
+            shared = self._features.get(key)
+        except TypeError:  # an unhashable value: nothing to share
+            return ConvNetFeatures(*values)
+        if shared is None:
+            shared = self._features[key] = ConvNetFeatures(*values)
+        return shared
+
+    def record(self, d: object) -> TimingRecord:
+        if type(d) is dict and (
+            d.keys() == _RECORD_KEYS or d.keys() == _DEFAULT_BACKEND_KEYS
+        ):
+            features = d["features"]
+            if type(features) is dict and features.keys() == _FEATURE_KEYS:
+                return TimingRecord(
+                    d["model"], d["device"], d["image_size"], d["batch"],
+                    d["nodes"], d["devices"], d["scenario"],
+                    self._features_of(features), d["t_fwd"], d["t_bwd"],
+                    d["t_grad"], d["rep"], d.get("backend", ""),
+                )
+        return TimingRecord.from_dict(d)
+
+    def records(self, dicts: Iterable[object]) -> list[TimingRecord]:
+        return [self.record(d) for d in dicts]
+
+
 @dataclass
 class Dataset:
     """An ordered collection of timing records with filtering helpers."""
@@ -152,8 +279,8 @@ class Dataset:
     # -- serialization --------------------------------------------------------
 
     def to_json(self, path: str | Path) -> None:
-        payload = {"records": [r.to_dict() for r in self.records]}
-        write_text_atomic(path, json.dumps(payload))
+        records = ", ".join(encode_records(self.records))
+        write_text_atomic(path, f'{{"records": [{records}]}}')
 
     @staticmethod
     def from_json(path: str | Path) -> "Dataset":
@@ -166,7 +293,7 @@ class Dataset:
         if not isinstance(records, list):
             raise DocumentError(f"{path}: missing key 'records' (a list)")
         try:
-            return Dataset([TimingRecord.from_dict(d) for d in records])
+            return Dataset(RecordDecoder().records(records))
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"{path}: {exc}") from exc
 

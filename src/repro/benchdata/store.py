@@ -6,7 +6,12 @@ Layout of a store directory::
     records.jsonl    # one line per completed sweep point, appended
                      # one (model, image) grid at a time
 
-Each JSONL line is ``{"key": <point key>, "records": [<record dicts>]}``.
+Each JSONL line is ``{"key": <point key>, "records": [<record dicts>]}``,
+exactly as ``json.dumps`` writes it.  The records are encoded by
+:func:`repro.benchdata.records.encode_records`, the encoder
+:meth:`Dataset.to_json <repro.benchdata.records.Dataset.to_json>` uses, and
+read back through the same :class:`~repro.benchdata.records.RecordDecoder`
+as datasets; the log is decoded in place from the file text.
 Gated points (out of memory, over the runtime budget) are logged with an
 empty record list, so a resumed run restores the *decision*, not just the
 measurements, and never re-profiles a configuration it already rejected.
@@ -39,7 +44,11 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, IO, Iterable
 
-from repro.benchdata.records import TimingRecord
+from repro.benchdata.records import (
+    RecordDecoder,
+    TimingRecord,
+    encode_records,
+)
 from repro.diagnostics import Diagnostic
 from repro.fileio import write_text_atomic
 
@@ -120,6 +129,47 @@ def _cut_torn_tail(path: Path) -> None:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _parse_line(text: str, start: int, end: int) -> object:
+    """``json.loads(text[start:end].strip())``, decoded in place when the
+    line is one JSON value from its first character, as ``append`` writes
+    every line; raises ``ValueError`` when the line does not parse."""
+    if not text[start].isspace():
+        try:
+            entry, stop = _DECODER.raw_decode(text, start)
+        except ValueError:
+            pass
+        else:
+            if stop <= end and not text[stop:end].strip():
+                return entry
+    return json.loads(text[start:end].strip())
+
+
+def _read_log(text: str) -> dict[str, list[TimingRecord]]:
+    """The points of a record log's text, keyed by sweep-point key; a
+    later line for a key wins.
+
+    A line without its newline is a torn write, even when it happens to
+    parse: reading stops there (``append`` cuts it before writing on).
+    Blank lines are skipped.  A line that does not parse, or parses to the
+    wrong shape, is dropped: the engine re-measures that point
+    identically.
+    """
+    decoder = RecordDecoder()
+    done: dict[str, list[TimingRecord]] = {}
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        try:
+            entry = _parse_line(text, start, end)
+            done[entry["key"]] = decoder.records(entry["records"])
+        except (ValueError, KeyError, TypeError):
+            pass
+        start = end + 1
+    return done
+
+
 class CampaignStore:
     """Resumable record log for one campaign."""
 
@@ -193,29 +243,9 @@ class CampaignStore:
 
     def restored_points(self) -> dict[str, list[TimingRecord]]:
         """Completed points already on disk, keyed by sweep-point key."""
-        done: dict[str, list[TimingRecord]] = {}
         if not self.records_path.exists():
-            return done
-        with self.records_path.open() as fh:
-            for line in fh:
-                # A line without its newline is a torn write, even when it
-                # happens to parse: append() cuts it before writing on.
-                if not line.endswith("\n"):
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    done[entry["key"]] = [
-                        TimingRecord.from_dict(d) for d in entry["records"]
-                    ]
-                except (ValueError, KeyError, TypeError):
-                    # Truncated or corrupt line (or valid JSON of the wrong
-                    # shape): drop it; the engine re-measures that point
-                    # identically.
-                    continue
-        return done
+            return {}
+        return _read_log(self.records_path.read_text())
 
     def append(
         self, entries: "Iterable[tuple[str, list[TimingRecord], str]]"
@@ -233,14 +263,18 @@ class CampaignStore:
         if self._handle is None:
             _cut_torn_tail(self.records_path)
             self._handle = self.records_path.open("a")
+        entries = list(entries)
+        encoded = iter(encode_records(
+            [r for _, records, _ in entries for r in records]
+        ))
         lines = []
         for key, records, status in entries:
-            entry: dict = {
-                "key": key, "records": [r.to_dict() for r in records]
-            }
-            if status:
-                entry["status"] = status
-            lines.append(json.dumps(entry) + "\n")
+            # json.dumps of {"key": key, "records": [...], "status": status}
+            body = ", ".join([next(encoded) for _ in records])
+            extra = f', "status": {json.dumps(status)}' if status else ""
+            lines.append(
+                f'{{"key": {json.dumps(key)}, "records": [{body}]{extra}}}\n'
+            )
         self._handle.write("".join(lines))
         self._handle.flush()
 
