@@ -32,6 +32,7 @@ a device, not a class.  Four rows ship:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -197,17 +198,26 @@ class ExecutionBackend:
         self,
         campaign_seed: int,
         identities: "list[tuple]",
-        shared: tuple = (),
+        shared: "tuple | list[tuple]" = (),
     ) -> np.ndarray:
         """The :meth:`noise_factor` draws of many identities in one batched
         call: element ``i`` equals ``noise_factor(campaign_seed, *shared,
-        *identities[i])`` bit for bit.  The seeds' common prefix — the
-        campaign seed, the noise tag and the ``shared`` parts — is hashed
-        once (:func:`~repro.hardware.noise.point_seeds`)."""
+        *identities[i])`` bit for bit.  ``shared`` may also be a list of
+        prefixes, giving one row per prefix.  Each prefix — the campaign
+        seed, the noise tag and its ``shared`` parts — is hashed once and
+        each identity encoded once
+        (:func:`~repro.hardware.noise.point_seeds`); every seed then goes
+        through one :func:`~repro.hardware.noise.lognormal_factor` call."""
+        tag = self.noise_tag
         seeds = point_seeds(
-            campaign_seed, (self.noise_tag, *shared), identities
+            campaign_seed,
+            [(tag, *parts) for parts in shared]
+            if isinstance(shared, list) else (tag, *shared),
+            identities,
         )
-        return lognormal_factor(self.noise_sigma, seeds)
+        return lognormal_factor(self.noise_sigma, seeds.ravel()).reshape(
+            seeds.shape
+        )
 
     # -- timing --------------------------------------------------------------
 
@@ -260,10 +270,10 @@ class ExecutionBackend:
 
     def clean_time_grids(
         self,
-        profile: CostProfile,
+        profile: "CostProfile | Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         training: bool = False,
-    ) -> dict[int, tuple[float, ...]]:
+    ) -> "dict[int, tuple[float, ...]] | tuple[dict, ...]":
         """Clean-time components for a whole batch sweep, in one shot.
 
         Returns ``{batch: (forward,)}`` — or, with ``training=True``,
@@ -273,17 +283,36 @@ class ExecutionBackend:
         corresponding ``*_time_clean`` call at that batch: the batch axis
         only broadcasts, the per-layer sums reduce in the same order, and
         the base overhead adds as the same float64 pair.
+
+        ``profile`` may also be a sequence of profiles of one topology's
+        images (one layer list); the result is then one such dict per
+        profile, from one evaluation per phase over images × batches ×
+        layers (:meth:`CostProfile.stack`).  A single profile is the
+        one-image case.
         """
+        single = isinstance(profile, CostProfile)
+        profiles = (profile,) if single else tuple(profile)
+        stacked = CostProfile.stack(profiles)
         b = np.asarray(batches)
         base = self.device.base_overhead
-        fwd = (self.layer_times(profile, b).sum(axis=1) + base).tolist()
-        if not training:
-            return {int(n): (t,) for n, t in zip(batches, fwd)}
-        bwd = (
-            self.layer_times(profile, b, backward=True).sum(axis=1) + base
-        ).tolist()
-        grad = self.grad_update_time_clean(profile)
-        return {int(n): (f, w, grad) for n, f, w in zip(batches, fwd, bwd)}
+        phases = [self.layer_times(stacked, b).sum(axis=-1) + base]
+        if training:
+            phases.append(
+                self.layer_times(stacked, b, backward=True).sum(axis=-1)
+                + base
+            )
+        # [image][batch] -> the batch's components
+        rows = np.stack(phases, axis=-1).tolist()
+        if training:
+            for p, image_rows in zip(profiles, rows):
+                grad = self.grad_update_time_clean(p)
+                for times in image_rows:
+                    times.append(grad)
+        grids = tuple(
+            {int(n): tuple(times) for n, times in zip(batches, image_rows)}
+            for image_rows in rows
+        )
+        return grids[0] if single else grids
 
     # -- memory accounting ---------------------------------------------------
 

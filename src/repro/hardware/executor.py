@@ -16,7 +16,7 @@ backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -83,20 +83,21 @@ class SimulatedExecutor:
 
     def clean_time_grids(
         self,
-        profile: CostProfile,
+        profile: "CostProfile | Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         training: bool = False,
-    ) -> dict[int, tuple[float, ...]]:
+    ) -> "dict[int, tuple[float, ...]] | tuple[dict, ...]":
         """Clean-time components for a whole batch sweep, in one shot.
 
         See :meth:`ExecutionBackend.clean_time_grids`; each component is
-        bit-identical to the corresponding ``*_time_clean`` call.
+        bit-identical to the corresponding ``*_time_clean`` call.  A
+        sequence of one topology's profiles gives one dict per profile.
         """
         return self.backend.clean_time_grids(profile, batches, training)
 
     def noise_grids(
         self,
-        profile: CostProfile,
+        profile: "CostProfile | Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         reps: int,
         training: bool = False,
@@ -107,6 +108,9 @@ class SimulatedExecutor:
         draws of :meth:`measure_training_step` with ``training=True``,
         else the one draw of :meth:`measure_inference`.  Each factor is
         bit-identical to the draw that method makes for its point.
+
+        A sequence of profiles (say, a model's images) adds a leading axis,
+        one row per profile, still drawn in one call.
         """
         tags = _STEP_TAGS if training else (_INFERENCE_TAG,)
         identities = [
@@ -115,10 +119,16 @@ class SimulatedExecutor:
             for rep in range(reps)
             for tag in tags
         ]
+        single = isinstance(profile, CostProfile)
         factors = self.backend.noise_factors(
-            self.seed, identities, shared=(profile.graph_name,)
+            self.seed,
+            identities,
+            shared=(profile.graph_name,) if single
+            else [(p.graph_name,) for p in profile],
         )
-        return factors.reshape(len(batches), reps, len(tags))
+        return factors.reshape(
+            *factors.shape[:-1], len(batches), reps, len(tags)
+        )
 
     # -- span emission -------------------------------------------------------
 

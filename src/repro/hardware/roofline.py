@@ -23,7 +23,7 @@ aggregate metrics — the realistic regime for ConvMeter's regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -179,6 +179,37 @@ class CostProfile:
             for i, name in enumerate(names)
         )
 
+    @staticmethod
+    def stack(profiles: Sequence["CostProfile"]) -> "CostProfile":
+        """Profiles of one topology's images (one layer list) as one
+        profile whose per-layer arrays are ``[images, 1, L]``.
+
+        The middle axis is where a column of batch sizes broadcasts, so
+        :func:`layer_times` and the backend's ``phase_work`` evaluate
+        images × batches × layers at once; every element is the same
+        expression on the same operands as for the image's own profile.
+        Named after the first image's graph.
+        """
+        first = profiles[0]
+
+        def column(name: str) -> np.ndarray:
+            return np.stack([getattr(p, name) for p in profiles])[:, None]
+
+        return CostProfile(
+            graph_name=first.graph_name,
+            flops=column("flops"),
+            act_bytes=column("act_bytes"),
+            weight_bytes=column("weight_bytes"),
+            eff_class=column("eff_class"),
+            has_params=column("has_params"),
+            param_counts=column("param_counts"),
+            input_elems=column("input_elems"),
+            output_elems=column("output_elems"),
+            is_conv=column("is_conv"),
+            layer_names=first.layer_names,
+            layer_types=first.layer_types,
+        )
+
 
 def profile_graph(
     graph: ComputeGraph | Topology, pipeline: "PassPipeline | None" = None
@@ -221,7 +252,9 @@ def layer_times(
     then ``float64[B, L]``, and row ``i`` is bit-identical to the scalar
     call at ``batch[i]`` — the batch axis enters only as a broadcast
     leading dimension, every per-layer expression keeps the same operand
-    order and dtype as the scalar path.
+    order and dtype as the scalar path.  For a :meth:`CostProfile.stack`
+    the result is ``float64[images, B, L]``, each image's ``[B, L]`` equal
+    to its own profile's.
     """
     b = np.asarray(batch)
     if b.ndim:
@@ -265,6 +298,9 @@ class GraphRecord:
     profile: CostProfile
     summary: CostSummary
     features: "ConvNetFeatures"
+    #: The image sizes costed in the same walk (its topology's axis, in
+    #: order); ``()`` when unknown.  A campaign measures them as one block.
+    axis: tuple[int, ...] = ()
 
     @staticmethod
     def of(profile: CostProfile) -> "GraphRecord":
@@ -377,13 +413,40 @@ def topology_records(
     :func:`graph_record` key; a record already cached there is kept and
     returned instead, so a campaign verifies and measures the same record.
     """
-    fingerprint = "" if pipeline is None else pipeline.fingerprint()
+    images = tuple(images)
     return tuple(
         GRAPH_RECORD_CACHE.add(
-            (kind, name, image, fingerprint), GraphRecord.of(profile)
+            _record_key(kind, name, image, pipeline),
+            replace(GraphRecord.of(profile), axis=images),
         )
         for image, profile in zip(images, profile_graph(topology, pipeline))
     )
+
+
+def _record_key(
+    kind: str, name: str, image_size: int, pipeline: "PassPipeline | None"
+) -> tuple[str, str, int, str]:
+    fingerprint = "" if pipeline is None else pipeline.fingerprint()
+    return kind, name, image_size, fingerprint
+
+
+def cached_records(
+    kind: str,
+    name: str,
+    images: Sequence[int],
+    pipeline: "PassPipeline | None" = None,
+) -> dict[int, GraphRecord]:
+    """The records of ``images`` that :data:`GRAPH_RECORD_CACHE` holds,
+    read without counting a lookup (for the other images of a graph whose
+    record :func:`graph_record` just returned)."""
+    found = {}
+    for image in images:
+        record = GRAPH_RECORD_CACHE.peek(
+            _record_key(kind, name, image, pipeline)
+        )
+        if record is not None:
+            found[image] = record
+    return found
 
 
 def graph_record(
@@ -403,7 +466,6 @@ def graph_record(
     ``graph`` is the caller's already-built raw graph for this key, costed
     as its one-image topology.
     """
-    fingerprint = "" if pipeline is None else pipeline.fingerprint()
 
     def build() -> GraphRecord:
         pairs = (
@@ -420,7 +482,7 @@ def graph_record(
         raise ValueError(f"image {image_size} is not among {tuple(images)}")
 
     return GRAPH_RECORD_CACHE.get_or_compute(
-        (kind, name, image_size, fingerprint), build
+        _record_key(kind, name, image_size, pipeline), build
     )
 
 

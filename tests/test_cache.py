@@ -65,6 +65,16 @@ class TestLRUCache:
         cache.add("c", 3)
         assert len(cache) == 2 and cache.stats().evictions == 1
 
+    def test_peek_counts_no_lookup_and_keeps_the_eviction_order(self):
+        cache = LRUCache(maxsize=2)
+        cache.add("a", 1)
+        cache.add("b", 2)
+        assert cache.peek("a") == 1
+        assert cache.peek("z") is None
+        assert cache.stats() == CacheStats()
+        cache.add("c", 3)  # "a" is still the least recently used
+        assert "a" not in cache and "b" in cache
+
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError, match="maxsize"):
             LRUCache(maxsize=0)
@@ -136,4 +146,9 @@ class TestProfileCaches:
 
     def test_record_holds_no_graph_or_cost_list(self):
         record = graph_record("model", "alexnet", 64)
-        assert sorted(vars(record)) == ["features", "profile", "summary"]
+        assert sorted(vars(record)) == [
+            "axis", "features", "profile", "summary"
+        ]
+        # The axis is the image sizes costed in the same walk: ints only.
+        assert 64 in record.axis
+        assert all(type(image) is int for image in record.axis)
