@@ -1,22 +1,31 @@
 """One parsed program, shared by the DET, CON and PERF lint domains.
 
 This module alone finds, reads, decodes and parses source files, so
-``repro lint --domain all`` parses each file once.  Sources are decoded
-the way Python decodes them (a PEP 263 coding cookie or a UTF-8 BOM, else
-UTF-8; never the locale).  A file that cannot be read or does not parse
-stays in the :class:`Program` as a failed record, which each domain
-reports under its own ``xxx000`` rule.
+``repro lint --domain all`` parses each file once.  Each file is read
+once as bytes and decoded from those bytes the way Python decodes source
+(a PEP 263 coding cookie or a UTF-8 BOM, else UTF-8; never the locale),
+exactly as :func:`tokenize.open` would.  A file that cannot be read or
+does not parse stays in the :class:`Program` as a failed record, which
+each domain reports under its own ``xxx000`` rule.
+
+:meth:`Program.load` returns the same object for an unchanged tree: the
+last :data:`PROGRAM_CACHE_SIZE` loads are kept, keyed by every file's
+name and bytes, so the path entry points of all three domains share one
+parse, one suppression index per file and one call graph.  A load that
+meets a file it cannot read is never kept.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import io
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro.caching import LRUCache
 from repro.diagnostics import Diagnostic, Severity
 from repro.lint.suppress import SuppressionIndex
 
@@ -43,15 +52,36 @@ def _parse(path: str, source: str) -> SourceFile:
     return SourceFile(path, source, tree, suppress=SuppressionIndex(source))
 
 
-def _read(path: Path) -> SourceFile:
+def _read(path: Path) -> tuple[str, bytes | OSError]:
+    """The file's name and bytes, or why it could not be opened."""
     try:
-        with tokenize.open(path) as fh:
-            source = fh.read()
-    except (OSError, SyntaxError, UnicodeDecodeError) as exc:
+        return str(path), path.read_bytes()
+    except OSError as exc:
+        return str(path), exc
+
+
+def _decode(name: str, data: bytes) -> str:
+    """``data`` decoded as :func:`tokenize.open` decodes the file ``name``."""
+    buffer = io.BytesIO(data)
+    buffer.name = name  # detect_encoding names the file in its errors
+    encoding, _ = tokenize.detect_encoding(buffer.readline)
+    buffer.seek(0)
+    return io.TextIOWrapper(buffer, encoding).read()
+
+
+def _unreadable(name: str, exc: Exception) -> SourceFile:
+    return SourceFile(name, None, error=(name, f"cannot read file: {exc}"))
+
+
+def _load(name: str, data: bytes | OSError) -> SourceFile:
+    if isinstance(data, OSError):
+        return _unreadable(name, data)
+    try:
+        source = _decode(name, data)
+    except (SyntaxError, UnicodeDecodeError) as exc:
         # SyntaxError: a bad coding cookie, or non-UTF-8 bytes without one
-        return SourceFile(str(path), None,
-                          error=(str(path), f"cannot read file: {exc}"))
-    return _parse(str(path), source)
+        return _unreadable(name, exc)
+    return _parse(name, source)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -74,8 +104,20 @@ class Program:
 
     @classmethod
     def load(cls, paths: Iterable[str | Path]) -> Program:
-        """Every ``.py`` file under ``paths``; a missing one is a failure."""
-        return cls(tuple(_read(f) for f in iter_python_files(paths)))
+        """Every ``.py`` file under ``paths``; a missing one is a failure.
+
+        The same object as a recent load whose files had the same names
+        and bytes, in the same order; a load with an unreadable file is
+        built afresh and not kept, so a file that becomes readable is
+        read."""
+        files = tuple(_read(f) for f in iter_python_files(paths))
+
+        def build() -> Program:
+            return cls(tuple(_load(name, data) for name, data in files))
+
+        if any(isinstance(data, OSError) for _, data in files):
+            return build()
+        return PROGRAM_CACHE.get_or_compute(files, build)
 
     @classmethod
     def from_sources(cls, items: Iterable[tuple[str, str]]) -> Program:
@@ -105,4 +147,14 @@ class Program:
         return _Analyzer(self)
 
 
-__all__ = ["Program", "SourceFile", "iter_python_files"]
+#: Loads kept by :meth:`Program.load`.  A kept ``src/repro`` program,
+#: call graph included, holds about 35 MB.
+PROGRAM_CACHE_SIZE = 4
+
+#: ``((name, bytes), ...)`` in :func:`iter_python_files` order -> the
+#: :class:`Program` parsed from exactly those bytes.
+PROGRAM_CACHE: LRUCache[tuple[tuple[str, bytes], ...], Program] = LRUCache(
+    PROGRAM_CACHE_SIZE)
+
+
+__all__ = ["PROGRAM_CACHE", "Program", "SourceFile", "iter_python_files"]

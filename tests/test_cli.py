@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.conftest import REPO_SRC
 
 
 class TestListing:
@@ -372,7 +373,7 @@ class TestLintDomains:
         # Ignoring a rule must not turn the in-source suppressions of that
         # rule into stale SUP001 warnings: the analyzers see every rule
         # and the CLI drops ignored findings afterwards.
-        rc = main(["lint", "--domain", "performance", "src/repro",
+        rc = main(["lint", "--domain", "performance", str(REPO_SRC),
                    "--ignore", "PERF001", "PERF008"])
         assert rc == 0
         assert "0 errors, 0 warnings" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from repro.analysis.concurrency import (
 )
 from repro.cli import main
 from repro.diagnostics import Severity, has_errors
+from tests.conftest import REPO_SRC
 
 
 def rules_of(source: str) -> list[str]:
@@ -493,7 +494,7 @@ class TestRepositoryIsClean:
 
 class TestConcurrencyCLI:
     def test_clean_repo_exits_zero(self, capsys):
-        rc = main(["lint", "--domain", "concurrency", "src/repro"])
+        rc = main(["lint", "--domain", "concurrency", str(REPO_SRC)])
         assert rc == 0
         assert "0 errors" in capsys.readouterr().out
 

@@ -1,17 +1,22 @@
 """One ``Program`` per lint run: source decoding, the per-domain ``xxx000``
 rules, and proof that sharing one parse, one suppression index and one
-call graph across DET, CON and PERF changes no finding."""
+call graph across DET, CON and PERF, within a run and across the loads of
+an unchanged tree, changes no finding."""
 
 import ast
+import itertools
 import json
 import textwrap
+import tokenize
 
 import pytest
 
 from repro.analysis import concurrency, perf
+from repro.caching import LRUCache
 from repro.cli import main
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint import Program, lint_paths, lint_program
+from repro.lint import program as program_module
 
 LATIN1_BYTES = b'x = "\xe9"\n'
 
@@ -158,3 +163,174 @@ class TestOneProgramForAllDomains:
         # three readable files (one fails to parse), the missing one unread
         assert len(parses) == len(set(parses)) == 3
         assert len(scans) == 1
+
+
+def old_read_error(path):
+    """The ``cannot read file`` message a :func:`tokenize.open` read of
+    ``path`` gives, or None: the reference the byte-based loader meets."""
+    try:
+        with tokenize.open(path) as fh:
+            fh.read()
+    except (OSError, SyntaxError, UnicodeDecodeError) as exc:
+        return f"cannot read file: {exc}"
+    return None
+
+
+def cold_cache(monkeypatch):
+    """Start the program cache empty, so the next load parses."""
+    monkeypatch.setattr(program_module, "PROGRAM_CACHE",
+                        LRUCache(program_module.PROGRAM_CACHE_SIZE))
+
+
+def findings(tree):
+    return [d.to_dict() for d in lint_paths(tree)[0]]
+
+
+class TestKeptLoads:
+    def test_unchanged_tree_parses_and_scans_once(self, lint_tree,
+                                                  monkeypatch):
+        tree = lint_tree[:1]  # the missing path would keep nothing
+        parses = []
+        scans = []
+        parse = ast.parse
+        scan_all = concurrency._Analyzer._scan_all
+
+        def counted_parse(*args, **kwargs):
+            parses.append(kwargs.get("filename"))
+            return parse(*args, **kwargs)
+
+        def counted_scan(self):
+            scans.append(self)
+            return scan_all(self)
+
+        monkeypatch.setattr(ast, "parse", counted_parse)
+        monkeypatch.setattr(concurrency._Analyzer, "_scan_all", counted_scan)
+        results = [by_path(tree) for _, by_path in DOMAINS.values()]
+        assert [n for _, n in results] == [3, 3, 3]
+        # hot.py, stale.py and broken.py, which fails to parse
+        assert len(parses) == len(set(parses)) == 3
+        assert len(scans) == 1
+        program = Program.load(tree)
+        assert Program.load(tree) is program
+        assert program.analyzer is scans[0]
+
+    def test_edit_add_and_remove_give_a_fresh_program(self, tmp_path):
+        root = tmp_path / "pkg"
+        root.mkdir()
+        cmp = root / "cmp.py"
+        cmp.write_text("def f(t):\n    return t == 1.5\n")
+        tree = [str(root)]
+        first = Program.load(tree)
+        assert [d["rule"] for d in findings(tree)] == ["DET003"]
+
+        cmp.write_text("def f(t):\n    return t <= 1.5\n")  # one byte
+        edited = Program.load(tree)
+        assert edited is not first
+        assert findings(tree) == []
+
+        (root / "cache.py").write_text(
+            "import functools\n\n\n@functools.lru_cache\ndef g():\n"
+            "    return 1\n")
+        added = Program.load(tree)
+        assert added is not edited
+        assert added.n_files == 2
+        assert [d["rule"] for d in findings(tree)] == ["DET002"]
+
+        cmp.unlink()
+        removed = Program.load(tree)
+        assert removed not in (first, edited, added)
+        assert [f.path for f in removed.files] == [str(root / "cache.py")]
+        # an earlier load is left as it was read
+        assert [f.path for f in first.files] == [str(cmp)]
+        assert "==" in first.files[0].source
+
+    def test_relative_and_absolute_spellings_name_files_as_given(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "pkg"
+        root.mkdir()
+        (root / "cmp.py").write_text("def f(t):\n    return t == 1.5\n")
+        monkeypatch.chdir(tmp_path)
+        relative = Program.load(["pkg"])
+        absolute = Program.load([str(root)])
+        assert relative is not absolute
+        assert Program.load(["pkg"]) is relative
+        assert [f.path for f in relative.files] == ["pkg/cmp.py"]
+        assert [f.path for f in absolute.files] == [str(root / "cmp.py")]
+        assert [d["location"] for d in findings(["pkg"])] == ["pkg/cmp.py:2"]
+        assert [d["location"] for d in findings([str(root)])] == [
+            f"{root / 'cmp.py'}:2"]
+
+    def test_unreadable_paths_are_never_kept(self, tmp_path, monkeypatch):
+        cold_cache(monkeypatch)
+        root = tmp_path / "pkg"
+        root.mkdir()
+        (root / "ok.py").write_text("x = 1\n")
+        late = root / "late.py"
+        late.mkdir()  # found by the walk, but open() fails
+        absent = tmp_path / "absent.py"
+        tree = [str(root), str(absent)]
+        loads = [Program.load(tree) for _ in range(2)]
+        assert loads[0] is not loads[1]
+        for program in loads:
+            assert [d.message for d in program.failures("X000")] == [
+                old_read_error(late), old_read_error(absent)]
+            assert program.n_files == 1
+        assert len(program_module.PROGRAM_CACHE) == 0
+
+        late.rmdir()
+        late.write_text("def f(t):\n    return t == 1.5\n")
+        absent.write_text("y = 2\n")
+        program = Program.load(tree)
+        assert program.failures("X000") == []
+        assert program.n_files == 3
+        assert [d["rule"] for d in findings(tree)] == ["DET003"]
+        assert Program.load(tree) is program
+
+    def test_every_domain_order_twice_over_one_program(
+        self, lint_tree, monkeypatch
+    ):
+        tree = lint_tree[:1]
+        expected = {}
+        for name, (_, by_path) in DOMAINS.items():
+            cold_cache(monkeypatch)
+            expected[name] = by_path(tree)[0]
+        assert sum(d.rule == "SUP001"
+                   for diags in expected.values() for d in diags) == 3
+        for order in itertools.permutations(DOMAINS):
+            cold_cache(monkeypatch)
+            program = Program.load(tree)
+            for _ in range(2):
+                for name in order:
+                    assert DOMAINS[name][1](tree)[0] == expected[name]
+            assert Program.load(tree) is program
+
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbfx = 1\n",                       # UTF-8 BOM
+        b"\xef\xbb\xbf# -*- coding: latin-1 -*-\nx = 1\n",  # BOM vs cookie
+        b"# -*- coding: latin-1 -*-\n" + LATIN1_BYTES,  # latin-1 cookie
+        b"# -*- coding: nope -*-\nx = 1\n",             # bad cookie
+        LATIN1_BYTES,                                    # undecodable line 1
+        b"x = 1\ny = 2\n" + LATIN1_BYTES,                # undecodable later
+        b"x = 1\r\ny = 2\rz = 3\n",                      # CRLF and CR
+    ])
+    def test_decoding_matches_tokenize_open(self, tmp_path, data):
+        path = tmp_path / "case.py"
+        path.write_bytes(data)
+        [record] = Program.load([path]).files
+        message = old_read_error(path)
+        if message is None:
+            with tokenize.open(path) as fh:
+                assert record.source == fh.read()
+            assert record.error is None
+        else:
+            assert record.error == (str(path), message)
+            assert record.source is None
+
+    def test_bad_cookie_error_names_the_file(self, tmp_path):
+        # detect_encoding names the file only when its reader has `.name`
+        path = tmp_path / "cookie.py"
+        path.write_bytes(b"# -*- coding: nope -*-\nx = 1\n")
+        [record] = Program.load([path]).files
+        assert record.error == (
+            str(path), f"cannot read file: unknown encoding for {str(path)!r}: nope")

@@ -21,6 +21,7 @@ from repro.analysis.perf import (
 from repro.cli import main
 from repro.diagnostics import Severity
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
+from tests.conftest import REPO_SRC
 
 
 def rules_of(source: str) -> list[str]:
@@ -640,7 +641,7 @@ class TestCliContract:
         assert "0 errors, 0 warnings across 1 file" in capsys.readouterr().out
 
     def test_src_repro_performance_gate_is_clean(self, capsys):
-        assert main(["lint", "--domain", "performance", "src/repro"]) == 0
+        assert main(["lint", "--domain", "performance", str(REPO_SRC)]) == 0
         assert "0 errors, 0 warnings" in capsys.readouterr().out
 
     def test_all_domain_includes_performance(self, tmp_path, capsys):
