@@ -57,23 +57,20 @@ class DomainViolation:
         )
 
 
-def _outside_band(
-    X: np.ndarray,
-    ranges: Sequence[tuple[float, float]],
-    factor: float,
+def domain_band(
+    ranges: Sequence[tuple[float, float]], factor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(over, under)`` element masks of ``X`` against the allowed band.
+    """``(lower, upper)`` per-feature bounds of the allowed band.
 
     The one place the FIT004 bound arithmetic lives: a value ``v`` of
-    feature ``j`` is *over* when ``v > factor * max_j`` and *under* when
+    feature ``j`` is outside when ``v > factor * max_j`` or
     ``v < min_j / factor`` for a strictly positive ``min_j`` (a column
     whose fitted minimum is ``<= 0`` has no lower bound).
     """
     if factor <= 0:
         raise ValueError("extrapolation factor must be positive")
     lo, hi = np.asarray(ranges, dtype=np.float64).reshape(-1, 2).T
-    lower = np.where(lo > 0, lo / factor, -np.inf)
-    return X > factor * hi, X < lower
+    return np.where(lo > 0, lo / factor, -np.inf), factor * hi
 
 
 def range_violations(
@@ -81,6 +78,7 @@ def range_violations(
     ranges: Sequence[tuple[float, float]],
     labels: Sequence[str],
     factor: float = 10.0,
+    band: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[DomainViolation]:
     """Query rows outside ``factor``× the fitted per-feature ranges.
 
@@ -88,7 +86,9 @@ def range_violations(
     and the nonlinear predictor artifacts (``repro.baselines``): a value
     ``v`` of feature ``j`` violates the domain when ``v > factor * max_j``
     or (for strictly positive fitted columns) ``v < min_j / factor``.
-    Returns one aggregated :class:`DomainViolation` per offending feature.
+    ``band`` is :func:`domain_band` of ``ranges`` and ``factor`` when the
+    caller keeps it.  Returns one aggregated :class:`DomainViolation` per
+    offending feature.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -98,7 +98,8 @@ def range_violations(
             f"query has {X.shape[1]} columns, fitted ranges cover "
             f"{len(ranges)}"
         )
-    over, under = _outside_band(X, ranges, factor)
+    lower, upper = domain_band(ranges, factor) if band is None else band
+    over, under = X > upper, X < lower
     bad = over | under
     violations: list[DomainViolation] = []
     for j in np.flatnonzero(bad.any(axis=0)).tolist():
@@ -159,6 +160,11 @@ class LinearModel:
     )
     fit_weight: np.ndarray | None = field(
         default=None, repr=False, compare=False
+    )
+    #: ``(feature_ranges, factor, domain_band(...))`` of the last FIT004
+    #: check, so a served model derives its band once, not per request.
+    _kept_band: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def fit(
@@ -262,8 +268,23 @@ class LinearModel:
         X = np.asarray(X, dtype=np.float64)
         n_cols = X.shape[1] if X.ndim == 2 else X.shape[0]
         return range_violations(
-            X, self.feature_ranges, self.feature_labels(n_cols), factor
+            X, self.feature_ranges, self.feature_labels(n_cols), factor,
+            band=self.band(factor),
         )
+
+    def band(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`domain_band` of the recorded ranges, derived once per
+        ``(feature_ranges, factor)`` pair and kept for the next call."""
+        kept = self._kept_band
+        if kept is None or kept[0] is not self.feature_ranges or (
+            kept[1] != factor
+        ):
+            band = domain_band(self.feature_ranges, factor)
+            for bound in band:  # shared by every later caller and thread
+                bound.flags.writeable = False
+            kept = (self.feature_ranges, factor, band)
+            self._kept_band = kept
+        return kept[2]
 
     def out_of_domain(
         self, X: np.ndarray, factor: float = 10.0
@@ -279,10 +300,9 @@ class LinearModel:
             if factor <= 0:
                 raise ValueError("extrapolation factor must be positive")
             return np.zeros(len(X), dtype=bool)
-        over, under = _outside_band(
-            np.asarray(X, dtype=np.float64), self.feature_ranges, factor
-        )
-        return (over | under).any(axis=1)
+        lower, upper = self.band(factor)
+        X = np.asarray(X, dtype=np.float64)
+        return ((X > upper) | (X < lower)).any(axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef is None:

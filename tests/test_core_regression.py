@@ -23,6 +23,7 @@ from repro.core.metrics import (
     r_squared,
     rmse,
 )
+from repro.core import regression
 from repro.core.regression import LinearModel
 
 
@@ -240,6 +241,26 @@ class TestLinearModel:
         assert model.domain_violations(
             np.array([[90.0, 1.0]]), factor=2.0
         )
+
+    def test_band_is_kept_per_ranges_and_factor(self, monkeypatch):
+        derived = []
+        real = regression.domain_band
+        monkeypatch.setattr(
+            regression, "domain_band",
+            lambda ranges, factor: derived.append(factor)
+            or real(ranges, factor),
+        )
+        model = LinearModel(feature_ranges=((1.0, 10.0), (0.0, 5.0)))
+        X = np.array([[1.0, 60.0], [2.0, 3.0]])
+        for _ in range(2):
+            assert model.out_of_domain(X, 8.0).tolist() == [True, False]
+            assert len(model.domain_violations(X, 8.0)) == 1
+        assert derived == [8.0]
+        assert model.out_of_domain(X, 2.0).tolist() == [True, False]
+        # New ranges (a refit or a reload) derive a new band.
+        model.feature_ranges = ((1.0, 10.0), (0.0, 50.0))
+        assert model.out_of_domain(X, 2.0).tolist() == [False, False]
+        assert derived == [8.0, 2.0, 2.0]
 
     @given(
         c1=st.floats(1e-12, 1e-6),

@@ -15,6 +15,9 @@ and ``http.client`` requests against it.  The suites cover
   client threads with zero torn responses;
 * hot reload — replacing an artifact file under a running server changes
   its answers without a restart;
+* the HTTP edge — one socket send per response, keep-alive hygiene,
+  stalled clients, and the header reader: its 431/400/505/411 refusals on
+  raw sockets and a differential test against ``http.client``;
 * the golden-response snapshot — a fixed query grid against the pinned
   ``tests/data/model_v2_golden.json`` artifact, regenerable via::
 
@@ -24,6 +27,7 @@ and ``http.client`` requests against it.  The suites cover
 from __future__ import annotations
 
 import copy
+import io
 import json
 import os
 import shutil
@@ -31,11 +35,12 @@ import socket
 import sys
 import tempfile
 import threading
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException, parse_headers
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.audit import prediction_warnings
 from repro.cli import main as cli_main
@@ -55,13 +60,17 @@ from repro.serve.protocol import (
     FeatureCache,
     PredictQuery,
     PredictRequest,
+    ProtocolError,
     answer_request,
 )
 from repro.serve.registry import ArtifactEntry
 from repro.serve.server import (
     MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
     REQUEST_TIMEOUT_S,
     PredictionHandler,
+    read_headers,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -636,6 +645,25 @@ class TestObservability:
         assert "# TYPE repro_predictions_total counter" in text
         assert "repro_feature_cache_lookups" in text
         assert "repro_registry_reloads" in text
+
+    def test_one_counter_lock_acquisition_per_predict(self, server,
+                                                      monkeypatch):
+        lock = server._counter_lock
+        entered = []
+
+        class Counted:
+            def __enter__(self):
+                entered.append(1)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        monkeypatch.setattr(server, "_counter_lock", Counted())
+        # The handler counts before its response is flushed.
+        assert _post(server, {"network": "alexnet", "batch": 1})[0] == 200
+        assert _post(server, {"network": "no-such-net"})[0] == 404
+        assert len(entered) == 2
 
     def test_counters_monotonic_and_exact(self, server):
         _, before = _get(server, "/metrics")
@@ -1360,6 +1388,246 @@ class TestStalledClients:
         assert response.startswith(b"HTTP/1.1 200 ")
         assert leaked == []
 
+
+
+# -- request parsing ---------------------------------------------------------
+
+
+def _raw(request_line, header_lines, body=b""):
+    """A request from exact header lines (``bytes``, CRLF-terminated)."""
+    return (request_line + b"\r\n" + b"".join(header_lines) + b"\r\n"
+            + body)
+
+
+#: Headers ``PredictionHandler`` reads; the differential test compares
+#: each of them (in three casings) with ``http.client.parse_headers``.
+HANDLER_READS = ("Content-Length", "Transfer-Encoding", "Connection",
+                 "Expect", "Accept")
+
+
+class TestRequestParsing:
+    SMUGGLED = _http("GET", "/healthz")
+    BODY = json.dumps({"network": "alexnet", "batch": 1}).encode()
+
+    @pytest.mark.parametrize("data, status", [
+        (_raw(b"GET /healthz HTTP/1.1",
+              [b"X-Big: " + b"a" * MAX_LINE_BYTES + b"\r\n"]), 431),
+        (_raw(b"GET /healthz HTTP/1.1",
+              [b"X-%d: v\r\n" % i for i in range(MAX_HEADER_LINES + 1)]),
+         431),
+        (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        (_raw(b"GET /healthz HTTP/1.1",
+              [b"Accept: text/plain\r\n", b" text/html\r\n"]), 400),
+        (_raw(b"GET /healthz HTTP/1.1", [b"Accept text/plain\r\n"]), 400),
+        (_raw(b"GET /healthz HTTP/1.1", [b"Accept : text/plain\r\n"]), 400),
+        (_raw(b"GET /healthz HTTP/1.1", [b"Accept: a\rHost: b\r\n"]), 400),
+    ], ids=["long-line", "101st-header", "bad-version", "http-2",
+            "obs-fold", "no-colon", "space-before-colon", "bare-cr"])
+    def test_malformed_head_is_refused_and_closed(self, server, server_sends,
+                                                  data, status):
+        before = _counters(server)
+        response = _exchange(server, data + self.SMUGGLED)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in response
+        assert server_sends == [response]
+        # http.server's send_error answers these; they count nothing.
+        assert _deltas(before, _counters(server)) == {}
+
+    @pytest.mark.parametrize("lengths, status", [
+        ((0, len(SMUGGLED)), 400),
+        ((len(BODY), len(BODY)), 200),
+    ], ids=["conflicting", "identical"])
+    def test_repeated_content_length(self, server, lengths, status):
+        headers = [b"Content-Length: %d\r\n" % n for n in lengths]
+        body = b""
+        if status == 200:  # ends the exchange; a refusal must close alone
+            headers.append(b"Connection: close\r\n")
+            body = self.BODY
+        data = _raw(b"POST /predict HTTP/1.1", headers, body)
+        before = _counters(server)
+        response = _exchange(server, data + self.SMUGGLED)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert (b"\r\nConnection: close\r\n" in response) is (status == 400)
+        expected = {} if status == 400 else {
+            "http_requests_total": 1.0, "predict_requests_total": 1.0,
+            "predictions_total": 1.0, "http_200_total": 1.0,
+        }
+        assert _deltas(before, _counters(server)) == expected
+
+    def test_transfer_encoding_beside_content_length_is_411(self, server):
+        # Honouring Content-Length: 0 would answer the empty body and then
+        # parse the chunked body, a whole request, as the next one.
+        data = _raw(b"POST /predict HTTP/1.1", [
+            b"Transfer-Encoding: chunked\r\n", b"Content-Length: 0\r\n",
+        ], b"%x\r\n" % len(self.SMUGGLED) + self.SMUGGLED + b"\r\n0\r\n\r\n")
+        before = _counters(server)
+        response = _exchange(server, data + self.SMUGGLED)
+        assert response.startswith(b"HTTP/1.1 411 ")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in response
+        assert _deltas(before, _counters(server)) == {
+            "http_requests_total": 1.0, "predict_requests_total": 1.0,
+            "errors_total": 1.0, "http_411_total": 1.0,
+        }
+
+    def test_header_names_are_case_insensitive(self, server):
+        data = _raw(b"POST /predict HTTP/1.1", [
+            b"cOnTeNt-LeNgTh: %d\r\n" % len(self.BODY),
+            b"CONNECTION: Close\r\n",
+        ], self.BODY)
+        before = _counters(server)
+        response = _exchange(server, data + self.SMUGGLED)
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert _deltas(before, _counters(server)) == {
+            "http_requests_total": 1.0, "predict_requests_total": 1.0,
+            "predictions_total": 1.0, "http_200_total": 1.0,
+        }
+
+    @pytest.mark.parametrize("headers, answers", [
+        ([], 1),
+        ([b"Connection: keep-alive\r\n"], 2),
+    ], ids=["default-close", "keep-alive"])
+    def test_http_1_0_closes_unless_kept_alive(self, server, headers,
+                                               answers):
+        first = _raw(b"GET /healthz HTTP/1.0", headers)
+        before = _counters(server)
+        response = _exchange(server, first + _raw(
+            b"GET /healthz HTTP/1.0", []
+        ))
+        assert response.count(b"HTTP/1.1 200 ") == answers
+        assert _deltas(before, _counters(server)) == {
+            "http_requests_total": float(answers),
+            "http_200_total": float(answers),
+        }
+
+    def test_http_0_9_gets_the_bare_body(self, server):
+        response = _exchange(server, b"GET /healthz\r\n\r\n")
+        assert json.loads(response)["status"] == "ok"
+
+    @pytest.mark.parametrize("data", [
+        b"POST /predict HTTP/1.1\r\nHost: test\r\n",
+        b"POST /predict HTTP/1.1\r\nHost: test\r\nContent-Le",
+    ], ids=["between-lines", "mid-line"])
+    def test_half_close_mid_headers(self, stall_server, data):
+        server, leaked = stall_server
+        before = _counters(server)
+        sock = socket.create_connection(server.server_address[:2],
+                                        timeout=5.0)
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        finally:
+            sock.close()
+        response = b"".join(chunks)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert _deltas(before, _counters(server)) == {}
+        assert leaked == []
+
+
+_FIELD_LINES = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from([*HANDLER_READS, "content-length", "CONNECTION",
+                     "Host", "X-Id"]),
+    st.sampled_from([":", ": ", ":\t", "::"]),
+    st.lists(
+        st.sampled_from([*"09aZ ,;=-/\t\xe9\xff:", "close",
+                         "100-continue"]),
+        max_size=6,
+    ).map("".join),
+    st.sampled_from(["\r\n", "\n"]),
+)
+#: Lines the email parser takes loosely and ``read_headers`` refuses.
+_MALFORMED_LINES = st.sampled_from([
+    " folded\r\n", "\tfolded\r\n", "no colon\r\n", "Accept : a\r\n",
+    "Bad Name: a\r\n", ": a\r\n", "X(y): a\r\n", "Accept: a\r\r\n",
+    "Accept: a\rHost: b\r\n",
+])
+
+
+def _block(lines):
+    return "".join(lines).encode("latin-1") + b"\r\n"
+
+
+def _both(block):
+    """``(read_headers, http.client.parse_headers)`` results on ``block``
+    and the stream offset each one stopped at; an exception for a
+    refused block."""
+    results = []
+    for parse in (read_headers, parse_headers):
+        rfile = io.BytesIO(block + b"next")
+        try:
+            results.append((parse(rfile), rfile.tell()))
+        except (ProtocolError, HTTPException) as exc:
+            results.append((exc, None))
+    return results
+
+
+class TestHeaderReader:
+    @given(lines=st.lists(_FIELD_LINES, max_size=8),
+           malformed=st.none() | st.tuples(_MALFORMED_LINES, st.integers()))
+    @settings(max_examples=300, deadline=None)
+    def test_get_matches_http_client_on_accepted_blocks(self, lines,
+                                                         malformed):
+        if malformed is not None:
+            line, at = malformed
+            lines.insert(at % (len(lines) + 1), line)
+        block = _block(lines)
+        (ours, our_end), (theirs, their_end) = _both(block)
+        lengths = {
+            line.split(":", 1)[1].strip()
+            for line in lines
+            if line.lower().startswith("content-length:")
+        }
+        if malformed is not None or len(lengths) > 1:
+            assert isinstance(ours, ProtocolError) and ours.status == 400
+            return
+        assert our_end == their_end == len(block)
+        for name in HANDLER_READS + ("Host", "X-Id", "Missing"):
+            for spelled in (name, name.lower(), name.upper()):
+                assert ours.get(spelled) == theirs.get(spelled), spelled
+                assert ours.get(spelled, "-") == theirs.get(spelled, "-")
+
+    def test_a_typical_block_is_accepted(self):
+        block = (b"Host: 127.0.0.1:8151\r\nAccept-Encoding: identity\r\n"
+                 b"Content-Length: 47\r\nContent-Type: application/json"
+                 b"\r\nAccept:   text/plain  \r\nX-Empty:\r\n\r\n")
+        (ours, _), (theirs, _) = _both(block)
+        for name in (*HANDLER_READS, "Host", "X-Empty", "Missing"):
+            assert ours.get(name) == theirs.get(name)
+        assert ours.get("accept") == "text/plain  "
+
+    @pytest.mark.parametrize("n_fields, refused", [
+        (MAX_HEADER_LINES - 1, False),
+        (MAX_HEADER_LINES, True),
+        (MAX_HEADER_LINES + 1, True),
+    ])
+    def test_field_limit_is_http_clients(self, n_fields, refused):
+        block = b"".join(b"X-%d: v\r\n" % i for i in range(n_fields))
+        (ours, _), (theirs, _) = _both(block + b"\r\n")
+        assert isinstance(theirs, HTTPException) is refused
+        assert isinstance(ours, ProtocolError) is refused
+        if refused:
+            assert ours.status == 431
+
+    @pytest.mark.parametrize("size, refused", [
+        (MAX_LINE_BYTES, False), (MAX_LINE_BYTES + 1, True),
+    ])
+    def test_line_limit_is_http_clients(self, size, refused):
+        line = b"X-Big: " + b"a" * (size - len(b"X-Big: \r\n")) + b"\r\n"
+        assert len(line) == size
+        (ours, _), (theirs, _) = _both(line + b"\r\n")
+        assert isinstance(theirs, HTTPException) is refused
+        assert isinstance(ours, ProtocolError) is refused
+        if refused:
+            assert ours.status == 431
 
 if __name__ == "__main__":  # pragma: no cover - snapshot regeneration
     print(json.dumps(_golden_response(), indent=2, sort_keys=True))
