@@ -9,15 +9,14 @@ sweep into an explicit point list and executes it through one engine:
   :class:`SweepPoint` s.  The order is part of the contract: the assembled
   dataset always follows enumeration order, never completion order.
 * **Execution** — :func:`run_campaign` measures the points one
-  ``(nodes, model, image)`` grid at a time (:func:`_measure_grid`: one
-  graph record lookup, one clean-time/noise/work grid and one gate per
-  batch, then only the per-point measurement), either in process
-  (``workers <= 1``) or fanned out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` one ``(nodes, model)``
-  run of grids per task.  The clean-time/noise/work grids of a model's
-  pending images that one topology covers are computed together, as one
-  block (:func:`_point_grid`).
-  Results are keyed by point index and merged in enumeration order, so
+  ``(nodes, model)`` task of ``(nodes, model, image)`` grids at a time
+  (:func:`_measure_task`), either in process (``workers <= 1``) or one
+  task per call of a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  A task looks up each grid's graph record, computes the
+  clean-time/noise/work grids of the images one topology covers together,
+  as one block (:func:`_point_grids`), and then measures grid by grid
+  (:func:`_measure_grid`: one gate per batch, then only the per-point
+  measurement).  Results are keyed by point index and merged in enumeration order, so
   parallel runs are byte-identical to serial ones; all measurement noise
   is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
@@ -54,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -98,9 +97,10 @@ class PointGrid:
     Row ``i`` of each array belongs to ``spec.batch_sizes[i]``.  Each value
     equals its per-point definition bit for bit: the executor's clean times
     and seeded noise draws, and the work sums of :func:`point_counters`.
-    The grids of one block (:func:`_point_grid`) are views into arrays
+    The grids of one block (:func:`_point_grids`) are views into arrays
     computed for all its images at once; each equals, dtype included, the
-    grid its image gives alone.
+    grid its image gives alone.  Nothing keeps them: a task computes its
+    blocks, measures their grids and drops them.
     """
 
     #: Clean-time components per batch, shape ``(batches, components)``;
@@ -115,82 +115,6 @@ class PointGrid:
     work: np.ndarray
     #: Gradient bytes one all-reduce moves (distributed counters).
     grad_bytes: float
-
-
-#: Bounded cache of :class:`PointGrid` s, keyed by everything a grid depends
-#: on: device, execution backend, scenario (training adds phases), graph
-#: transform, model identity, the swept batch sizes, and the seed and reps
-#: the noise draws depend on.  One entry holds the whole batch sweep of a
-#: ``(model, image_size)`` pair.  A miss fills the entries of its whole
-#: block — the pending images one topology covers — from one batched
-#: clean-time evaluation, one work sum and one noise draw over them all, so
-#: a campaign pays that arithmetic once per model topology, not once per
-#: image or point.  Kept apart from the graph record cache: its key adds
-#: the device, backend, batch sweep and seed.
-CLEAN_TIME_CACHE: LRUCache[
-    tuple[DeviceSpec, str, str, str, str, int, tuple[int, ...], int, int],
-    PointGrid,
-] = LRUCache(maxsize=512)
-
-
-def _grid_key(
-    spec: CampaignSpec, model: str, image_size: int
-) -> tuple[DeviceSpec, str, str, str, str, int, tuple[int, ...], int, int]:
-    return (
-        spec.device,
-        spec.backend,
-        spec.scenario,
-        spec.transform,
-        model,
-        image_size,
-        spec.batch_sizes,
-        spec.seed,
-        spec.reps,
-    )
-
-
-def _point_grid(
-    spec: CampaignSpec,
-    model: str,
-    image_size: int,
-    record: roofline.GraphRecord,
-    pipeline: PassPipeline | None,
-    executor: SimulatedExecutor,
-    block: tuple[int, ...],
-) -> PointGrid:
-    """The cached :class:`PointGrid` of ``(model, image_size)``.
-
-    A miss computes the grids of a block at once and caches each: this
-    image and those of ``block`` (the images the caller measures next)
-    that were costed in the same walk (``record.axis``), have no cached
-    grid yet and whose cached records come from a walk over that same
-    axis.  Those records are read without counting a lookup.
-    """
-
-    def build() -> PointGrid:
-        pending = [
-            image for image in record.axis
-            if image != image_size
-            and image in block
-            and _grid_key(spec, model, image) not in CLEAN_TIME_CACHE
-        ]
-        others = {
-            image: other
-            for image, other in roofline.cached_records(
-                spec.kind, model, pending, pipeline
-            ).items()
-            # A record cached from another walk may have other layers.
-            if other.axis == record.axis
-        }
-        profiles = [record.profile] + [r.profile for r in others.values()]
-        grids = _point_grids(spec, profiles, executor)
-        for image, grid in zip(others, grids[1:]):
-            CLEAN_TIME_CACHE.add(_grid_key(spec, model, image), grid)
-        return grids[0]
-
-    return CLEAN_TIME_CACHE.get_or_compute(
-        _grid_key(spec, model, image_size), build
-    )
 
 
 def _point_grids(
@@ -670,29 +594,22 @@ def _tasks(
     ]
 
 
-def _images(task: list[list[SweepPoint]]) -> tuple[int, ...]:
-    return tuple(points[0].image_size for points in task)
-
-
 def _measure_grid(
     spec: CampaignSpec,
     points: list[SweepPoint],
-    block: tuple[int, ...],
+    record: roofline.GraphRecord,
+    grid: PointGrid,
+    executor: SimulatedExecutor,
     tracer: "Tracer | None" = None,
 ) -> list[PointOutcome]:
     """Measure points of one ``(nodes, model, image)`` grid, in order.
 
-    Everything that depends only on the grid is resolved once: the graph
-    record (a graph's first grid costs every image of its sweep at once;
-    records are exact per image, so which grid comes first — any worker
-    layout or resume split — does not matter), the backend and executor,
-    the :class:`PointGrid` of clean times, noise factors and work sums in
-    :data:`CLEAN_TIME_CACHE` (a miss computes those of the ``block``
-    images the caller measures next along with it), and the memory and
-    budget gate of each batch.
-    Per point only the executor's measurement, its record and its counters
-    are left; the executor skips its memory re-check, since gating already
-    proved the fit.
+    ``record`` and ``grid`` are the grid's graph record and
+    :class:`PointGrid` (clean times, noise factors and work sums), as
+    :func:`_measure_task` resolves them.  Each batch is gated once, for
+    memory and budget; per point only the executor's measurement, its
+    record and its counters are left.  The executor skips its memory
+    re-check, since gating already proved the fit.
 
     Gated points yield ``([], {}, "oom" | "budget")`` — a graceful
     per-point record of *why* nothing was measured, which the store
@@ -703,20 +620,8 @@ def _measure_grid(
     either way.
     """
     first = points[0]
-    pipeline = resolve_transform(spec.transform)
-    record = graph_record(
-        spec.kind,
-        first.model,
-        first.image_size,
-        pipeline,
-        images=_valid_images(spec, first.model),
-    )
     profile = record.profile
-    backend = get_backend(spec.backend, spec.device)
-    executor = SimulatedExecutor(seed=spec.seed, backend=backend)
-    grid = _point_grid(
-        spec, first.model, first.image_size, record, pipeline, executor, block
-    )
+    backend = executor.backend
     clean = None if grid.clean is None else grid.clean.tolist()
     noise = None if grid.noise is None else grid.noise.tolist()
     work = grid.work.tolist()
@@ -813,6 +718,58 @@ def _measure_grid(
     return outcomes
 
 
+def _measure_task(
+    spec: CampaignSpec,
+    task: list[list[SweepPoint]],
+    tracer: "Tracer | None" = None,
+) -> Iterator[tuple[list[PointOutcome], CacheStats]]:
+    """Measure one ``(nodes, model)`` task's grids (:func:`_tasks`), in
+    order, yielding each grid's outcomes and graph record cache delta as
+    soon as it is measured.
+
+    Each grid's record is one counted :func:`graph_record` lookup (a
+    graph's first lookup costs every image of its sweep at once; records
+    are exact per image, so which grid comes first — any worker layout or
+    resume split — does not matter), and the deltas let campaign-wide
+    totals aggregate across processes.  The backend and executor are
+    built once.  The grids whose records share a walk
+    (``GraphRecord.axis``, one topology) form a block, whose
+    :class:`PointGrid` s come from one :func:`_point_grids` call.
+    """
+    model = task[0][0].model
+    pipeline = resolve_transform(spec.transform)
+    images = _valid_images(spec, model)
+    # One lookup per grid, each paired with the cache counters after it.
+    cache = roofline.GRAPH_RECORD_CACHE
+    counts = [cache.stats()]
+    looked_up = [
+        (
+            graph_record(
+                spec.kind, model, points[0].image_size, pipeline,
+                images=images,
+            ),
+            cache.stats(),
+        )
+        for points in task
+    ]
+    records = [record for record, _ in looked_up]
+    counts += [after for _, after in looked_up]
+    executor = SimulatedExecutor(
+        seed=spec.seed, backend=get_backend(spec.backend, spec.device)
+    )
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i, record in enumerate(records):
+        blocks.setdefault(record.axis, []).append(i)
+    grids: dict[int, PointGrid] = {}
+    for block in blocks.values():
+        profiles = [records[i].profile for i in block]
+        grids.update(zip(block, _point_grids(spec, profiles, executor)))
+    for i, points in enumerate(task):
+        yield _measure_grid(
+            spec, points, records[i], grids[i], executor, tracer
+        ), counts[i + 1] - counts[i]
+
+
 def trace_campaign(
     spec: CampaignSpec,
     tracer: "Tracer",
@@ -834,12 +791,11 @@ def trace_campaign(
         category="campaign",
         attrs={"device": spec.device.name, "n_points": len(points)},
     )
-    # One span stream per point, in enumeration order: the grid function
-    # measures its points one after another under the tracer.
+    # One span stream per point, in enumeration order: each task measures
+    # its grids' points one after another under the tracer.
     for task in _tasks(_grids(list(enumerate(points)))):
-        block = _images(task)
-        for grid in task:
-            _measure_grid(spec, grid, block, tracer)
+        for _ in _measure_task(spec, task, tracer):
+            pass
     tracer.end()
 
 
@@ -853,24 +809,12 @@ def _init_worker(spec: CampaignSpec) -> None:
     _WORKER_SPEC = spec
 
 
-def _measure_counted(
-    spec: CampaignSpec, points: list[SweepPoint], block: tuple[int, ...]
-) -> tuple[list[PointOutcome], CacheStats]:
-    """:func:`_measure_grid` with the grid's graph record cache delta, so
-    campaign-wide totals aggregate across processes."""
-    before = roofline.GRAPH_RECORD_CACHE.stats()
-    outcomes = _measure_grid(spec, points, block)
-    return outcomes, roofline.GRAPH_RECORD_CACHE.stats() - before
-
-
 def _run_task(
     task: list[list[SweepPoint]],
 ) -> list[tuple[list[PointOutcome], CacheStats]]:
-    """Executed inside a pool worker: one task's grids, each measured and
-    counted."""
+    """Executed inside a pool worker: :func:`_measure_task`, whole."""
     assert _WORKER_SPEC is not None, "worker pool not initialised"
-    block = _images(task)
-    return [_measure_counted(_WORKER_SPEC, points, block) for points in task]
+    return list(_measure_task(_WORKER_SPEC, task))
 
 
 # -- driver ------------------------------------------------------------------
@@ -955,9 +899,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign and assemble its dataset in enumeration order.
 
-    Points are measured one ``(nodes, model, image)`` grid at a time
-    (:func:`_measure_grid`).  ``workers <= 1`` measures in process; larger
-    values fan grids out over a process pool.  Either way the record
+    Points are measured one ``(nodes, model)`` task at a time
+    (:func:`_measure_task`).  ``workers <= 1`` measures in process; larger
+    values fan tasks out over a process pool.  Either way the record
     stream is identical.  With a ``store``, already-recorded points are
     restored instead of re-measured and each grid's results are appended
     as it completes, making interrupted campaigns resumable at point
@@ -1005,10 +949,8 @@ def run_campaign(
                 chunksize=max(1, len(tasks) // (workers * 8)),
             ))
         else:
-            measured = (
-                _measure_counted(spec, points, _images(task))
-                for task in tasks
-                for points in task
+            measured = chain.from_iterable(
+                _measure_task(spec, task) for task in tasks
             )
         # Grids come back in submission (= enumeration) order and each
         # grid's points in order, so the counter floats accumulate in the

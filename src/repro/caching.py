@@ -128,12 +128,6 @@ class LRUCache(Generic[K, V]):
                 self._evictions += 1
         return value
 
-    def peek(self, key: K) -> V | None:
-        """The cached value, or ``None``; counts no lookup and leaves the
-        eviction order alone."""
-        with self._lock:
-            return self._data.get(key)
-
     def clear(self) -> None:
         """Drop all entries; counters keep accumulating across clears."""
         with self._lock:

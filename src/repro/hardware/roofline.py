@@ -430,25 +430,6 @@ def _record_key(
     return kind, name, image_size, fingerprint
 
 
-def cached_records(
-    kind: str,
-    name: str,
-    images: Sequence[int],
-    pipeline: "PassPipeline | None" = None,
-) -> dict[int, GraphRecord]:
-    """The records of ``images`` that :data:`GRAPH_RECORD_CACHE` holds,
-    read without counting a lookup (for the other images of a graph whose
-    record :func:`graph_record` just returned)."""
-    found = {}
-    for image in images:
-        record = GRAPH_RECORD_CACHE.peek(
-            _record_key(kind, name, image, pipeline)
-        )
-        if record is not None:
-            found[image] = record
-    return found
-
-
 def graph_record(
     kind: str,
     name: str,

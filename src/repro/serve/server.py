@@ -339,16 +339,23 @@ class PredictionHandler(BaseHTTPRequestHandler):
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        # A GET body is never read, so a GET that announces one is
+        # answered with the connection closed: its unread bytes would
+        # otherwise be parsed as the next request.
+        length = self.headers.get("Content-Length")
+        close = self.headers.get("Transfer-Encoding") is not None or (
+            length is not None and length.strip() != "0"
+        )
         self.server.count("http_requests_total")
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
-            self._healthz()
+            self._healthz(close)
         elif path == "/metrics":
-            self._metrics()
+            self._metrics(close)
         elif path == "/predict":
-            self._error(405, "use POST /predict")
+            self._error(405, "use POST /predict", close)
         else:
-            self._error(404, f"unknown path {path!r}")
+            self._error(404, f"unknown path {path!r}", close)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         # Every answer given before the body is read closes the
@@ -439,7 +446,7 @@ class PredictionHandler(BaseHTTPRequestHandler):
             counts["prediction_warnings_total"] = float(n_warn)
         self._send_json(200, response, **counts)
 
-    def _healthz(self) -> None:
+    def _healthz(self, close: bool) -> None:
         snapshot = self.server.registry.snapshot()
         self._send_json(
             200,
@@ -450,9 +457,10 @@ class PredictionHandler(BaseHTTPRequestHandler):
                 "models": snapshot.models,
                 "failed": snapshot.failed,
             },
+            close,
         )
 
-    def _metrics(self) -> None:
+    def _metrics(self, close: bool) -> None:
         payload = self.server.metrics()
         accept = self.headers.get("Accept", "")
         if "text/plain" in accept:
@@ -466,9 +474,10 @@ class PredictionHandler(BaseHTTPRequestHandler):
                 200,
                 render_prometheus(flat).encode(),
                 "text/plain; version=0.0.4",
+                close,
             )
         else:
-            self._send_json(200, payload)
+            self._send_json(200, payload, close)
 
 
 def make_server(

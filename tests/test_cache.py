@@ -65,16 +65,6 @@ class TestLRUCache:
         cache.add("c", 3)
         assert len(cache) == 2 and cache.stats().evictions == 1
 
-    def test_peek_counts_no_lookup_and_keeps_the_eviction_order(self):
-        cache = LRUCache(maxsize=2)
-        cache.add("a", 1)
-        cache.add("b", 2)
-        assert cache.peek("a") == 1
-        assert cache.peek("z") is None
-        assert cache.stats() == CacheStats()
-        cache.add("c", 3)  # "a" is still the least recently used
-        assert "a" not in cache and "b" in cache
-
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError, match="maxsize"):
             LRUCache(maxsize=0)

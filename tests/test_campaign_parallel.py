@@ -247,6 +247,59 @@ class TestResume:
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["complete"] is True
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interrupt_inside_a_task_keeps_exactly_the_finished_grids(
+        self, tmp_path, serial_result, workers, k
+    ):
+        # A task is one model's grids; the store still checkpoints each
+        # grid, so a run killed after grid k re-measures none of them.
+        spec = REFERENCE_SPEC
+        points = enumerate_points(spec)
+        grids: dict[tuple, int] = {}
+        for p in points:
+            key = (p.nodes, p.model, p.image_size)
+            grids[key] = grids.get(key, 0) + 1
+        sizes = list(grids.values())
+        keys = list(grids)
+        # Grid k is not the last grid of its model's task.
+        assert keys[k - 1][:2] == keys[k][:2]
+        head = sum(sizes[:k])
+
+        with CampaignStore.open(tmp_path / "fresh", spec) as store:
+            run_campaign(spec, workers=1, store=store)
+        complete = (tmp_path / "fresh" / "records.jsonl").read_text()
+
+        class Interrupt(Exception):
+            pass
+
+        seen = []
+
+        def progress(done, total):
+            seen.append(done)
+            if len(seen) == k:
+                raise Interrupt
+
+        directory = tmp_path / "run"
+        with pytest.raises(Interrupt), CampaignStore.open(
+            directory, spec
+        ) as store:
+            run_campaign(spec, workers=workers, store=store,
+                         progress=progress)
+        assert seen == [sum(sizes[:i + 1]) for i in range(k)]
+        log = directory / "records.jsonl"
+        lines = complete.splitlines(keepends=True)
+        assert log.read_text() == "".join(lines[:head])
+
+        with CampaignStore.open(directory, spec, resume=True) as store:
+            resumed = run_campaign(spec, workers=workers, store=store)
+        assert resumed.stats.n_restored == head
+        assert resumed.stats.n_executed == len(points) - head
+        assert log.read_text() == complete
+        assert _dataset_bytes(resumed.dataset) == _dataset_bytes(
+            serial_result.dataset
+        )
+
     def test_parallel_resume_matches_serial_fresh(
         self, tmp_path, serial_result
     ):

@@ -11,10 +11,11 @@ value must equal its per-point definition bit for bit:
   :func:`point_counters` over the measured points;
 * ``TimingRecord.to_dict`` keeps the ``asdict`` keys, order and bytes.
 
-The measuring loop itself takes one ``(nodes, model, image)`` grid per
-call (``engine._measure_grid``): its records, counters and gate statuses
-must equal what each point gives measured alone, the store must take one
-write per grid, and a store cut inside a grid must resume exactly.
+The measuring loop itself takes one ``(nodes, model)`` task per call
+(``engine._measure_task``) and measures it grid by grid: each grid's
+records, counters and gate statuses must equal what each point gives
+measured alone, the store must take one write per grid, and a store cut
+inside a grid must resume exactly.
 """
 
 import dataclasses
@@ -396,6 +397,15 @@ def _grid_runs(spec: CampaignSpec) -> list[list[SweepPoint]]:
     return list(runs.values())
 
 
+def _task_runs(spec: CampaignSpec) -> list[list[list[SweepPoint]]]:
+    """The spec's grid runs, grouped into (nodes, model) tasks."""
+    from repro.benchdata import engine
+
+    return engine._tasks(engine._grids(list(enumerate(
+        enumerate_points(spec)
+    ))))
+
+
 @pytest.fixture
 def append_calls(monkeypatch):
     """The keys of each ``CampaignStore.append`` call, in call order."""
@@ -418,13 +428,21 @@ class TestGridFunction:
 
         spec = GRID_SPECS[name]
         gates = set()
-        for points in _grid_runs(spec):
-            want = [_point_reference(spec, p) for p in points]
-            block = (points[0].image_size,)
-            assert engine._measure_grid(spec, points, block) == want
-            # Any tail of a grid (a resume inside it) measures the same.
-            assert engine._measure_grid(spec, points[1:], block) == want[1:]
-            gates.update(gate for _, _, gate in want)
+        for task in _task_runs(spec):
+            want = [[_point_reference(spec, p) for p in points]
+                    for points in task]
+            got = [outcomes for outcomes, _ in engine._measure_task(spec, task)]
+            assert got == want
+            for points, grid in zip(task, want):
+                # A grid alone, or any tail of it (a resume inside it),
+                # measures the same.
+                assert [o for o, _ in engine._measure_task(
+                    spec, [points]
+                )] == [grid]
+                assert [o for o, _ in engine._measure_task(
+                    spec, [points[1:]]
+                )] == [grid[1:]]
+                gates.update(gate for _, _, gate in grid)
         assert gates == ({"", "oom", "budget"} if name == "edge" else {""})
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -508,15 +526,30 @@ BACKENDS = ("", "edge", "fp16", "bf16")
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty graph record, verdict and point-grid caches: a cold process."""
+    """Empty graph record and verdict caches: a cold process."""
     from repro.benchdata import engine
     from repro.caching import LRUCache
     from repro.hardware import roofline
 
     monkeypatch.setattr(roofline, "GRAPH_RECORD_CACHE", LRUCache(maxsize=512))
     monkeypatch.setattr(engine, "VERIFY_CACHE", LRUCache(maxsize=512))
-    monkeypatch.setattr(engine, "CLEAN_TIME_CACHE", LRUCache(maxsize=512))
     return engine
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The profiles of each ``engine._point_grids`` call, in call order."""
+    from repro.benchdata import engine
+
+    calls: list[list] = []
+    point_grids = engine._point_grids
+
+    def recording(spec, profiles, executor):
+        calls.append(list(profiles))
+        return point_grids(spec, profiles, executor)
+
+    monkeypatch.setattr(engine, "_point_grids", recording)
+    return calls
 
 
 @pytest.fixture
@@ -555,13 +588,17 @@ def _model_images(spec: CampaignSpec) -> dict[str, list[int]]:
     return images
 
 
+def _ids(profiles) -> list[int]:
+    return sorted(id(p) for p in profiles)
+
+
 class TestBlocks:
     @pytest.mark.parametrize(
         "backend", BACKENDS, ids=lambda b: b or "roofline"
     )
     @pytest.mark.parametrize("name", list(GRID_SPECS))
     def test_each_block_grid_equals_the_grid_of_its_image_alone(
-        self, fresh_caches, name, backend
+        self, fresh_caches, block_calls, name, backend
     ):
         engine = fresh_caches
         spec = dataclasses.replace(GRID_SPECS[name], backend=backend)
@@ -569,7 +606,9 @@ class TestBlocks:
         executor = SimulatedExecutor(
             seed=spec.seed, backend=get_backend(spec.backend, spec.device)
         )
-        for model, images in _model_images(spec).items():
+        for task in _task_runs(spec):
+            model = task[0][0].model
+            images = [points[0].image_size for points in task]
             records = [
                 graph_record(
                     spec.kind, model, image, pipeline,
@@ -578,27 +617,20 @@ class TestBlocks:
                 for image in images
             ]
             assert len(images) > 1 and records[0].axis == tuple(images)
-            engine.CLEAN_TIME_CACHE.clear()
-            before = engine.CLEAN_TIME_CACHE.stats()
-            engine._point_grid(
-                spec, model, images[0], records[0], pipeline, executor,
-                tuple(images),
-            )
-            # One miss filled every image of the block.
-            assert (engine.CLEAN_TIME_CACHE.stats() - before).lookups == 1
-            block = [
-                engine.CLEAN_TIME_CACHE.peek(engine._grid_key(spec, model, i))
-                for i in images
-            ]
-            for image, record, got in zip(images, records, block):
-                engine.CLEAN_TIME_CACHE.clear()
-                alone = engine._point_grid(
-                    spec, model, image, record, pipeline, executor, ()
-                )
-                assert len(engine.CLEAN_TIME_CACHE) == 1
+            profiles = [r.profile for r in records]
+            # The task computes its one block in one call.
+            block_calls.clear()
+            for _ in engine._measure_task(spec, task):
+                pass
+            assert [_ids(c) for c in block_calls] == [_ids(profiles)]
+            block = engine._point_grids(spec, profiles, executor)
+            for profile, got in zip(profiles, block):
+                alone, = engine._point_grids(spec, [profile], executor)
                 _assert_same_grid(got, alone)
 
-    def test_a_block_takes_no_record_of_another_walk(self, fresh_caches):
+    def test_a_block_takes_no_record_of_another_walk(
+        self, fresh_caches, block_calls
+    ):
         engine = fresh_caches
         spec = dataclasses.replace(
             GRID_SPECS["training"], models=("resnet18",),
@@ -610,18 +642,14 @@ class TestBlocks:
         first = graph_record("model", "resnet18", 64, images=(64, 128))
         assert first.axis == (64, 128)
         assert graph_record("model", "resnet18", 128).axis == (128, 224)
-        executor = SimulatedExecutor(
-            seed=spec.seed, backend=get_backend(spec.backend, spec.device)
-        )
-        engine._point_grid(
-            spec, "resnet18", 64, first, None, executor, (64, 128, 224)
-        )
-        assert [
-            engine._grid_key(spec, "resnet18", image)
-            in engine.CLEAN_TIME_CACHE
-            for image in (64, 128, 224)
-        ] == [True, False, False]
         result = run_campaign(spec, workers=1, verify="off")
+        profiles = {
+            image: graph_record("model", "resnet18", image).profile
+            for image in (64, 128, 224)
+        }
+        assert [_ids(c) for c in block_calls] == [
+            _ids([profiles[64]]), _ids([profiles[128], profiles[224]]),
+        ]
         assert result.dataset.records == [
             r for p in enumerate_points(spec)
             for r in _point_reference(spec, p)[0]
@@ -631,15 +659,23 @@ class TestBlocks:
     def test_one_noise_kernel_call_per_topology(
         self, fresh_caches, kernel_calls, name
     ):
+        from repro.benchdata import trace_campaign
+        from repro.trace import Tracer
+
         spec = GRID_SPECS[name]
         result = run_campaign(spec, workers=1)
         images = _model_images(spec)
         reps = spec.reps * (3 if spec.scenario == "training" else 1)
-        assert kernel_calls == [
+        want = [
             len(image_list) * len(spec.batch_sizes) * reps
             for image_list in images.values()
         ]
+        assert kernel_calls == want
         assert result.stats.cache.lookups == len(_grid_runs(spec))
+        # The traced post-pass measures through the same blocks.
+        kernel_calls.clear()
+        trace_campaign(spec, Tracer())
+        assert kernel_calls == want
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("name", ["training", "blocks", "fused", "edge"])
@@ -652,7 +688,6 @@ class TestBlocks:
 
         spec = GRID_SPECS[name]
         want = [_point_reference(spec, p) for p in enumerate_points(spec)]
-        fresh_caches.CLEAN_TIME_CACHE.clear()
         kernel_calls.clear()
         monkeypatch.setattr(roofline, "GRAPH_RECORD_CACHE", LRUCache(512))
         monkeypatch.setattr(fresh_caches, "VERIFY_CACHE", LRUCache(512))
@@ -668,9 +703,7 @@ class TestBlocks:
         for model, images in _model_images(spec).items():
             assert len(images) > 1
             for image in images:
-                record = roofline.cached_records(
-                    spec.kind, model, [image], pipeline
-                )[image]
+                record = graph_record(spec.kind, model, image, pipeline)
                 assert record.axis == (image,)
         if workers == 1:
             assert len(kernel_calls) == len(_grid_runs(spec))
@@ -678,9 +711,9 @@ class TestBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("name", ["training", "edge", "distributed"])
     def test_resume_with_some_images_restored_measures_the_rest(
-        self, fresh_caches, append_calls, tmp_path, name, workers
+        self, fresh_caches, append_calls, block_calls, tmp_path, name,
+        workers,
     ):
-        engine = fresh_caches
         spec = GRID_SPECS[name]
         with CampaignStore.open(tmp_path / "run", spec) as store:
             cold = run_campaign(spec, workers=1, store=store)
@@ -706,30 +739,24 @@ class TestBlocks:
         manifest["complete"] = False
         manifest_path.write_text(json.dumps(manifest))
         append_calls.clear()
-        engine.CLEAN_TIME_CACHE.clear()
+        block_calls.clear()
         with CampaignStore.open(tmp_path / "run", spec, resume=True) as store:
             resumed = run_campaign(spec, workers=workers, store=store)
         assert resumed.stats.n_executed == len(dropped)
         assert resumed.dataset.records == cold.dataset.records
-        missing = [
-            [p.key for p in points] for points in runs
-            if points[0].key in dropped
-        ]
-        assert append_calls == missing
+        missing = [points for points in runs if points[0].key in dropped]
+        assert append_calls == [[p.key for p in points] for points in missing]
         assert resumed.stats.cache.lookups == len(missing)
         if workers == 1:
             # Only the missing images' grids were computed.
-            computed = {
-                (model, image)
-                for model, images in _model_images(spec).items()
-                for image in images
-                if engine._grid_key(spec, model, image)
-                in engine.CLEAN_TIME_CACHE
-            }
-            assert computed == {
-                (points[0].model, points[0].image_size) for points in runs
-                if points[0].key in dropped
-            }
+            pipeline = resolve_transform(spec.transform)
+            assert _ids(p for call in block_calls for p in call) == _ids(
+                graph_record(
+                    spec.kind, points[0].model, points[0].image_size,
+                    pipeline,
+                ).profile
+                for points in missing
+            )
 
 
 class TestPrefixHashedSeeds:

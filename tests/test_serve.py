@@ -1473,6 +1473,45 @@ class TestRequestParsing:
             "errors_total": 1.0, "http_411_total": 1.0,
         }
 
+    @pytest.mark.parametrize("path, status", [
+        ("/healthz", 200), ("/metrics", 200), ("/nowhere", 404),
+    ])
+    @pytest.mark.parametrize("framing", ["content-length", "chunked"])
+    def test_get_with_a_body_is_answered_once_and_closed(
+        self, server, path, status, framing
+    ):
+        # A GET body is never read: answered on an open connection, the
+        # smuggled request in it would be answered next.
+        inner = _http("GET", "/metrics")
+        if framing == "chunked":
+            header = b"Transfer-Encoding: chunked\r\n"
+            body = b"%x\r\n" % len(inner) + inner + b"\r\n0\r\n\r\n"
+        else:
+            header = b"Content-Length: %d\r\n" % len(inner)
+            body = inner
+        data = _raw(b"GET %s HTTP/1.1" % path.encode(), [header], body)
+        before = _counters(server)
+        response = _exchange(server, data)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in response
+        expected = {"http_requests_total": 1.0, f"http_{status}_total": 1.0}
+        if status != 200:
+            expected["errors_total"] = 1.0
+        assert _deltas(before, _counters(server)) == expected
+
+    def test_get_with_an_empty_body_keeps_the_connection(self, server):
+        data = _raw(b"GET /healthz HTTP/1.1", [b"Content-Length: 0\r\n"])
+        before = _counters(server)
+        response = _exchange(server, data + _http(
+            "GET", "/healthz", headers=[("Connection", "close")]
+        ))
+        assert response.count(b"HTTP/1.1 200 ") == 2
+        assert b"\r\nConnection: close\r\n" not in response
+        assert _deltas(before, _counters(server)) == {
+            "http_requests_total": 2.0, "http_200_total": 2.0,
+        }
+
     def test_header_names_are_case_insensitive(self, server):
         data = _raw(b"POST /predict HTTP/1.1", [
             b"cOnTeNt-LeNgTh: %d\r\n" % len(self.BODY),
