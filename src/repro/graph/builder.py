@@ -1,10 +1,12 @@
 """Fluent construction API for ConvNet graphs.
 
 The model zoo builds every architecture through this class.  Handles are
-plain node-name strings; the builder tracks shapes as it goes so layer
-parameters that are derivable (for example a convolution's input channel
-count) never have to be repeated, which keeps the zoo definitions close to
-their torchvision counterparts.
+plain node-name strings; the builder infers each layer's shape as it goes
+so layer parameters that are derivable (for example a convolution's input
+channel count) never have to be repeated, which keeps the zoo definitions
+close to their torchvision counterparts.  An input whose spatial dims are
+an image-axis column (:mod:`repro.graph.tensor`) builds the graph over
+that whole axis at once.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ from repro.graph.tensor import TensorShape
 
 
 class GraphBuilder:
-    """Incrementally builds a :class:`ComputeGraph` in topological order."""
+    """Incrementally builds a :class:`ComputeGraph` in topological order.
 
-    def __init__(self, name: str) -> None:
+    The zoo leaves ``name`` empty: :func:`repro.zoo.build_model` names
+    the graphs it builds.
+    """
+
+    def __init__(self, name: str = "") -> None:
         self.graph = ComputeGraph(name)
         self._counters: dict[str, int] = {}
         self._scopes: list[str] = []
@@ -79,9 +85,8 @@ class GraphBuilder:
     def channels(self, handle: str) -> int:
         return self.shape(handle).channels
 
-    def finish(self, validate: bool = True) -> ComputeGraph:
-        if validate:
-            self.graph.validate()
+    def finish(self) -> ComputeGraph:
+        """The built graph; every stored shape is what inference gave."""
         return self.graph
 
     # -- layer shorthands ------------------------------------------------------

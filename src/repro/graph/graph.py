@@ -9,9 +9,10 @@ recorded as hierarchical scope strings on each node (for example
 ``"layer1.0"``), and :meth:`ComputeGraph.block_subgraph` extracts a block as
 a standalone graph so the same performance model applies unchanged.
 
-A model's graphs at different image sizes share one topology
-(:func:`same_topology`), so :func:`over_images` infers the shapes of one
-built graph over a whole axis of image sizes at once: a :class:`Topology`.
+A graph built over an axis of image sizes (an input whose spatial dims are
+an int64 column, see :mod:`repro.graph.tensor`) stores every shape over
+that axis: with its graph names it is a :class:`Topology`, and costing or
+verifying it gives every image's result at once.
 """
 
 from __future__ import annotations
@@ -379,11 +380,12 @@ class Topology:
     """One graph's layers and wiring with its shapes over an image axis.
 
     Node ``k`` of ``graph`` carries its output shape over the axis: each
-    dim is an ``int`` or an int64 column with one entry per image, and the
-    image-dependent layers (``Layer.IMAGE_DEPENDENT``) are re-derived over
-    it.  ``names`` are the graph's names at those images, in axis order.
-    Costing or verifying ``graph`` gives every image's result in one walk;
-    entry ``i`` equals the result on the graph built at image ``i``.
+    dim is an ``int`` or an int64 column with one entry per image, and so
+    are the parameters of the image-dependent layers
+    (``Layer.IMAGE_DEPENDENT``).  ``names`` are the graph's names at those
+    images, in axis order.  Costing or verifying ``graph`` gives every
+    image's result in one walk; entry ``i`` equals the result on the graph
+    built at image ``i``.
     """
 
     graph: ComputeGraph
@@ -403,66 +405,10 @@ class Topology:
         return Topology(pipeline.run(self.graph).graph, self.names)
 
 
-def over_images(
-    graph: ComputeGraph, images: Sequence[int], names: Sequence[str]
-) -> Topology:
-    """``graph`` with its shapes inferred over square ``images``.
-
-    ``graph`` is any one member of a topology (its stored shapes are not
-    read); ``names[i]`` is the graph's name at ``images[i]``.  Shape
-    inference runs once per node over the whole axis; an edge to an
-    unknown or later node raises ``ValueError``.
-    """
-    axis = np.asarray(images, dtype=np.int64)
-    out = ComputeGraph(graph.name)
-    for node in graph:
-        if not all(p in out for p in node.inputs):
-            raise ValueError(
-                f"node {node.name!r} reads an input that is unknown or "
-                "later in the order"
-            )
-        inputs = out.input_shapes(node)
-        layer = node.layer
-        if layer.IMAGE_DEPENDENT:
-            layer = layer.over_images(axis, inputs)
-        out.add_node(
-            Node(
-                node.name, layer, node.inputs, layer.infer_shape(inputs),
-                node.block,
-            )
-        )
-    return Topology(out, tuple(names))
-
-
-def same_topology(a: ComputeGraph, b: ComputeGraph) -> bool:
-    """True when two graphs are one topology.
-
-    Both have the same node names in the same order, the same wiring and
-    block scopes, and equal layers, parameters included — except that an
-    image-dependent layer (``Layer.IMAGE_DEPENDENT``: the graph input and
-    ViT's position embedding) need only have the same type.  Graph names
-    and stored shapes are not compared.  A zoo model's graphs at all
-    campaign image sizes are one topology, which is what lets
-    :func:`over_images` cost them from a single build.
-    """
-    if len(a) != len(b):
-        return False
-    for na, nb in zip(a, b):
-        if (na.name, na.inputs, na.block) != (nb.name, nb.inputs, nb.block):
-            return False
-        if type(na.layer) is not type(nb.layer):
-            return False
-        if not na.layer.IMAGE_DEPENDENT and na.layer != nb.layer:
-            return False
-    return True
-
-
 __all__ = [
     "Node",
     "ComputeGraph",
     "sequential_shapes",
     "shape_mismatches",
     "Topology",
-    "over_images",
-    "same_topology",
 ]

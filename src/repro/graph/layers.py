@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
-import numpy as np
-
 from repro.graph.tensor import (
     TensorShape,
     anywhere,
@@ -89,15 +87,9 @@ class Layer:
                 f"got {len(inputs)}"
             )
 
-    def over_images(
-        self, images: np.ndarray, inputs: Sequence[TensorShape]
-    ) -> "Layer":
-        """This layer over an axis of square ``images``, given its input
-        shapes over that axis; only image-dependent layers change."""
-        return self
-
     def at(self, i: int) -> "Layer":
-        """This layer at image ``i`` of its axis (see :meth:`over_images`)."""
+        """This layer at image ``i`` of its axis: only an image-dependent
+        layer built over an image axis differs from its own value."""
         return self
 
     def param_count(self) -> int:
@@ -129,11 +121,6 @@ class Input(Layer):
 
     def _infer(self, inputs: Sequence[TensorShape]) -> TensorShape:
         return self.shape
-
-    def over_images(
-        self, images: np.ndarray, inputs: Sequence[TensorShape]
-    ) -> "Input":
-        return Input(TensorShape(self.shape.channels, images, images))
 
     def at(self, i: int) -> "Input":
         return Input(self.shape.at(i))

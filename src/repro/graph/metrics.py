@@ -3,9 +3,9 @@
 These counts are the raw material for ConvMeter's metric vector (Section 3
 of the paper): FLOPs per layer, input/output tensor element counts, and
 parameter counts — all per sample (batch size one), since every one of these
-quantities scales linearly with the batch size.  On a graph whose shapes
-are inferred over an image axis (:func:`repro.graph.graph.over_images`),
-every count is an int64 column with one entry per image.
+quantities scales linearly with the batch size.  On a graph built over an
+image axis (:func:`repro.zoo.build_model` with a sequence of sizes), every
+count is an int64 column with one entry per image.
 """
 
 from __future__ import annotations

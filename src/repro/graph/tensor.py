@@ -5,9 +5,9 @@ linearly with the batch size, so the IR counts everything for a single image
 and the performance models multiply by the (mini-)batch size later — exactly
 the factorisation used in Eq. 3 of the paper.
 
-A dim is a plain ``int`` or, for a graph whose shapes are inferred over an
-axis of image sizes (:func:`repro.graph.graph.over_images`), an int64
-column with one entry per image.  Every shape and cost expression is
+A dim is a plain ``int`` or, for a graph built over an axis of image sizes
+(:func:`repro.zoo.build_model` with a sequence of sizes), an int64 column
+with one entry per image.  Every shape and cost expression is
 integer arithmetic that broadcasts over such columns, so entry ``i`` of a
 result equals the plain-``int`` result at image ``i`` exactly; comparisons
 go through :func:`anywhere`, which reads "at some image of the axis".

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.graph.layers import Layer
 from repro.graph.tensor import TensorShape, anywhere, at_image
 
@@ -63,11 +61,6 @@ class PositionalEmbedding(Layer):
     seq_len: int = 0
 
     IMAGE_DEPENDENT = True
-
-    def over_images(
-        self, images: np.ndarray, inputs: Sequence[TensorShape]
-    ) -> "PositionalEmbedding":
-        return PositionalEmbedding(self.dim, inputs[0].height)
 
     def at(self, i: int) -> "PositionalEmbedding":
         return PositionalEmbedding(self.dim, at_image(self.seq_len, i))

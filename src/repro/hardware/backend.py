@@ -198,22 +198,19 @@ class ExecutionBackend:
         self,
         campaign_seed: int,
         identities: "list[tuple]",
-        shared: "tuple | list[tuple]" = (),
+        shared: "list[tuple]",
     ) -> np.ndarray:
-        """The :meth:`noise_factor` draws of many identities in one batched
-        call: element ``i`` equals ``noise_factor(campaign_seed, *shared,
-        *identities[i])`` bit for bit.  ``shared`` may also be a list of
-        prefixes, giving one row per prefix.  Each prefix — the campaign
-        seed, the noise tag and its ``shared`` parts — is hashed once and
-        each identity encoded once
+        """The :meth:`noise_factor` draws of many identities under each
+        prefix in ``shared``, in one batched call: element ``[p, i]``
+        equals ``noise_factor(campaign_seed, *shared[p], *identities[i])``
+        bit for bit.  Each prefix — the campaign seed, the noise tag and
+        its ``shared`` parts — is hashed once and each identity encoded
+        once
         (:func:`~repro.hardware.noise.point_seeds`); every seed then goes
         through one :func:`~repro.hardware.noise.lognormal_factor` call."""
         tag = self.noise_tag
         seeds = point_seeds(
-            campaign_seed,
-            [(tag, *parts) for parts in shared]
-            if isinstance(shared, list) else (tag, *shared),
-            identities,
+            campaign_seed, [(tag, *parts) for parts in shared], identities
         )
         return lognormal_factor(self.noise_sigma, seeds.ravel()).reshape(
             seeds.shape
@@ -270,28 +267,22 @@ class ExecutionBackend:
 
     def clean_time_grids(
         self,
-        profile: "CostProfile | Sequence[CostProfile]",
+        profiles: "Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         training: bool = False,
-    ) -> "dict[int, tuple[float, ...]] | tuple[dict, ...]":
-        """Clean-time components for a whole batch sweep, in one shot.
+    ) -> "tuple[dict[int, tuple[float, ...]], ...]":
+        """Clean-time components for a whole batch sweep of each of one
+        topology's ``profiles`` (one layer list), in one shot.
 
-        Returns ``{batch: (forward,)}`` — or, with ``training=True``,
-        ``{batch: (forward, backward, grad_update)}`` — computed from a
-        single batched :meth:`layer_times` evaluation per phase instead of
-        one per batch size.  Each component is bit-identical to the
-        corresponding ``*_time_clean`` call at that batch: the batch axis
-        only broadcasts, the per-layer sums reduce in the same order, and
-        the base overhead adds as the same float64 pair.
-
-        ``profile`` may also be a sequence of profiles of one topology's
-        images (one layer list); the result is then one such dict per
-        profile, from one evaluation per phase over images × batches ×
-        layers (:meth:`CostProfile.stack`).  A single profile is the
-        one-image case.
+        Returns one ``{batch: (forward,)}`` per profile — or, with
+        ``training=True``, ``{batch: (forward, backward, grad_update)}`` —
+        from a single batched :meth:`layer_times` evaluation per phase over
+        images × batches × layers (:meth:`CostProfile.stack`) instead of
+        one per image and batch size.  Each component is bit-identical to
+        the corresponding ``*_time_clean`` call at that batch: the batch
+        axis only broadcasts, the per-layer sums reduce in the same order,
+        and the base overhead adds as the same float64 pair.
         """
-        single = isinstance(profile, CostProfile)
-        profiles = (profile,) if single else tuple(profile)
         stacked = CostProfile.stack(profiles)
         b = np.asarray(batches)
         base = self.device.base_overhead
@@ -308,11 +299,10 @@ class ExecutionBackend:
                 grad = self.grad_update_time_clean(p)
                 for times in image_rows:
                     times.append(grad)
-        grids = tuple(
+        return tuple(
             {int(n): tuple(times) for n, times in zip(batches, image_rows)}
             for image_rows in rows
         )
-        return grids[0] if single else grids
 
     # -- memory accounting ---------------------------------------------------
 

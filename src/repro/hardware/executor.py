@@ -83,34 +83,33 @@ class SimulatedExecutor:
 
     def clean_time_grids(
         self,
-        profile: "CostProfile | Sequence[CostProfile]",
+        profiles: "Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         training: bool = False,
-    ) -> "dict[int, tuple[float, ...]] | tuple[dict, ...]":
-        """Clean-time components for a whole batch sweep, in one shot.
+    ) -> "tuple[dict[int, tuple[float, ...]], ...]":
+        """Clean-time components for a whole batch sweep of each of one
+        topology's profiles, in one shot.
 
         See :meth:`ExecutionBackend.clean_time_grids`; each component is
-        bit-identical to the corresponding ``*_time_clean`` call.  A
-        sequence of one topology's profiles gives one dict per profile.
+        bit-identical to the corresponding ``*_time_clean`` call.
         """
-        return self.backend.clean_time_grids(profile, batches, training)
+        return self.backend.clean_time_grids(profiles, batches, training)
 
     def noise_grids(
         self,
-        profile: "CostProfile | Sequence[CostProfile]",
+        profiles: "Sequence[CostProfile]",
         batches: "tuple[int, ...] | list[int]",
         reps: int,
         training: bool = False,
     ) -> np.ndarray:
-        """Every noise factor of a batch × rep sweep, in one batched draw.
+        """Every noise factor of a batch × rep sweep of each profile (say,
+        a model's images), in one batched draw.
 
-        Shape ``(len(batches), reps, phases)``: the ``fwd``/``bwd``/``grad``
-        draws of :meth:`measure_training_step` with ``training=True``,
-        else the one draw of :meth:`measure_inference`.  Each factor is
-        bit-identical to the draw that method makes for its point.
-
-        A sequence of profiles (say, a model's images) adds a leading axis,
-        one row per profile, still drawn in one call.
+        Shape ``(len(profiles), len(batches), reps, phases)``: the
+        ``fwd``/``bwd``/``grad`` draws of :meth:`measure_training_step`
+        with ``training=True``, else the one draw of
+        :meth:`measure_inference`.  Each factor is bit-identical to the
+        draw that method makes for its point.
         """
         tags = _STEP_TAGS if training else (_INFERENCE_TAG,)
         identities = [
@@ -119,16 +118,10 @@ class SimulatedExecutor:
             for rep in range(reps)
             for tag in tags
         ]
-        single = isinstance(profile, CostProfile)
         factors = self.backend.noise_factors(
-            self.seed,
-            identities,
-            shared=(profile.graph_name,) if single
-            else [(p.graph_name,) for p in profile],
+            self.seed, identities, [(p.graph_name,) for p in profiles]
         )
-        return factors.reshape(
-            *factors.shape[:-1], len(batches), reps, len(tags)
-        )
+        return factors.reshape(len(profiles), len(batches), reps, len(tags))
 
     # -- span emission -------------------------------------------------------
 

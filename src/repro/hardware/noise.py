@@ -96,15 +96,12 @@ def point_seed(campaign_seed: int, *identity: object) -> int:
 
 def point_seeds(
     campaign_seed: int,
-    shared: "tuple | list[tuple]",
+    shared: "list[tuple]",
     identities: "Sequence[tuple]",
 ) -> np.ndarray:
-    """``point_seed(campaign_seed, *shared, *identity)`` of each identity,
-    as a uint64 array.
-
-    ``shared`` may also be a list of prefixes; the result then has one row
-    per prefix, ``[p, i]`` being ``point_seed(campaign_seed, *shared[p],
-    *identities[i])``.
+    """The seeds of each prefix in ``shared`` with each identity, as a
+    uint64 array of one row per prefix: ``[p, i]`` is
+    ``point_seed(campaign_seed, *shared[p], *identities[i])``.
 
     The key of a seed is its parts' reprs joined by ``\\x1f``, so a key is
     its prefix's encoding followed by its identity's.  Each identity is
@@ -112,7 +109,6 @@ def point_seeds(
     call, each prefix is hashed once, and every seed continues from a copy
     of its prefix's hash state.
     """
-    several = isinstance(shared, list)
     _check_parts((campaign_seed,))
     tails = []
     for identity in identities:
@@ -122,7 +118,7 @@ def point_seeds(
             if identity else b""
         )
     digests = []
-    for parts in shared if several else [shared]:
+    for parts in shared:
         _check_parts(parts)
         head = hashlib.blake2b(
             "\x1f".join(map(repr, (campaign_seed, *parts))).encode(),
@@ -134,7 +130,7 @@ def point_seeds(
             digests.append(h.digest())
     # stable_seed reads each digest as a little-endian integer.
     seeds = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
-    return seeds.reshape(len(shared), len(tails)) if several else seeds
+    return seeds.reshape(len(shared), len(tails))
 
 
 def lognormal_factor(

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.caching import LRUCache
-from repro.graph.graph import ComputeGraph, Topology, over_images
+from repro.graph.graph import ComputeGraph, Topology
 from repro.graph.metrics import CostSummary, LayerCost, graph_costs
 from repro.hardware.device import DeviceSpec
 
@@ -330,38 +330,25 @@ GRAPH_RECORD_CACHE: LRUCache[tuple[str, str, int, str], GraphRecord] = (
 
 
 def build_topology(name: str, images: Sequence[int]) -> Topology | None:
-    """Zoo model ``name`` over square ``images``: one build, at the largest
-    image, with its shapes inferred over the whole axis.
+    """Zoo model ``name`` built once over square ``images``
+    (:func:`~repro.zoo.build_model` with the whole axis): the topology
+    whose names are ``<name>_<image>``, in axis order.
 
-    Every image is checked the way :func:`~repro.zoo.build_model` checks
-    it, so an image the model cannot be built at raises here too.  ``None``
-    when the build cannot stand for the others — it is not named
-    ``<name>_<image>``, shape inference over the axis fails, or the axis
-    does not reproduce the build's own shapes and layers at its size — so
-    each image must be built and costed on its own.
+    An image the model cannot be built at raises ``ValueError``.  ``None``
+    when the builder itself raises ``ValueError`` or ``TypeError`` on the
+    axis column (it branches on a concrete image size), so each image must
+    be built and costed on its own.
     """
     from repro.zoo import build_model
     from repro.zoo.registry import check_image_size
 
     for image in images:
         check_image_size(name, image)
-    image = max(images)
-    graph = build_model(name, image)
-    if graph.name != f"{name}_{image}":
-        return None
     try:
-        topology = over_images(
-            graph, images, tuple(f"{name}_{i}" for i in images)
-        )
+        graph = build_model(name, images)
     except (ValueError, TypeError):
         return None
-    k = list(images).index(image)
-    for built, axis in zip(graph, topology.graph):
-        if axis.output_shape.at(k) != built.output_shape or (
-            axis.layer.IMAGE_DEPENDENT and axis.layer.at(k) != built.layer
-        ):
-            return None
-    return topology
+    return Topology(graph, tuple(f"{name}_{i}" for i in images))
 
 
 def topologies(

@@ -14,7 +14,7 @@ from repro.zoo.registry import register_model
 
 
 def build_alexnet(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    b = GraphBuilder(f"alexnet_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("features"):

@@ -44,7 +44,7 @@ def _build_densenet(
     growth_rate, bn_size = 32, 4
     block_config = _BLOCK_CONFIGS[name]
 
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):

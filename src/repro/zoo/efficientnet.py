@@ -64,13 +64,12 @@ def _round_repeats(repeats: int, depth_mult: float) -> int:
 
 
 def _build_efficientnet(
-    name: str,
     width_mult: float,
     depth_mult: float,
     image_size: int,
     num_classes: int,
 ) -> ComputeGraph:
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     stem_channels = _make_divisible(32 * width_mult)
@@ -98,29 +97,25 @@ def _build_efficientnet(
 def build_efficientnet_b0(
     image_size: int = 224, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_efficientnet("efficientnet_b0", 1.0, 1.0, image_size,
-                               num_classes)
+    return _build_efficientnet(1.0, 1.0, image_size, num_classes)
 
 
 def build_efficientnet_b1(
     image_size: int = 240, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_efficientnet("efficientnet_b1", 1.0, 1.1, image_size,
-                               num_classes)
+    return _build_efficientnet(1.0, 1.1, image_size, num_classes)
 
 
 def build_efficientnet_b2(
     image_size: int = 260, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_efficientnet("efficientnet_b2", 1.1, 1.2, image_size,
-                               num_classes)
+    return _build_efficientnet(1.1, 1.2, image_size, num_classes)
 
 
 def build_efficientnet_b3(
     image_size: int = 300, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_efficientnet("efficientnet_b3", 1.2, 1.4, image_size,
-                               num_classes)
+    return _build_efficientnet(1.2, 1.4, image_size, num_classes)
 
 
 register_model("efficientnet_b0", build_efficientnet_b0, min_image_size=32,

@@ -90,7 +90,7 @@ def _inception_e(b: GraphBuilder, x: str) -> str:
 def build_inception_v3(
     image_size: int = 299, num_classes: int = 1000
 ) -> ComputeGraph:
-    b = GraphBuilder(f"inception_v3_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem.conv0"):

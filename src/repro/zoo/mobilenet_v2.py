@@ -54,7 +54,7 @@ _V2_CONFIG = [
 def build_mobilenet_v2(
     image_size: int = 224, num_classes: int = 1000, width_mult: float = 1.0
 ) -> ComputeGraph:
-    b = GraphBuilder(f"mobilenet_v2_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     input_channel = _make_divisible(32 * width_mult)

@@ -81,14 +81,13 @@ _SMALL = [
 
 
 def _build_v3(
-    name: str,
     blocks: list[_V3Block],
     last_conv: int,
     last_linear: int,
     image_size: int,
     num_classes: int,
 ) -> ComputeGraph:
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):
@@ -114,15 +113,13 @@ def _build_v3(
 def build_mobilenet_v3_large(
     image_size: int = 224, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_v3("mobilenet_v3_large", _LARGE, 960, 1280, image_size,
-                     num_classes)
+    return _build_v3(_LARGE, 960, 1280, image_size, num_classes)
 
 
 def build_mobilenet_v3_small(
     image_size: int = 224, num_classes: int = 1000
 ) -> ComputeGraph:
-    return _build_v3("mobilenet_v3_small", _SMALL, 576, 1024, image_size,
-                     num_classes)
+    return _build_v3(_SMALL, 576, 1024, image_size, num_classes)
 
 
 register_model("mobilenet_v3_large", build_mobilenet_v3_large,

@@ -5,9 +5,10 @@ Models register themselves via :func:`register_model`; consumers call
 architecture's minimum (stride pyramids eventually shrink a feature map to
 nothing) and required multiple (ViT's patch size) — mirroring the paper's
 campaign, which only runs configurations the architecture and device memory
-allow.  A builder branches on the image size for nothing else, and names
-its graph ``<name>_<image_size>``: a model's graphs at all valid sizes are
-one topology (:func:`repro.graph.graph.same_topology`).
+allow — and names the graph ``<name>_<image_size>``.  A builder branches on
+the image size for nothing else, so :func:`build_model` can hand it a whole
+axis of sizes as one int64 column: every shape is then inferred over the
+axis in the one build (see :mod:`repro.graph.tensor`).
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from __future__ import annotations
 import functools
 import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.graph.graph import ComputeGraph
 
-Builder = Callable[[int, int], ComputeGraph]
+#: ``(image_size, num_classes) -> graph``; the image size may be an int64
+#: column of sizes (see :func:`build_model`).
+Builder = Callable[[int | np.ndarray, int], ComputeGraph]
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,21 @@ def check_image_size(name: str, image_size: int) -> None:
 
 
 def build_model(
-    name: str, image_size: int = 224, num_classes: int = 1000
+    name: str, images: int | Sequence[int] = 224, num_classes: int = 1000
 ) -> ComputeGraph:
-    """Build a registered architecture for a given square image size."""
-    check_image_size(name, image_size)
-    return get_entry(name).builder(image_size, num_classes)
+    """Build a registered architecture for a square image size, or over a
+    sequence of them at once, named ``<name>_<largest image>``.
+
+    Each size is checked (:func:`check_image_size`); a sequence reaches the
+    builder as one int64 column, so each dim of the graph is an ``int`` or
+    a column with one entry per size, in order.
+    """
+    axis = np.ndim(images) > 0
+    sizes = tuple(images) if axis else (images,)
+    for size in sizes:
+        check_image_size(name, size)
+    graph = get_entry(name).builder(
+        np.asarray(sizes, np.int64) if axis else images, num_classes
+    )
+    graph.name = f"{name}_{max(sizes)}"
+    return graph

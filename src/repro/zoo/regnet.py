@@ -68,7 +68,7 @@ def _build_regnet(
     name: str, image_size: int, num_classes: int
 ) -> ComputeGraph:
     cfg = _CONFIGS[name]
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):

@@ -56,7 +56,6 @@ def _bottleneck(
 
 
 def _build_resnet(
-    name: str,
     layers: tuple[int, int, int, int],
     image_size: int,
     num_classes: int,
@@ -64,7 +63,7 @@ def _build_resnet(
     groups: int = 1,
     base_width: int = 64,
 ) -> ComputeGraph:
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):
@@ -87,42 +86,42 @@ def _build_resnet(
 
 
 def build_resnet18(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnet18", (2, 2, 2, 2), image_size, num_classes,
+    return _build_resnet((2, 2, 2, 2), image_size, num_classes,
                          bottleneck=False)
 
 
 def build_resnet34(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnet34", (3, 4, 6, 3), image_size, num_classes,
+    return _build_resnet((3, 4, 6, 3), image_size, num_classes,
                          bottleneck=False)
 
 
 def build_resnet50(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnet50", (3, 4, 6, 3), image_size, num_classes,
+    return _build_resnet((3, 4, 6, 3), image_size, num_classes,
                          bottleneck=True)
 
 
 def build_wide_resnet50(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("wide_resnet50_2", (3, 4, 6, 3), image_size,
+    return _build_resnet((3, 4, 6, 3), image_size,
                          num_classes, bottleneck=True, base_width=128)
 
 
 def build_resnet101(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnet101", (3, 4, 23, 3), image_size, num_classes,
+    return _build_resnet((3, 4, 23, 3), image_size, num_classes,
                          bottleneck=True)
 
 
 def build_resnet152(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnet152", (3, 8, 36, 3), image_size, num_classes,
+    return _build_resnet((3, 8, 36, 3), image_size, num_classes,
                          bottleneck=True)
 
 
 def build_resnext50(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnext50_32x4d", (3, 4, 6, 3), image_size,
+    return _build_resnet((3, 4, 6, 3), image_size,
                          num_classes, bottleneck=True, groups=32, base_width=4)
 
 
 def build_resnext101(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_resnet("resnext101_32x8d", (3, 4, 23, 3), image_size,
+    return _build_resnet((3, 4, 23, 3), image_size,
                          num_classes, bottleneck=True, groups=32, base_width=8)
 
 

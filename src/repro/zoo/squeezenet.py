@@ -55,7 +55,7 @@ _V11_FIRES: list = [
 def _build_squeezenet(
     version: str, image_size: int, num_classes: int
 ) -> ComputeGraph:
-    b = GraphBuilder(f"squeezenet{version}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):

@@ -40,8 +40,7 @@ _CONFIGS: dict[str, list[int | str]] = {
 def _build_vgg(
     config: str, image_size: int, num_classes: int, batch_norm: bool = False
 ) -> ComputeGraph:
-    suffix = "_bn" if batch_norm else ""
-    b = GraphBuilder(f"{config}{suffix}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     stage = 0

@@ -59,9 +59,9 @@ def _encoder_block(b: GraphBuilder, x: str, cfg: _ViTConfig) -> str:
 
 
 def _build_vit(
-    name: str, cfg: _ViTConfig, image_size: int, num_classes: int
+    cfg: _ViTConfig, image_size: int, num_classes: int
 ) -> ComputeGraph:
-    b = GraphBuilder(f"{name}_{image_size}")
+    b = GraphBuilder()
     x = b.input(3, image_size, image_size)
 
     with b.block("stem"):
@@ -84,18 +84,15 @@ def _build_vit(
 
 
 def build_vit_tiny(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_vit("vit_tiny_16", _CONFIGS["vit_tiny_16"], image_size,
-                      num_classes)
+    return _build_vit(_CONFIGS["vit_tiny_16"], image_size, num_classes)
 
 
 def build_vit_small(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_vit("vit_small_16", _CONFIGS["vit_small_16"], image_size,
-                      num_classes)
+    return _build_vit(_CONFIGS["vit_small_16"], image_size, num_classes)
 
 
 def build_vit_base(image_size: int = 224, num_classes: int = 1000) -> ComputeGraph:
-    return _build_vit("vit_base_16", _CONFIGS["vit_base_16"], image_size,
-                      num_classes)
+    return _build_vit(_CONFIGS["vit_base_16"], image_size, num_classes)
 
 
 # The patch embedding tiles the image: sizes must be a patch multiple.

@@ -51,7 +51,7 @@ class TestBuilderBasics:
         assert name == "my_relu"
         assert "my_relu" in b.graph
 
-    def test_finish_validates(self):
+    def test_finish_returns_the_built_graph(self):
         b = GraphBuilder("g")
         b.input(3, 8, 8)
         g = b.finish()

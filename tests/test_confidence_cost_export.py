@@ -1,4 +1,4 @@
-"""Bootstrap confidence intervals, campaign cost accounting, DOT export."""
+"""Bootstrap confidence intervals and campaign cost accounting."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.core.confidence import (
     bootstrap_prediction,
 )
 from repro.core.forward import ForwardModel
-from repro.graph.export import to_dot, write_dot
-from repro.zoo import build_model
 from tests.test_core_models import synthetic_dataset
 
 
@@ -116,36 +114,3 @@ class TestCampaignCost:
 
     def test_summary_text(self, small_inference_data):
         assert "data points" in campaign_cost(small_inference_data).summary()
-
-
-class TestDotExport:
-    def test_contains_all_nodes_and_edges(self):
-        g = build_model("alexnet", 224)
-        dot = to_dot(g)
-        assert dot.startswith("digraph")
-        for node in g:
-            assert f'"{node.name}"' in dot
-        n_edges = sum(len(n.inputs) for n in g)
-        assert dot.count("->") == n_edges
-
-    def test_blocks_become_clusters(self):
-        g = build_model("resnet18", 64)
-        dot = to_dot(g)
-        assert "subgraph cluster_" in dot
-        assert 'label="layer1.0"' in dot
-
-    def test_shapes_optional(self):
-        g = build_model("alexnet", 224)
-        with_shapes = to_dot(g, include_shapes=True)
-        without = to_dot(g, include_shapes=False)
-        assert len(with_shapes) > len(without)
-
-    def test_write_dot(self, tmp_path):
-        g = build_model("alexnet", 224)
-        path = tmp_path / "alexnet.dot"
-        write_dot(g, path)
-        assert path.read_text().startswith("digraph")
-
-    def test_balanced_braces(self):
-        dot = to_dot(build_model("squeezenet1_0", 64))
-        assert dot.count("{") == dot.count("}")

@@ -10,8 +10,6 @@ from repro.graph.graph import (
     ComputeGraph,
     Node,
     Topology,
-    over_images,
-    same_topology,
     sequential_shapes,
     shape_mismatches,
 )
@@ -21,9 +19,11 @@ from repro.graph.tensor import TensorShape
 from repro.zoo import available_models, build_model, get_entry
 
 
-def _linear_chain() -> ComputeGraph:
+def _linear_chain(size=8) -> ComputeGraph:
+    """input -> conv -> relu at square ``size``, an int or an image-axis
+    column."""
     b = GraphBuilder("chain")
-    x = b.input(3, 8, 8)
+    x = b.input(3, size, size)
     x = b.conv(x, 4, kernel_size=3, padding=1)
     x = b.relu(x)
     return b.finish()
@@ -229,55 +229,14 @@ class TestBlocks:
         assert len(g.block_nodes("outer")) == 1  # prefix match includes nested
 
 
-class TestTopologyComparison:
-    def test_same_graph_matches(self):
-        assert same_topology(_linear_chain(), _linear_chain())
+class TestImageAxisGraph:
+    """A graph built from an image-axis input stores every shape over the
+    axis."""
 
-    def test_different_layer_type_fails(self):
-        b = GraphBuilder("other")
-        x = b.input(3, 8, 8)
-        x = b.conv(x, 4, kernel_size=3, padding=1)
-        x = b.bn(x)
-        assert not same_topology(_linear_chain(), b.finish())
-
-    def test_different_length_fails(self):
-        b = GraphBuilder("short")
-        b.input(3, 8, 8)
-        assert not same_topology(_linear_chain(), b.finish())
-
-    def test_other_image_size_is_the_same_topology(self):
-        b = GraphBuilder("chain_16")
-        x = b.input(3, 16, 16)
-        x = b.conv(x, 4, kernel_size=3, padding=1)
-        b.relu(x)
-        assert same_topology(_linear_chain(), b.finish())
-
-    def test_different_layer_parameters_fail(self):
-        b = GraphBuilder("chain")
-        x = b.input(3, 8, 8)
-        x = b.conv(x, 4, kernel_size=3, padding=1, bias=False)
-        b.relu(x)
-        assert not same_topology(_linear_chain(), b.finish())
-
-    def test_different_block_scope_fails(self):
-        b = GraphBuilder("chain")
-        x = b.input(3, 8, 8)
-        with b.block("stem"):
-            x = b.conv(x, 4, kernel_size=3, padding=1)
-        b.relu(x)
-        assert not same_topology(_linear_chain(), b.finish())
-
-    def test_different_node_names_fail(self):
-        b = GraphBuilder("chain")
-        x = b.input(3, 8, 8)
-        x = b.conv(x, 4, kernel_size=3, padding=1)
-        b.add_layer(Activation("relu"), x, name="act")
-        assert not same_topology(_linear_chain(), b.finish())
-
-
-class TestOverImages:
     def _axis(self) -> Topology:
-        return over_images(_linear_chain(), (8, 12, 16), ("c8", "c12", "c16"))
+        return Topology(
+            _linear_chain(np.array([8, 12, 16])), ("c8", "c12", "c16")
+        )
 
     def test_shapes_are_columns_over_the_axis(self):
         conv = self._axis().graph.nodes[1]
@@ -289,11 +248,7 @@ class TestOverImages:
         axis = self._axis()
         costs = graph_costs(axis.graph)
         for i, size in enumerate((8, 12, 16)):
-            b = GraphBuilder("chain")
-            x = b.input(3, size, size)
-            x = b.conv(x, 4, kernel_size=3, padding=1)
-            b.relu(x)
-            plain = graph_costs(b.finish())
+            plain = graph_costs(_linear_chain(size))
             for column, scalar in zip(costs, plain):
                 assert int(column.flops[i]) == scalar.flops
                 assert int(column.output_elems[i]) == scalar.output_elems
@@ -379,7 +334,7 @@ class TestColumnFingerprint:
 
     def test_a_one_image_column_differs_from_the_plain_int(self):
         plain = build_model("resnet50", 224)
-        column = over_images(plain, (224,), (plain.name,)).graph
+        column = build_model("resnet50", (224,))
         assert column.name == plain.name
         assert [n.output_shape.at(0) for n in column] == [
             n.output_shape for n in plain

@@ -120,7 +120,7 @@ class TestBatchedNoise:
             for phase in ("fwd", "bwd", "grad", "inference")
             for rep in range(2)
         ]
-        got = b.noise_factors(7, identities).tolist()
+        (got,) = b.noise_factors(7, identities, [()]).tolist()
         assert got == [b.noise_factor(7, *ident) for ident in identities]
 
 
@@ -771,12 +771,12 @@ class TestPrefixHashedSeeds:
     def test_equal_point_seed_bit_for_bit(self, seed, shared):
         from repro.hardware.noise import point_seeds
 
-        got = point_seeds(seed, shared, self.IDENTITIES)
+        (got,) = point_seeds(seed, [shared], self.IDENTITIES)
         assert got.dtype == np.uint64
         assert got.tolist() == [
             point_seed(seed, *shared, *ident) for ident in self.IDENTITIES
         ]
-        assert point_seeds(seed, shared, []).tolist() == []
+        assert point_seeds(seed, [shared], []).tolist() == [[]]
 
     @pytest.mark.parametrize(
         "part", [np.int64(8), np.float64(0.5), np.bool_(True), (1, 2)],
@@ -786,11 +786,13 @@ class TestPrefixHashedSeeds:
         from repro.hardware.noise import point_seeds
 
         with pytest.raises(TypeError, match="builtin"):
-            point_seeds(0, ("a100-80gb", part), [(1, "fwd", 0)])
+            point_seeds(0, [("a100-80gb", part)], [(1, "fwd", 0)])
         with pytest.raises(TypeError, match="builtin"):
-            point_seeds(0, ("a100-80gb",), [(1, "fwd", 0), (part, "fwd", 0)])
+            point_seeds(
+                0, [("a100-80gb",)], [(1, "fwd", 0), (part, "fwd", 0)]
+            )
         with pytest.raises(TypeError, match="builtin"):
-            point_seeds(part, (), [(1,)])
+            point_seeds(part, [()], [(1,)])
 
     PREFIXES = [
         ("a100-80gb", "resnet18_64"),
@@ -812,14 +814,14 @@ class TestPrefixHashedSeeds:
         ]
 
     @pytest.mark.parametrize("shared", PREFIXES)
-    def test_one_prefix_in_a_list_equals_the_tuple_form(self, shared):
+    def test_one_prefix_gives_one_row(self, shared):
         from repro.hardware.noise import point_seeds
 
         one = point_seeds(17, [shared], self.IDENTITIES)
         assert one.shape == (1, len(self.IDENTITIES))
-        assert one[0].tolist() == point_seeds(
-            17, shared, self.IDENTITIES
-        ).tolist()
+        assert one[0].tolist() == [
+            point_seed(17, *shared, *ident) for ident in self.IDENTITIES
+        ]
 
     def test_empty_lists(self):
         from repro.hardware.noise import point_seeds
@@ -875,7 +877,7 @@ class TestPrefixHashedSeeds:
             for phase in ("fwd", "bwd", "grad", "inference")
             for rep in range(2)
         ]
-        got = b.noise_factors(7, identities, shared=("resnet18_64",))
+        (got,) = b.noise_factors(7, identities, shared=[("resnet18_64",)])
         assert got.tolist() == [
             b.noise_factor(7, "resnet18_64", *ident) for ident in identities
         ]

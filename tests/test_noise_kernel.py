@@ -83,8 +83,8 @@ class TestBitIdentity:
             for rep in range(3)
             for tag in ("fwd", "bwd", "grad")
         ]
-        seeds = noise.point_seeds(
-            0, (backend.noise_tag, "resnet50_224"), identities
+        (seeds,) = noise.point_seeds(
+            0, [(backend.noise_tag, "resnet50_224")], identities
         )
         for sigma in {backend.noise_sigma, *SIGMAS}:
             got = noise.lognormal_factor(sigma, seeds)

@@ -867,8 +867,10 @@ class TestTriageByteIdentity:
         executor = SimulatedExecutor(seed=3, backend=get_backend(backend))
         clean = executor.backend
         batches = (1, 8, 64)
-        inference = executor.clean_time_grids(profile, batches)
-        training = executor.clean_time_grids(profile, batches, training=True)
+        (inference,) = executor.clean_time_grids([profile], batches)
+        (training,) = executor.clean_time_grids(
+            [profile], batches, training=True
+        )
         for batch in batches:
             assert inference[batch] == (
                 clean.forward_time_clean(profile, batch),

@@ -335,16 +335,3 @@ class TestAtomicWrites:
             )
         assert path.read_bytes() == before
         self._only(tmp_path, "step.json")
-
-    def test_dot_export_survives(self, tmp_path, request):
-        from repro.graph.export import write_dot
-        from repro.zoo import build_model
-
-        path = tmp_path / "graph.dot"
-        write_dot(build_model("alexnet", 64), path)
-        before = path.read_bytes()
-        request.getfixturevalue("torn_writes")
-        with pytest.raises(OSError, match="disk full"):
-            write_dot(build_model("resnet18", 64), path)
-        assert path.read_bytes() == before
-        self._only(tmp_path, "graph.dot")

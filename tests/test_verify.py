@@ -8,7 +8,9 @@ stopped protecting the metric pipeline.
 
 import dataclasses
 import json
+import operator
 
+import numpy as np
 import pytest
 
 from repro.analysis.verify import (
@@ -22,7 +24,7 @@ from repro.benchdata.engine import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.diagnostics import sort_diagnostics
 from repro.graph.builder import GraphBuilder
-from repro.graph.graph import ComputeGraph, Node, Topology, over_images
+from repro.graph.graph import ComputeGraph, Node, Topology
 from repro.graph.layers import (
     Activation,
     Add,
@@ -378,10 +380,11 @@ class TestTransformPreservation:
         assert not any(d.rule == "IR007" for d in diags)
 
 
-def _bn_net(size: int) -> ComputeGraph:
+def _bn_net(size) -> ComputeGraph:
     """conv -> bn -> relu -> strided conv: parameters and a spatial output
-    that the fusion pipeline must both keep."""
-    b = GraphBuilder(f"bnnet_{size}")
+    that the fusion pipeline must both keep.  ``size`` is a square image
+    size or an image-axis column; the graph is named at its largest."""
+    b = GraphBuilder(f"bnnet_{np.max(size)}")
     x = b.input(3, size, size)
     x = b.relu(b.bn(b.conv(x, 8, kernel_size=3, padding=1)))
     b.conv(x, 4, kernel_size=3, stride=2)
@@ -434,7 +437,7 @@ class TestTransformOverAnAxis:
     )
     def test_findings_equal_the_per_image_findings(self, broken):
         names = tuple(f"bnnet_{i}" for i in self.IMAGES)
-        raw = over_images(_bn_net(max(self.IMAGES)), self.IMAGES, names)
+        raw = Topology(_bn_net(np.array(self.IMAGES)), names)
         per_image = sort_diagnostics(
             d
             for image in self.IMAGES
@@ -453,7 +456,7 @@ class TestTransformOverAnAxis:
         from repro.graph.passes import default_inference_pipeline
 
         names = tuple(f"bnnet_{i}" for i in self.IMAGES)
-        raw = over_images(_bn_net(max(self.IMAGES)), self.IMAGES, names)
+        raw = Topology(_bn_net(np.array(self.IMAGES)), names)
         fused = raw.rewritten(default_inference_pipeline())
         assert verify_transform(raw, fused) == []
 
@@ -487,10 +490,18 @@ class TestDownsampleShortcutRecognition:
         assert rules_fired(diags, Severity.WARN) == {"IR005"}
 
 
-def _register_broken_model(monkeypatch, name="brokennet-test"):
-    """Register a zoo model whose graph carries a corrupted stored shape."""
+def _register_broken_model(
+    monkeypatch, name="brokennet-test", concrete=False
+):
+    """Register a zoo model whose graph carries a corrupted stored shape.
 
-    def builder(image_size: int, num_classes: int = 1000) -> ComputeGraph:
+    With ``concrete`` the builder reads its image size as one ``int``, so
+    an image-axis column raises ``TypeError``: the model cannot be built
+    over its axis and is built image by image."""
+
+    def builder(image_size, num_classes: int = 1000) -> ComputeGraph:
+        if concrete:
+            image_size = operator.index(image_size)
         g = ComputeGraph(name)
         shape = TensorShape(3, image_size, image_size)
         g.add_node(Node("in", Input(shape), (), shape))
@@ -587,12 +598,15 @@ class TestCampaignVerification:
         from repro.benchdata.engine import campaign_verdicts, enumerate_points
         from repro.graph.passes import default_inference_pipeline
 
+        from repro.hardware.roofline import build_topology
+
         name = _register_broken_model(
-            monkeypatch, f"brokennet-axis-{transform or 'raw'}"
+            monkeypatch, f"brokennet-axis-{transform or 'raw'}", concrete=True
         )
         spec = dataclasses.replace(
             self._spec(name), image_sizes=(32, 48), transform=transform
         )
+        assert build_topology(name, (32, 48)) is None
         verdicts = campaign_verdicts(spec, enumerate_points(spec))
         assert list(verdicts) == [f"{name}@32", f"{name}@48"]
         for image in (32, 48):
@@ -608,6 +622,35 @@ class TestCampaignVerification:
                 assert "IR008" in rules_fired(expected)
             else:
                 expected = verify_graph(graph)
+            assert list(verdicts[f"{name}@{image}"]) == expected
+            assert "IR001" in rules_fired(expected)
+
+    def test_model_built_over_its_axis_fires_ir001_at_every_image(
+        self, monkeypatch
+    ):
+        """A lying builder that takes a column is built once, over the
+        axis; IR001 still reports its lie at every image, exactly as the
+        graph built at that image alone shows it."""
+        from repro.benchdata.engine import campaign_verdicts, enumerate_points
+
+        name = _register_broken_model(monkeypatch, "brokennet-axis-column")
+        entry = registry._REGISTRY[name]
+        dims = []
+
+        def counted(image_size, num_classes=1000):
+            dims.append(np.ndim(image_size))
+            return entry.builder(image_size, num_classes)
+
+        monkeypatch.setitem(
+            registry._REGISTRY, name,
+            dataclasses.replace(entry, builder=counted),
+        )
+        spec = dataclasses.replace(self._spec(name), image_sizes=(32, 48))
+        verdicts = campaign_verdicts(spec, enumerate_points(spec))
+        assert dims == [1]  # one build, over the whole axis
+        assert list(verdicts) == [f"{name}@32", f"{name}@48"]
+        for image in (32, 48):
+            expected = verify_graph(registry.build_model(name, image))
             assert list(verdicts[f"{name}@{image}"]) == expected
             assert "IR001" in rules_fired(expected)
 

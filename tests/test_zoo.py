@@ -7,7 +7,9 @@ architectures the paper profiled.
 
 import pytest
 
-from repro.graph.graph import same_topology
+from repro.graph.builder import GraphBuilder
+from repro.graph.graph import ComputeGraph
+from repro.graph.layers import Activation, Layer
 from repro.graph.metrics import summarize_costs
 from repro.hardware.roofline import build_topology
 from repro.zoo import available_models, build_model, get_entry
@@ -210,6 +212,83 @@ class TestArchitecturalFidelity:
         assert fc_params > 0.9 * g.parameter_count()
 
 
+def same_topology(a: ComputeGraph, b: ComputeGraph) -> bool:
+    """True when two graphs are one topology.
+
+    Both have the same node names in the same order, the same wiring and
+    block scopes, and equal layers, parameters included — except that an
+    image-dependent layer (``Layer.IMAGE_DEPENDENT``: the graph input and
+    ViT's position embedding) need only have the same type.  Graph names
+    and stored shapes are not compared.  A zoo model's graphs at all
+    campaign image sizes are one topology, which is what lets
+    ``build_model`` build them all at once over the image axis.
+    """
+    if len(a) != len(b):
+        return False
+    for na, nb in zip(a, b):
+        if (na.name, na.inputs, na.block) != (nb.name, nb.inputs, nb.block):
+            return False
+        if type(na.layer) is not type(nb.layer):
+            return False
+        if not na.layer.IMAGE_DEPENDENT and na.layer != nb.layer:
+            return False
+    return True
+
+
+def _linear_chain() -> ComputeGraph:
+    b = GraphBuilder("chain")
+    x = b.input(3, 8, 8)
+    x = b.conv(x, 4, kernel_size=3, padding=1)
+    x = b.relu(x)
+    return b.finish()
+
+
+class TestTopologyComparison:
+    def test_same_graph_matches(self):
+        assert same_topology(_linear_chain(), _linear_chain())
+
+    def test_different_layer_type_fails(self):
+        b = GraphBuilder("other")
+        x = b.input(3, 8, 8)
+        x = b.conv(x, 4, kernel_size=3, padding=1)
+        x = b.bn(x)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_different_length_fails(self):
+        b = GraphBuilder("short")
+        b.input(3, 8, 8)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_other_image_size_is_the_same_topology(self):
+        b = GraphBuilder("chain_16")
+        x = b.input(3, 16, 16)
+        x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.relu(x)
+        assert same_topology(_linear_chain(), b.finish())
+
+    def test_different_layer_parameters_fail(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        x = b.conv(x, 4, kernel_size=3, padding=1, bias=False)
+        b.relu(x)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_different_block_scope_fails(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        with b.block("stem"):
+            x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.relu(x)
+        assert not same_topology(_linear_chain(), b.finish())
+
+    def test_different_node_names_fail(self):
+        b = GraphBuilder("chain")
+        x = b.input(3, 8, 8)
+        x = b.conv(x, 4, kernel_size=3, padding=1)
+        b.add_layer(Activation("relu"), x, name="act")
+        assert not same_topology(_linear_chain(), b.finish())
+
+
 class TestOneTopologyPerModel:
     """The invariant image-axis costing relies on: a model's graphs at all
     campaign image sizes are one topology, and its shapes inferred over
@@ -230,6 +309,25 @@ class TestOneTopologyPerModel:
             for built, axis in zip(graph, topology.graph):
                 assert axis.layer.at(i) == built.layer
                 assert axis.output_shape.at(i) == built.output_shape
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_shapes_are_inferred_once_per_node(self, name, monkeypatch):
+        """The one build over the axis is the topology: nothing re-infers
+        its shapes afterwards."""
+        images = [
+            i for i in CAMPAIGN_IMAGES
+            if i >= get_entry(name).min_image_size
+        ]
+        infer_shape = Layer.infer_shape
+        calls = []
+
+        def counted(layer, inputs):
+            calls.append(layer)
+            return infer_shape(layer, inputs)
+
+        monkeypatch.setattr(Layer, "infer_shape", counted)
+        topology = build_topology(name, images)
+        assert len(calls) == len(topology.graph)
 
     def test_image_size_must_be_a_patch_multiple_on_the_axis(self):
         with pytest.raises(ValueError, match="divisible"):
