@@ -58,6 +58,7 @@ from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint.program import Program
 from repro.lint.rules import LintRule, _dotted_name
 from repro.lint.suppress import SuppressionIndex
+from repro.lint.walk import Visitor, walk
 
 # --------------------------------------------------------------------------
 # canonical-name tables
@@ -291,7 +292,7 @@ class _FuncInfo:
 # --------------------------------------------------------------------------
 
 
-class _FunctionScanner(ast.NodeVisitor):
+class _FunctionScanner(Visitor):
     """One pass over one function body, collecting :class:`_FuncInfo`."""
 
     def __init__(self, analyzer: "_Analyzer", info: _FuncInfo) -> None:
@@ -890,7 +891,7 @@ class _Analyzer:
                     ]
                     if arg.annotation is not None
                 }
-                for sub in ast.walk(stmt):
+                for sub in walk(stmt):
                     target = None
                     value = None
                     if isinstance(sub, ast.Assign):

@@ -59,6 +59,7 @@ from repro.analysis.concurrency import (
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint.program import Program
 from repro.lint.rules import LintRule
+from repro.lint.walk import Visitor, walk
 
 # --------------------------------------------------------------------------
 # hot-root tables
@@ -200,7 +201,7 @@ class _Loop:
     flagged001: bool = False
 
 
-class _PerfScanner(ast.NodeVisitor):
+class _PerfScanner(Visitor):
     """Evaluate the PERF rules over one *hot* function body."""
 
     def __init__(
@@ -411,7 +412,7 @@ class _PerfScanner(ast.NodeVisitor):
     def _mentions_array_extent(self, expr: ast.expr) -> str | None:
         """Name of a numpy array whose extent drives ``expr`` (a
         ``range()`` argument), e.g. ``len(X)`` / ``X.shape[1]``."""
-        for sub in ast.walk(expr):
+        for sub in walk(expr):
             if (
                 isinstance(sub, ast.Call)
                 and _dotted_name(sub.func) == ["len"]
@@ -474,7 +475,7 @@ class _PerfScanner(ast.NodeVisitor):
                 flagged = True
         targets = {
             sub.id
-            for sub in ast.walk(node.target)
+            for sub in walk(node.target)
             if isinstance(sub, ast.Name)
         }
         # The iterable expression is evaluated once, before the first
@@ -532,7 +533,7 @@ class _PerfScanner(ast.NodeVisitor):
                 loop_targets |= loop.targets
             index_names = {
                 sub.id
-                for sub in ast.walk(node.slice)
+                for sub in walk(node.slice)
                 if isinstance(sub, ast.Name)
             }
             inner = self.loops[-1]
@@ -658,7 +659,7 @@ class _PerfScanner(ast.NodeVisitor):
             nested_loop = any(
                 isinstance(sub, (ast.For, ast.While))
                 for stmt in node.body
-                for sub in ast.walk(stmt)
+                for sub in walk(stmt)
             )
             if not nested_loop:
                 self._emit(

@@ -1,10 +1,11 @@
 """AST implementation of the determinism lint rules.
 
-One :class:`ast.NodeVisitor` pass per file.  Import aliases are resolved
-first (``import numpy as np`` / ``from functools import lru_cache as lc``)
-so the rules match the *canonical* dotted name being called, not its local
-spelling.  Every rule id, severity, and example lives in
-``docs/static-analysis.md``.
+One :class:`repro.lint.walk.Visitor` pass per file (an
+:class:`ast.NodeVisitor` that skips the leaves no rule reads).  Import
+aliases are resolved first (``import numpy as np`` / ``from functools
+import lru_cache as lc``) so the rules match the *canonical* dotted name
+being called, not its local spelling.  Every rule id, severity, and
+example lives in ``docs/static-analysis.md``.
 
 Suppression comments are handled by the shared
 :class:`repro.lint.suppress.SuppressionIndex`; a ``DET``-prefixed
@@ -22,6 +23,7 @@ from typing import Iterable
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint.program import Program
 from repro.lint.suppress import STALE_RULE, SuppressionIndex
+from repro.lint.walk import Visitor
 
 _UNBOUNDED_CACHES = frozenset({"functools.lru_cache", "functools.cache"})
 
@@ -67,7 +69,7 @@ def _is_timing_name(name: str | None) -> bool:
     return any(seg in _TIMING_SEGMENTS for seg in name.lower().split("_"))
 
 
-class _FileLinter(ast.NodeVisitor):
+class _FileLinter(Visitor):
     def __init__(self, path: str, suppress: SuppressionIndex) -> None:
         self.path = path
         self.suppress = suppress

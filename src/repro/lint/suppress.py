@@ -50,8 +50,14 @@ class SuppressionIndex:
         if "repro-lint" not in source:
             # SUPPRESS_PATTERN cannot match; skip tokenizing the file.
             return
+        # No comment past the last line naming the marker can match (a
+        # comment never spans lines; readline splits only on "\n"), so
+        # tokenizing stops there.
+        last = source.count("\n", 0, source.rfind("repro-lint")) + 1
         try:
             for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.start[0] > last:
+                    break
                 if tok.type != tokenize.COMMENT:
                     continue
                 match = SUPPRESS_PATTERN.search(tok.string)
