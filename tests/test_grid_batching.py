@@ -34,6 +34,7 @@ from repro.benchdata import (
     enumerate_points,
     point_counters,
     run_campaign,
+    trace_campaign,
 )
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.trainer import DistributedTrainer
@@ -43,6 +44,7 @@ from repro.hardware.device import A100_80GB, JETSON_ORIN
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.noise import lognormal_factor, point_seed, stable_seed
 from repro.hardware.roofline import graph_record
+from repro.trace import Tracer, chrome_json
 from repro.trace.tracer import merge_counters
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
@@ -332,10 +334,15 @@ GRID_SPECS = {
 }
 
 
-def _point_reference(spec: CampaignSpec, point: SweepPoint) -> tuple:
+def _point_reference(
+    spec: CampaignSpec, point: SweepPoint, tracer: Tracer | None = None
+) -> tuple:
     """``(records, counters, gate)`` of ``point`` measured alone, from
     the per-point definitions: the executor's (or trainer's) own clean
-    times and noise draws, :func:`point_counters` and ``_gated``."""
+    times and noise draws, :func:`point_counters` and ``_gated``.
+
+    With a ``tracer``, an ungated point's measurement runs under it,
+    inside the ``model`` span a campaign trace gives the point."""
     from repro.benchdata.engine import _gated
 
     record = graph_record(
@@ -357,6 +364,11 @@ def _point_reference(spec: CampaignSpec, point: SweepPoint) -> tuple:
     gate = _gated(spec, point.batch, profile, backend, clean)
     if gate:
         return [], {}, gate
+    if tracer is not None:
+        tracer.begin(point.key, category="model", attrs={
+            "model": point.model, "image_size": point.image_size,
+            "batch": point.batch, "nodes": point.nodes, "rep": point.rep,
+        })
     devices = 1
     if spec.scenario == "distributed":
         cluster = ClusterSpec(
@@ -366,17 +378,21 @@ def _point_reference(spec: CampaignSpec, point: SweepPoint) -> tuple:
         devices = cluster.total_devices
         phases = DistributedTrainer(
             cluster, seed=spec.seed, backend=backend
-        ).measure_step(profile, point.batch, rep=point.rep)
+        ).measure_step(profile, point.batch, rep=point.rep, tracer=tracer)
         times = (phases.forward, phases.backward, phases.grad_update)
     elif spec.scenario == "training":
         phases = executor.measure_training_step(
-            profile, point.batch, rep=point.rep, enforce_memory=False
+            profile, point.batch, rep=point.rep, enforce_memory=False,
+            tracer=tracer,
         )
         times = (phases.forward, phases.backward, phases.grad_update)
     else:
         times = (executor.measure_inference(
-            profile, point.batch, rep=point.rep, enforce_memory=False
+            profile, point.batch, rep=point.rep, enforce_memory=False,
+            tracer=tracer,
         ), 0.0, 0.0)
+    if tracer is not None:
+        tracer.end()
     measured = TimingRecord(
         model=point.model, device=spec.device.name,
         image_size=point.image_size, batch=point.batch, nodes=point.nodes,
@@ -387,6 +403,22 @@ def _point_reference(spec: CampaignSpec, point: SweepPoint) -> tuple:
         backend=spec.backend,
     )
     return [measured], point_counters(spec, point, profile, backend), ""
+
+
+def _traced_reference(spec: CampaignSpec) -> str:
+    """The Chrome trace of ``spec``'s sweep measured point by point
+    (:func:`_point_reference` under one tracer), in enumeration order."""
+    points = enumerate_points(spec)
+    tracer = Tracer()
+    tracer.begin(
+        f"campaign:{spec.scenario}",
+        category="campaign",
+        attrs={"device": spec.device.name, "n_points": len(points)},
+    )
+    for point in points:
+        _point_reference(spec, point, tracer)
+    tracer.end()
+    return chrome_json(tracer)
 
 
 def _grid_runs(spec: CampaignSpec) -> list[list[SweepPoint]]:
@@ -475,6 +507,19 @@ class TestGridFunction:
             [p.key for p in points] for points in _grid_runs(spec)
         ]
         assert result.stats.cache.lookups == len(_grid_runs(spec))
+
+
+class TestCampaignTrace:
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_campaign_traces_equal_the_per_point_reference(self, name):
+        spec = GRID_SPECS[name]
+        want = _traced_reference(spec)
+        traced = Tracer()
+        trace_campaign(spec, traced)
+        assert chrome_json(traced) == want
+        traced = Tracer()
+        run_campaign(spec, workers=4, tracer=traced)
+        assert chrome_json(traced) == want
 
 
 class TestStoreCutInsideAGrid:
@@ -659,9 +704,6 @@ class TestBlocks:
     def test_one_noise_kernel_call_per_topology(
         self, fresh_caches, kernel_calls, name
     ):
-        from repro.benchdata import trace_campaign
-        from repro.trace import Tracer
-
         spec = GRID_SPECS[name]
         result = run_campaign(spec, workers=1)
         images = _model_images(spec)
