@@ -145,13 +145,15 @@ _BATCHABLE: dict[str, str] = {
     "profile_graph":
         "profile once per graph outside the sweep loop",
     "measure_inference":
-        "precompute the clean-time and noise grids for the whole batch "
-        "sweep (SimulatedExecutor.clean_time_grids / noise_grids) and pass "
-        "each point its row, as engine._measure_grid does",
+        "multiply the whole batch sweep's clean-time and noise grids "
+        "(SimulatedExecutor.clean_time_grids / noise_grids) as arrays and "
+        "read each point's times from the product, as "
+        "engine._measure_grid does",
     "measure_training_step":
-        "precompute the clean-time and noise grids for the whole batch "
-        "sweep (SimulatedExecutor.clean_time_grids / noise_grids) and pass "
-        "each point its row, as engine._measure_grid does",
+        "multiply the whole batch sweep's clean-time and noise grids "
+        "(SimulatedExecutor.clean_time_grids / noise_grids) as arrays and "
+        "read each point's times from the product, as "
+        "engine._measure_grid does",
 }
 
 #: Logging/printing entry points that do formatting work per call.

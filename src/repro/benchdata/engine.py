@@ -15,10 +15,10 @@ sweep into an explicit point list and executes it through one engine:
   A task looks up each grid's graph record, computes the
   clean-time/noise/work grids of the images one topology covers together,
   as one block (:func:`_point_grids`), and then measures grid by grid
-  (:func:`_measure_grid`: one gate per batch, then only the per-point
-  measurement).  Results are keyed by point index and merged in enumeration order, so
-  parallel runs are byte-identical to serial ones; all measurement noise
-  is seeded from the point identity via
+  (:func:`_measure_grid`: one gate per batch and one clean × noise
+  product per grid).  Results are keyed by point index and merged in
+  enumeration order, so parallel runs are byte-identical to serial ones;
+  all measurement noise is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
 * **Memoisation** — each zoo model is built once per process, and its
   graph — raw, rewritten by the spec's transform, or cut down to a Table 2
@@ -53,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from repro.graph.passes import PassPipeline, resolve_transform
 from repro.hardware import roofline
 from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
 from repro.hardware.device import DeviceSpec
-from repro.hardware.executor import SimulatedExecutor
+from repro.hardware.executor import SimulatedExecutor, trace_measurement
 from repro.hardware.roofline import (
     CostProfile,
     graph_record,
@@ -205,6 +205,10 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; one of {SCENARIOS}"
             )
+        # KeyError on an unknown name, before a sweep silently drops it.
+        lookup = block_by_name if self.kind == "block" else get_entry
+        for name in self.models:
+            lookup(name)
         if self.transform:
             if self.scenario == "blocks":
                 raise ValueError(
@@ -473,7 +477,7 @@ def _gated(
     batch: int,
     profile: CostProfile,
     backend: ExecutionBackend,
-    clean: tuple[float, ...] | None,
+    clean: Sequence[float] | None,
 ) -> str:
     """Why the points at ``batch`` are excluded: ``"oom"`` (does not fit
     device memory), ``"budget"`` (over the runtime budget), or ``""``
@@ -599,7 +603,7 @@ def _measure_grid(
     points: list[SweepPoint],
     record: roofline.GraphRecord,
     grid: PointGrid,
-    executor: SimulatedExecutor,
+    backend: ExecutionBackend,
     tracer: "Tracer | None" = None,
 ) -> list[PointOutcome]:
     """Measure points of one ``(nodes, model, image)`` grid, in order.
@@ -607,23 +611,31 @@ def _measure_grid(
     ``record`` and ``grid`` are the grid's graph record and
     :class:`PointGrid` (clean times, noise factors and work sums), as
     :func:`_measure_task` resolves them.  Each batch is gated once, for
-    memory and budget; per point only the executor's measurement, its
-    record and its counters are left.  The executor skips its memory
-    re-check, since gating already proved the fit.
+    memory and budget.  Every phase time of a single-device grid comes
+    from one product, ``clean × noise`` over batches × reps × phases: the
+    multiply the executor's ``measure_*`` makes per point, bit for bit.
+    Per point only the lookup, its record and its counters are left; a
+    distributed point is one :meth:`DistributedTrainer.measure_step`.
 
     Gated points yield ``([], {}, "oom" | "budget")`` — a graceful
     per-point record of *why* nothing was measured, which the store
     persists so e.g. an edge-backend campaign maps its OOM frontier
     instead of crashing.  With a ``tracer``, each measurement is
     additionally wrapped in a ``model`` span with the per-phase/per-layer
-    spans the executor and trainer emit; the recorded values are identical
-    either way.
+    spans the executor's :func:`trace_measurement` or the trainer emits;
+    the recorded values are identical either way.
     """
     first = points[0]
     profile = record.profile
-    backend = executor.backend
-    clean = None if grid.clean is None else grid.clean.tolist()
-    noise = None if grid.noise is None else grid.noise.tolist()
+    tracing = tracer is not None and tracer.enabled
+    clean = times = noise = None
+    if grid.clean is not None:
+        clean = grid.clean.tolist()
+        # [batch][rep][phase]: per element the float64 multiply that
+        # measure_inference / measure_training_step make per point.
+        times = (grid.clean[:, None, :] * grid.noise).tolist()
+        if tracing:
+            noise = grid.noise.tolist()
     work = grid.work.tolist()
     trainer = None
     devices = 1
@@ -637,22 +649,22 @@ def _measure_grid(
         trainer = DistributedTrainer(cluster, seed=spec.seed, backend=backend)
     # Block points are forward passes of a network fragment.
     scenario = "inference" if spec.scenario == "blocks" else spec.scenario
-    tracing = tracer is not None and tracer.enabled
-    # batch -> (grid row, clean times, gate status, work counters)
-    batches: dict[int, tuple[int, tuple | None, str, dict]] = {}
+    # batch -> (grid row, gate status, work counters)
+    batches: dict[int, tuple[int, str, dict]] = {}
     outcomes: list[PointOutcome] = []
     for point in points:
         if point.batch not in batches:
             row = spec.batch_sizes.index(point.batch)
-            times = None if clean is None else tuple(clean[row])
             flops, nbytes = work[row]
             batches[point.batch] = (
                 row,
-                times,
-                _gated(spec, point.batch, profile, backend, times),
+                _gated(
+                    spec, point.batch, profile, backend,
+                    None if clean is None else clean[row],
+                ),
                 _counters(spec, point, flops, nbytes, grid.grad_bytes),
             )
-        row, times, gate, counters = batches[point.batch]
+        row, gate, counters = batches[point.batch]
         if gate:
             outcomes.append(([], {}, gate))
             continue
@@ -668,35 +680,20 @@ def _measure_grid(
                     "rep": point.rep,
                 },
             )
-        # The measure_* calls below are per point by design (PERF006): each
-        # gets its clean times and noise factors from the grid's rows, so
-        # what is left per point is the product and the span emission.
         if trainer is not None:
             phases = trainer.measure_step(
                 profile, point.batch, rep=point.rep, tracer=tracer
             )
-            t = (phases.forward, phases.backward, phases.grad_update)
-        elif spec.scenario == "training":
-            phases = executor.measure_training_step(  # repro-lint: disable=PERF006
-                profile,
-                point.batch,
-                rep=point.rep,
-                tracer=tracer,
-                enforce_memory=False,
-                clean_times=times,
-                noise_factors=tuple(noise[row][point.rep]),
-            )
-            t = (phases.forward, phases.backward, phases.grad_update)
+            t = [phases.forward, phases.backward, phases.grad_update]
         else:
-            t = (executor.measure_inference(  # repro-lint: disable=PERF006
-                profile,
-                point.batch,
-                rep=point.rep,
-                tracer=tracer,
-                enforce_memory=False,
-                clean_time=times[0],
-                noise_factor=noise[row][point.rep][0],
-            ), 0.0, 0.0)
+            t = times[row][point.rep]
+            if tracing:
+                trace_measurement(
+                    tracer, backend, profile, point.batch,
+                    noise[row][point.rep], t,
+                )
+            if len(t) == 1:
+                t = [t[0], 0.0, 0.0]
         if tracing:
             tracer.end()
         measured = TimingRecord(
@@ -766,7 +763,7 @@ def _measure_task(
         grids.update(zip(block, _point_grids(spec, profiles, executor)))
     for i, points in enumerate(task):
         yield _measure_grid(
-            spec, points, records[i], grids[i], executor, tracer
+            spec, points, records[i], grids[i], executor.backend, tracer
         ), counts[i + 1] - counts[i]
 
 

@@ -158,11 +158,13 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     """Build the engine spec an invocation describes (defaults mirror the
     paper's per-scenario sweeps)."""
     device = _resolve_device(args.device, args.backend)
-    if args.scenario == "blocks":
-        # Block campaigns sweep the Table 2 catalogue, not the zoo.
-        models: tuple[str, ...] = ()
+    if args.models:
+        models: tuple[str, ...] = tuple(args.models)
+    elif args.scenario == "blocks":
+        # Block campaigns sweep the whole Table 2 catalogue by default.
+        models = ()
     else:
-        models = tuple(args.models) if args.models else DEFAULT_MODELS
+        models = DEFAULT_MODELS
     if args.scenario == "distributed":
         batch_sizes: tuple[int, ...] = (16, 32, 64, 128, 256)
         image_sizes: tuple[int, ...] = (64, 128, 192)
@@ -186,7 +188,13 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.trace import Tracer, write_chrome
 
-    spec = _campaign_spec(args)
+    try:
+        spec = _campaign_spec(args)
+    except (KeyError, ValueError) as exc:
+        # An unknown model or block name, or a backend the device cannot
+        # run, is a usage error.
+        print(f"campaign: {exc.args[0]}", file=sys.stderr)
+        return 2
     verify = "strict" if args.strict else ("off" if args.no_verify else "warn")
     store = (
         CampaignStore.open(args.store, spec, resume=args.resume)
@@ -776,7 +784,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(BACKEND_REGISTRY),
                           help="execution backend (see `repro devices`; "
                                "default: roofline)")
-    campaign.add_argument("--models", nargs="*", default=None)
+    campaign.add_argument("--models", nargs="*", default=None,
+                          help="zoo models to sweep, or Table 2 block "
+                               "names with --scenario blocks (see `repro "
+                               "models` / `repro blocks`)")
     campaign.add_argument("--nodes", nargs="*", type=int,
                           default=(1, 2, 4, 8),
                           help="node counts (distributed scenario)")

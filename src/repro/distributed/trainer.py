@@ -42,7 +42,11 @@ from repro.distributed.fusion import (
     fuse_tensors,
 )
 from repro.hardware.backend import ExecutionBackend, get_backend, phase_work
-from repro.hardware.executor import PhaseTimes, SimulatedExecutor
+from repro.hardware.executor import (
+    PhaseTimes,
+    trace_grad_update,
+    trace_phase,
+)
 from repro.hardware.noise import lognormal_factor, lognormal_vector, point_seed
 from repro.hardware.roofline import CostProfile
 
@@ -120,7 +124,6 @@ class DistributedTrainer:
             else self.backend.for_device(dev)
             for dev in cluster.distinct_devices()
         )
-        self.executor = SimulatedExecutor(seed=seed, backend=self.backend)
 
     def _all_reduce_time(self, nbytes: float) -> float:
         """Noise-free collective time for one fused bucket."""
@@ -200,8 +203,9 @@ class DistributedTrainer:
             if b_fwd >= fwd:
                 fwd, fwd_noise = b_fwd, b_noise
         if tracing:
-            self.executor._trace_phase(
-                tracer, "forward", profile, per_device_batch, fwd_noise, fwd
+            trace_phase(
+                tracer, self.backend, "forward", profile, per_device_batch,
+                fwd_noise, fwd,
             )
 
         # Per-layer backward times, swept in reverse topological order.
@@ -301,9 +305,7 @@ class DistributedTrainer:
                     attrs={"bytes": b.bucket.nbytes, "ranks": n_ranks},
                 )
                 tracer.count("allreduce_bytes", b.bucket.nbytes)
-            self.executor._trace_grad_update(
-                tracer, profile, opt_noisy, exposed_comm
-            )
+            trace_grad_update(tracer, profile, opt_noisy, exposed_comm)
 
         phases = PhaseTimes(
             forward=fwd, backward=bwd_end, grad_update=grad_phase

@@ -489,7 +489,7 @@ def build_pipeline(
 
 
 def default_inference_pipeline() -> PassPipeline:
-    """The pipeline ``--fuse`` flags and ``inference_mode`` options apply."""
+    """The pipeline ``--fuse`` flags and ``transform="inference"`` apply."""
     return build_pipeline(DEFAULT_INFERENCE_PASSES, name="inference")
 
 

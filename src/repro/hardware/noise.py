@@ -432,13 +432,3 @@ def lognormal_vector(sigma: float, n: int, seed: int) -> np.ndarray:
         return np.ones(n)
     rng = np.random.default_rng(seed)
     return rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=n)
-
-
-def multiplicative_noise(sigma: float, *identity: object) -> float:
-    """One log-normal noise factor keyed by a measurement identity."""
-    return lognormal_factor(sigma, stable_seed(*identity))
-
-
-def noise_vector(sigma: float, n: int, *identity: object) -> np.ndarray:
-    """A vector of independent factors keyed by a measurement identity."""
-    return lognormal_vector(sigma, n, stable_seed(*identity))

@@ -945,3 +945,28 @@ class TestPersistedVerdicts:
             {"rule": "IR009", "severity": "INFO", "location": "g",
              "message": "m"}
         ).hint == ""
+
+
+class TestSpecNames:
+    @pytest.mark.parametrize("scenario, name, kind", [
+        ("inference", "nosuch", "model"),
+        ("training", "nosuch", "model"),
+        ("distributed", "nosuch", "model"),
+        ("blocks", "typo", "block"),
+        ("blocks", "resnet18", "block"),  # a model is not a block
+    ])
+    def test_unknown_names_are_refused_at_construction(
+        self, scenario, name, kind
+    ):
+        with pytest.raises(KeyError, match=f"unknown {kind} '{name}'"):
+            dataclasses.replace(
+                REFERENCE_SPEC, scenario=scenario, models=("alexnet", name)
+                if kind == "model" else (name,),
+            )
+
+    def test_blocks_sweep_only_the_named_blocks(self):
+        spec = dataclasses.replace(
+            REFERENCE_SPEC, scenario="blocks", models=("BasicBlock7",)
+        )
+        points = enumerate_points(spec)
+        assert points and {p.model for p in points} == {"BasicBlock7"}

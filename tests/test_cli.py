@@ -87,6 +87,32 @@ class TestCampaign:
         assert n_fast < n_slow
 
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--models", "alexnet", "nosuch"], "nosuch"),
+        (["--scenario", "blocks", "--models", "typo"], "typo"),
+        (["--backend", "fp16", "--device", "xeon-gold-5318y-core",
+          "--models", "alexnet"], "xeon-gold-5318y-core"),
+    ])
+    def test_unknown_name_exits_2_with_one_line(
+        self, tmp_path, capsys, argv, name
+    ):
+        path = tmp_path / "out.json"
+        rc = main(["campaign", *argv, "-o", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("campaign: ") and f"'{name}'" in err
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+    def test_blocks_scenario_honours_models(self, tmp_path):
+        path = tmp_path / "blocks.json"
+        rc = main(["campaign", "--scenario", "blocks",
+                   "--models", "BasicBlock7", "-o", str(path)])
+        assert rc == 0
+        records = json.loads(path.read_text())["records"]
+        assert records and {r["model"] for r in records} == {"BasicBlock7"}
+
+
 class TestTraceCommand:
     def test_tree_format_to_stdout(self, capsys):
         rc = main(["trace", "alexnet", "--device", "xeon-gold-5318y-core"])

@@ -20,7 +20,7 @@ from repro.hardware import (
     training_memory_bytes,
 )
 from repro.hardware.memory import check_fits, fits
-from repro.hardware.noise import multiplicative_noise, noise_vector, stable_seed
+from repro.hardware.noise import lognormal_factor, lognormal_vector, stable_seed
 from repro.hardware.roofline import zoo_profile
 from repro.zoo import build_model
 
@@ -141,29 +141,29 @@ class TestNoise:
         assert stable_seed("a", 1) != stable_seed("a", 2)
 
     def test_noise_deterministic(self):
-        a = multiplicative_noise(0.1, "x", 1)
-        b = multiplicative_noise(0.1, "x", 1)
+        a = lognormal_factor(0.1, stable_seed("x", 1))
+        b = lognormal_factor(0.1, stable_seed("x", 1))
         assert a == b
 
     def test_noise_zero_sigma_is_one(self):
-        assert multiplicative_noise(0.0, "x") == 1.0
+        assert lognormal_factor(0.0, stable_seed("x")) == 1.0
 
     def test_noise_positive(self):
         for i in range(50):
-            assert multiplicative_noise(0.3, "k", i) > 0
+            assert lognormal_factor(0.3, stable_seed("k", i)) > 0
 
     def test_noise_centred(self):
-        samples = noise_vector(0.1, 20000, "centred-test")
+        samples = lognormal_vector(0.1, 20000, stable_seed("centred-test"))
         assert abs(samples.mean() - 1.0) < 0.01
 
     def test_noise_vector_shape_and_zero_sigma(self):
-        assert noise_vector(0.0, 5, "x").tolist() == [1.0] * 5
-        assert noise_vector(0.2, 7, "x").shape == (7,)
+        assert lognormal_vector(0.0, 5, stable_seed("x")).tolist() == [1.0] * 5
+        assert lognormal_vector(0.2, 7, stable_seed("x")).shape == (7,)
 
     @given(sigma=st.floats(0.01, 0.5))
     @settings(max_examples=20, deadline=None)
     def test_noise_scale_bounded(self, sigma):
-        v = noise_vector(sigma, 100, "bound", sigma)
+        v = lognormal_vector(sigma, 100, stable_seed("bound", sigma))
         # Log-normal with small sigma stays within a few sigmas of 1.
         assert np.all(v > np.exp(-6 * sigma) - 1e-9)
         assert np.all(v < np.exp(6 * sigma) + 1e-9)
@@ -216,11 +216,6 @@ class TestSimulatedExecutor:
             resnet_profile, 8
         )
         assert a != b
-
-    def test_accepts_graph_directly(self):
-        g = build_model("alexnet", 64)
-        t = SimulatedExecutor(A100_80GB).measure_inference(g, 1)
-        assert t > 0
 
     def test_training_phases_positive(self, resnet_profile):
         phases = SimulatedExecutor(A100_80GB, seed=3).measure_training_step(

@@ -49,7 +49,7 @@ from repro.graph.reference import ReferenceExecutor
 from repro.graph.tensor import TensorShape
 from repro.hardware.device import A100_80GB
 from repro.hardware.executor import SimulatedExecutor
-from repro.hardware.roofline import zoo_profile
+from repro.hardware.roofline import profile_graph, zoo_profile
 from repro.zoo import available_models, build_model, get_entry
 
 
@@ -246,9 +246,10 @@ class TestProfileIntegration:
     def test_fused_inference_is_faster_on_bn_models(self):
         executor = SimulatedExecutor(A100_80GB, seed=0)
         graph = build_model("resnet18", 64)
-        raw = executor.measure_inference(graph, batch=8)
-        fused = executor.measure_inference(graph, batch=8,
-                                           inference_mode=True)
+        raw = executor.measure_inference(profile_graph(graph), batch=8)
+        fused = executor.measure_inference(
+            profile_graph(graph, default_inference_pipeline()), batch=8
+        )
         assert fused < raw
 
     def test_inference_mode_noise_is_paired(self):
@@ -257,9 +258,10 @@ class TestProfileIntegration:
         # difference between them is pure cost-model signal.
         executor = SimulatedExecutor(A100_80GB, seed=0)
         graph = build_model("alexnet", 64)
-        raw = executor.measure_inference(graph, batch=4)
-        fused = executor.measure_inference(graph, batch=4,
-                                           inference_mode=True)
+        raw = executor.measure_inference(profile_graph(graph), batch=4)
+        fused = executor.measure_inference(
+            profile_graph(graph, default_inference_pipeline()), batch=4
+        )
         # alexnet has no BatchNorm; fusion only absorbs activations, so the
         # two runs stay close but the fused one still sheds memory traffic.
         assert fused <= raw

@@ -921,15 +921,14 @@ class TestTriageByteIdentity:
                 if scenario in ("inference", "blocks"):
                     times = (
                         executor.measure_inference(
-                            profile, point.batch, rep=point.rep,
-                            clean_time=None,
+                            profile, point.batch, rep=point.rep
                         ),
                         0.0,
                         0.0,
                     )
                 elif scenario == "training":
                     phases = executor.measure_training_step(
-                        profile, point.batch, rep=point.rep, clean_times=None
+                        profile, point.batch, rep=point.rep
                     )
                     times = (
                         phases.forward, phases.backward, phases.grad_update
