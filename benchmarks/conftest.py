@@ -4,7 +4,7 @@ Each benchmark regenerates one of the paper's tables or figures, prints the
 same rows/series the paper reports, and asserts the qualitative shape
 criteria from DESIGN.md §4.  ``pytest benchmarks/ --benchmark-only`` runs
 everything; individual experiments can be run directly via
-``python -m repro.experiments.<name>``.
+``repro experiment <id>``.
 
 ``--campaign-workers N`` fans campaign generation out over N worker
 processes (via ``repro.benchdata.engine``).  Campaign records are

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.experiments.table3_distributed import run_table3_distributed
-from repro.experiments.table3_single import run_table3_single
+from repro.experiments.table3 import (
+    run_table3_distributed,
+    run_table3_single,
+)
 
 
 @pytest.mark.experiment

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.table3_single import run_table3_single
+from repro.experiments.table3 import run_table3_single
 
 
 @pytest.mark.experiment

@@ -12,7 +12,8 @@ import tempfile
 from pathlib import Path
 
 from repro import ClusterSpec, DistributedTrainer, zoo_profile
-from repro.distributed.timeline import trace_to_text, write_chrome_trace
+from repro.distributed.timeline import trace_to_text
+from repro.trace import Tracer, write_chrome
 
 NODES = 4
 BATCH = 64
@@ -25,7 +26,10 @@ def main() -> None:
     out_dir = Path(tempfile.mkdtemp(prefix="convmeter_traces_"))
 
     for model in ("resnet50", "alexnet"):
-        trace = trainer.run_step(zoo_profile(model, IMAGE), BATCH)
+        tracer = Tracer()
+        trace = trainer.run_step(
+            zoo_profile(model, IMAGE), BATCH, tracer=tracer
+        )
         print(f"=== {model} on {cluster.describe()} "
               f"(batch {BATCH}/device) ===")
         print(trace_to_text(trace))
@@ -36,7 +40,7 @@ def main() -> None:
             f"{exposed * 1e3:.2f} ms exposed\n"
         )
         trace_path = out_dir / f"{model}_trace.json"
-        write_chrome_trace(trace, trace_path, label=model)
+        write_chrome(tracer, trace_path)
         print(f"chrome trace written to {trace_path} "
               "(load in chrome://tracing)\n")
 

@@ -50,31 +50,13 @@ from repro.core.epoch import epoch_time, total_training_time
 from repro.core.forward import ForwardModel
 from repro.core.persistence import load_model, save_model
 from repro.core.training import TrainingStepModel
+from repro.experiments import EXPERIMENTS
 from repro.fileio import DocumentError
 from repro.hardware.backend import BACKEND_REGISTRY, get_backend
 from repro.hardware.device import DEVICE_PRESETS, get_device
 from repro.hardware.roofline import graph_record
 from repro.zoo import available_models, get_entry
 from repro.zoo.blocks import BLOCK_CATALOGUE
-
-_EXPERIMENTS = {
-    "fig1": "repro.experiments.fig1:run_fig1",
-    "fig2": "repro.experiments.fig2:run_fig2",
-    "table1": "repro.experiments.table1:run_table1",
-    "table2": "repro.experiments.table2:run_table2",
-    "fig6": "repro.experiments.fig6:run_fig6",
-    "table3-single": "repro.experiments.table3_single:run_table3_single",
-    "table3-distributed": (
-        "repro.experiments.table3_distributed:run_table3_distributed"
-    ),
-    "fig8": "repro.experiments.fig8:run_fig8",
-    "fig9": "repro.experiments.fig9:run_fig9",
-    "table4": "repro.experiments.table4:run_table4",
-    "strong-scaling": (
-        "repro.experiments.strong_scaling:run_strong_scaling"
-    ),
-}
-
 
 def _cmd_models(_args: argparse.Namespace) -> int:
     print(f"{'name':22s}{'display':18s}{'family':12s}{'min image':>9s}")
@@ -637,13 +619,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import importlib
-
-    spec = _EXPERIMENTS[args.id]
-    module_name, func_name = spec.split(":")
-    runner = getattr(importlib.import_module(module_name), func_name)
-    result = runner()
-    print(result.render())
+    experiment = next(e for e in EXPERIMENTS if e.id == args.id)
+    print(experiment.runner()().render())
     return 0
 
 
@@ -968,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure"
     )
-    experiment.add_argument("id", choices=sorted(_EXPERIMENTS))
+    experiment.add_argument("id", choices=sorted(e.id for e in EXPERIMENTS))
     experiment.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -111,22 +111,3 @@ def shared_fit_evaluation(
         pooled=evaluate_predictions(all_measured, all_predicted),
         predictions=tuple(triples),
     )
-
-
-def loo_table_rows(
-    result: LeaveOneOutResult, display_names: dict[str, str] | None = None
-) -> list[dict[str, object]]:
-    """Rows shaped like the paper's per-ConvNet tables."""
-    rows = []
-    for model, metrics in result.per_model.items():
-        rows.append(
-            {
-                "model": (display_names or {}).get(model, model),
-                "r2": metrics.r2,
-                "rmse": metrics.rmse,
-                "nrmse": metrics.nrmse,
-                "mape": metrics.mape,
-                "n": metrics.n,
-            }
-        )
-    return rows

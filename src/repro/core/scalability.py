@@ -81,7 +81,9 @@ def _warn_extrapolation(
             f"range on {len(violations)} feature(s); worst: "
             f"{worst.describe()} (audit rule FIT004)",
             ExtrapolationWarning,
-            stacklevel=3,
+            # Skip this function, _curve and the public curve function:
+            # the warning names the public function's caller.
+            stacklevel=4,
         )
 
 
@@ -104,6 +106,32 @@ class ScalingPoint:
     measured_std: float | None = None
 
 
+def _curve(
+    model: TrainingStepModel,
+    features: ConvNetFeatures,
+    configs: Sequence[tuple[int, int, int]],
+    xs: Sequence[int],
+    domain_factor: float | None,
+) -> list[ScalingPoint]:
+    """The shared tail of the curve functions: FIT004 check, one batched
+    prediction over the ``(batch, devices, nodes)`` configs, and one
+    :class:`ScalingPoint` per config at sweep coordinate ``xs[i]``."""
+    _warn_extrapolation(model, features, configs, domain_factor)
+    totals = model.predict_configs(features, configs)
+    return [
+        ScalingPoint(
+            x=x,
+            devices=devices,
+            per_device_batch=batch,
+            step_time=step_time,
+            throughput=_throughput(step_time, batch, devices),
+        )
+        for x, (batch, devices, _), step_time in zip(
+            xs, configs, totals.tolist()
+        )
+    ]
+
+
 def node_scaling_curve(
     model: TrainingStepModel,
     features: ConvNetFeatures,
@@ -116,20 +144,7 @@ def node_scaling_curve(
     configs = [
         (per_device_batch, n * gpus_per_node, n) for n in node_counts
     ]
-    _warn_extrapolation(model, features, configs, domain_factor)
-    totals = model.predict_configs(features, configs)
-    return [
-        ScalingPoint(
-            x=nodes,
-            devices=devices,
-            per_device_batch=batch,
-            step_time=step_time,
-            throughput=_throughput(step_time, batch, devices),
-        )
-        for (batch, devices, nodes), step_time in zip(
-            configs, totals.tolist()
-        )
-    ]
+    return _curve(model, features, configs, node_counts, domain_factor)
 
 
 def strong_scaling_curve(
@@ -151,20 +166,7 @@ def strong_scaling_curve(
                 "devices"
             )
         configs.append((global_batch // devices, devices, nodes))
-    _warn_extrapolation(model, features, configs, domain_factor)
-    totals = model.predict_configs(features, configs)
-    return [
-        ScalingPoint(
-            x=nodes,
-            devices=devices,
-            per_device_batch=batch,
-            step_time=step_time,
-            throughput=_throughput(step_time, batch, devices),
-        )
-        for (batch, devices, nodes), step_time in zip(
-            configs, totals.tolist()
-        )
-    ]
+    return _curve(model, features, configs, node_counts, domain_factor)
 
 
 def batch_scaling_curve(
@@ -183,18 +185,8 @@ def batch_scaling_curve(
     :class:`ExtrapolationWarning` (audit rule FIT004) but still predict.
     """
     configs = [(b, devices, 1) for b in batch_sizes]
-    _warn_extrapolation(model, features, configs, domain_factor)
-    totals = model.predict_configs(features, configs)
-    return [
-        ScalingPoint(
-            x=batch * devices,
-            devices=devices,
-            per_device_batch=batch,
-            step_time=step_time,
-            throughput=_throughput(step_time, batch, devices),
-        )
-        for (batch, _, _), step_time in zip(configs, totals.tolist())
-    ]
+    xs = [b * devices for b in batch_sizes]
+    return _curve(model, features, configs, xs, domain_factor)
 
 
 def turning_point(

@@ -1,86 +1,18 @@
-"""Timeline export for training-step traces.
+"""Plain-text timeline of a training-step trace.
 
-Two views of a :class:`~repro.distributed.trainer.TrainingStepTrace`:
-
-* :func:`trace_to_text` — a Gantt-style plain-text rendering of the
-  forward / backward / per-bucket-communication / optimizer phases (the
-  textual analogue of the paper's Figure 1);
-* :func:`trace_to_chrome` — Chrome tracing format (``chrome://tracing`` /
-  Perfetto), the same format Horovod's own timeline tool emits, so traces
-  can be inspected with standard tooling.
+:func:`trace_to_text` renders a
+:class:`~repro.distributed.trainer.TrainingStepTrace` as a Gantt-style
+view of the forward / backward / per-bucket-communication / optimizer
+phases, the textual analogue of the paper's Figure 1.  For Chrome tracing
+(``chrome://tracing`` / Perfetto), pass a
+:class:`~repro.trace.tracer.Tracer` to
+:meth:`~repro.distributed.trainer.DistributedTrainer.run_step` and write
+it with :func:`repro.trace.export.write_chrome`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.distributed.trainer import TrainingStepTrace
-from repro.fileio import write_text_atomic
-from repro.trace.export import chrome_payload
-
-
-def trace_to_chrome(trace: TrainingStepTrace, label: str = "step") -> list[dict]:
-    """Chrome tracing events (phase X events, microsecond timestamps).
-
-    Rows: track 0 = compute (forward, backward, optimizer), track 1 =
-    communication (one slice per fusion bucket).
-    """
-    us = 1e6
-    events: list[dict] = [
-        {
-            "name": f"{label}:forward",
-            "ph": "X",
-            "ts": 0.0,
-            "dur": trace.phases.forward * us,
-            "pid": 0,
-            "tid": 0,
-            "cat": "compute",
-        },
-        {
-            "name": f"{label}:backward",
-            "ph": "X",
-            "ts": trace.phases.forward * us,
-            "dur": trace.backward_end * us,
-            "pid": 0,
-            "tid": 0,
-            "cat": "compute",
-        },
-    ]
-    offset = trace.phases.forward * us
-    for i, bucket in enumerate(trace.buckets):
-        events.append(
-            {
-                "name": f"{label}:allreduce[{i}]"
-                        f" ({bucket.bucket.nbytes / 1e6:.1f} MB)",
-                "ph": "X",
-                "ts": offset + bucket.start * us,
-                "dur": (bucket.end - bucket.start) * us,
-                "pid": 0,
-                "tid": 1,
-                "cat": "communication",
-            }
-        )
-    events.append(
-        {
-            "name": f"{label}:optimizer",
-            "ph": "X",
-            "ts": offset + trace.comm_end * us,
-            "dur": trace.optimizer_time * us,
-            "pid": 0,
-            "tid": 0,
-            "cat": "compute",
-        }
-    )
-    return events
-
-
-def write_chrome_trace(
-    trace: TrainingStepTrace, path: str | Path, label: str = "step"
-) -> None:
-    """Write a ``chrome://tracing``-loadable JSON file."""
-    payload = chrome_payload(trace_to_chrome(trace, label))
-    write_text_atomic(path, json.dumps(payload))
 
 
 def trace_to_text(trace: TrainingStepTrace, width: int = 72) -> str:

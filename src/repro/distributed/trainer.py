@@ -191,8 +191,11 @@ class DistributedTrainer:
 
         # Forward barrier: every rank must deliver its mini-batch before
         # gradients exist, so the slowest node type sets the phase time.
+        # The straggler's backend and noise trace the phase, so its layer
+        # spans tile the straggler's total.
         fwd = 0.0
         fwd_noise = 1.0
+        fwd_backend = self.backend
         for b in backends:
             b_noise = self._noise(
                 self._sync_sigma(b.noise_sigma),
@@ -201,10 +204,10 @@ class DistributedTrainer:
             )
             b_fwd = b.forward_time_clean(profile, per_device_batch) * b_noise
             if b_fwd >= fwd:
-                fwd, fwd_noise = b_fwd, b_noise
+                fwd, fwd_noise, fwd_backend = b_fwd, b_noise, b
         if tracing:
             trace_phase(
-                tracer, self.backend, "forward", profile, per_device_batch,
+                tracer, fwd_backend, "forward", profile, per_device_batch,
                 fwd_noise, fwd,
             )
 

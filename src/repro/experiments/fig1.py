@@ -64,7 +64,3 @@ def run_fig1(
     trainer = DistributedTrainer(cluster, seed=SEED_EVAL)
     trace = trainer.run_step(zoo_profile(model, FIG1_IMAGE), FIG1_BATCH)
     return Fig1Result(trace=trace, model=model)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig1().render())

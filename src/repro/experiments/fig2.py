@@ -69,7 +69,3 @@ def run_fig2() -> Fig2Result:
         )
         variants[name] = result.pooled
     return Fig2Result(variants=variants)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig2().render())

@@ -131,7 +131,3 @@ def run_fig6(models: tuple[str, ...] = DEFAULT_MODELS) -> Fig6Result:
             )
         )
     return Fig6Result(rows_data=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig6().render())

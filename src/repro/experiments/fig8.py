@@ -11,21 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.tables import format_series
 from repro.core.scalability import ScalingPoint, node_scaling_curve, turning_point
-from repro.core.training import TrainingStepModel
-from repro.distributed.cluster import ClusterSpec
-from repro.distributed.trainer import DistributedTrainer
 from repro.experiments.common import (
-    GPU,
-    GPUS_PER_NODE,
     NODE_COUNTS,
-    SEED_EVAL,
-    distributed_data,
+    curve_correlation,
+    measure_node_curve,
 )
-from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 #: The eight ConvNets of the paper's scaling figure.
@@ -73,13 +65,8 @@ class Fig8Result:
     node_counts: tuple[int, ...]
 
     def trend_agreement(self, model: str) -> float:
-        """Pearson correlation between predicted and measured curves."""
         curve = self.curves[model]
-        pred = np.array(curve.predicted)
-        meas = np.array(curve.measured)
-        if np.std(pred) == 0 or np.std(meas) == 0:
-            return 0.0
-        return float(np.corrcoef(pred, meas)[0, 1])
+        return curve_correlation(curve.predicted, curve.measured)
 
     def render(self) -> str:
         sections = []
@@ -106,40 +93,20 @@ def run_fig8(
     models: tuple[str, ...] = FIG8_MODELS,
     node_counts: tuple[int, ...] = NODE_COUNTS,
 ) -> Fig8Result:
-    fit_data = distributed_data()
-    curves: dict[str, ModelScalingCurve] = {}
-    for model in models:
-        step_model = TrainingStepModel().fit(fit_data.excluding_model(model))
-        record = graph_record("model", model, FIG8_IMAGE)
-        profile, features = record.profile, record.features
-        predicted = node_scaling_curve(
-            step_model, features, FIG8_BATCH, node_counts, GPUS_PER_NODE
+    curves = {
+        model: ModelScalingCurve(
+            model=model,
+            points=measure_node_curve(
+                node_scaling_curve, model, FIG8_IMAGE, FIG8_BATCH,
+                node_counts, FIG8_REPS,
+                # Measured throughput, images/s, per repetition.
+                lambda point, totals: (
+                    point.per_device_batch * point.devices / totals
+                ),
+            ),
         )
-        points = []
-        for point in predicted:
-            cluster = ClusterSpec(
-                nodes=point.x, gpus_per_node=GPUS_PER_NODE, device=GPU
-            )
-            trainer = DistributedTrainer(cluster, seed=SEED_EVAL)
-            totals = np.array(
-                [
-                    trainer.measure_step(profile, FIG8_BATCH, rep=rep).total
-                    for rep in range(FIG8_REPS)
-                ]
-            )
-            throughputs = FIG8_BATCH * cluster.total_devices / totals
-            points.append(
-                ScalingPoint(
-                    x=point.x,
-                    devices=point.devices,
-                    per_device_batch=point.per_device_batch,
-                    step_time=point.step_time,
-                    throughput=point.throughput,
-                    measured=float(throughputs.mean()),
-                    measured_std=float(throughputs.std()),
-                )
-            )
-        curves[model] = ModelScalingCurve(model=model, points=tuple(points))
+        for model in models
+    }
     return Fig8Result(curves=curves, node_counts=tuple(node_counts))
 
 
@@ -153,7 +120,3 @@ def alexnet_flattens_first(result: Fig8Result) -> bool:
 def diminishing_return_nodes(result: Fig8Result, model: str) -> int:
     """Node count at which adding nodes stops paying off (predicted)."""
     return turning_point(list(result.curves[model].points)).x
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig8().render())

@@ -162,7 +162,3 @@ def run_fig9(
     return Fig9Result(
         curves=curves, batches=tuple(batches), domain_notes=domain_notes
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig9().render())

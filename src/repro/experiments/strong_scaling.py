@@ -12,26 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.tables import format_series
 from repro.core.scalability import ScalingPoint, strong_scaling_curve
-from repro.core.training import TrainingStepModel
-from repro.distributed.cluster import ClusterSpec
-from repro.distributed.trainer import DistributedTrainer
 from repro.experiments.common import (
-    GPU,
-    GPUS_PER_NODE,
-    SEED_EVAL,
-    distributed_data,
+    NODE_COUNTS,
+    curve_correlation,
+    measure_node_curve,
 )
-from repro.hardware.roofline import graph_record
 from repro.zoo.registry import get_entry
 
 STRONG_MODELS: tuple[str, ...] = ("resnet50", "vgg16", "mobilenet_v2")
 STRONG_IMAGE = 128
 GLOBAL_BATCH = 1024
-NODE_COUNTS: tuple[int, ...] = (1, 2, 4, 8)
 REPS = 3
 
 
@@ -60,11 +52,9 @@ class StrongScalingResult:
 
     def trend_agreement(self, model: str) -> float:
         curve = self.curves[model]
-        pred = np.array(curve.predicted_step_times)
-        meas = np.array(curve.measured_step_times)
-        if np.std(pred) == 0 or np.std(meas) == 0:
-            return 0.0
-        return float(np.corrcoef(pred, meas)[0, 1])
+        return curve_correlation(
+            curve.predicted_step_times, curve.measured_step_times
+        )
 
     def render(self) -> str:
         sections = []
@@ -97,46 +87,16 @@ def run_strong_scaling(
     node_counts: tuple[int, ...] = NODE_COUNTS,
     global_batch: int = GLOBAL_BATCH,
 ) -> StrongScalingResult:
-    fit_data = distributed_data()
-    curves: dict[str, StrongScalingCurve] = {}
-    for model in models:
-        step_model = TrainingStepModel().fit(fit_data.excluding_model(model))
-        record = graph_record("model", model, STRONG_IMAGE)
-        profile, features = record.profile, record.features
-        predicted = strong_scaling_curve(
-            step_model, features, global_batch, node_counts, GPUS_PER_NODE
+    curves = {
+        model: StrongScalingCurve(
+            model=model,
+            points=measure_node_curve(
+                strong_scaling_curve, model, STRONG_IMAGE, global_batch,
+                node_counts, REPS,
+                # Measured step time, seconds, per repetition.
+                lambda point, totals: totals,
+            ),
         )
-        points = []
-        for point in predicted:
-            cluster = ClusterSpec(
-                nodes=point.x, gpus_per_node=GPUS_PER_NODE, device=GPU
-            )
-            trainer = DistributedTrainer(cluster, seed=SEED_EVAL)
-            totals = np.array(
-                [
-                    trainer.measure_step(
-                        profile,
-                        point.per_device_batch,
-                        rep=rep,
-                        enforce_memory=False,
-                    ).total
-                    for rep in range(REPS)
-                ]
-            )
-            points.append(
-                ScalingPoint(
-                    x=point.x,
-                    devices=point.devices,
-                    per_device_batch=point.per_device_batch,
-                    step_time=point.step_time,
-                    throughput=point.throughput,
-                    measured=float(totals.mean()),
-                    measured_std=float(totals.std()),
-                )
-            )
-        curves[model] = StrongScalingCurve(model=model, points=tuple(points))
+        for model in models
+    }
     return StrongScalingResult(curves=curves, node_counts=tuple(node_counts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_strong_scaling().render())

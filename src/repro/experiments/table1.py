@@ -75,7 +75,3 @@ def run_table1() -> Table1Result:
         cpu=leave_one_out(cpu_inference_data(), factory, measured),
         gpu=leave_one_out(gpu_inference_data(), factory, measured),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table1().render())

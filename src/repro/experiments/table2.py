@@ -54,7 +54,3 @@ class Table2Result:
 
 def run_table2() -> Table2Result:
     return Table2Result(loo=blockwise_evaluation(block_data()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table2().render())

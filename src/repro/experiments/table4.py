@@ -67,7 +67,3 @@ def run_table4() -> Table4Result:
     if RELATED_WORK[-1].name != "ConvMeter (ours)":
         raise RuntimeError("ConvMeter row must be last in the matrix")
     return Table4Result()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table4().render())

@@ -33,6 +33,7 @@ from repro.hardware.device import (
 from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.memory import OutOfDeviceMemory
 from repro.hardware.roofline import zoo_profile
+from repro.trace.tracer import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +401,31 @@ class TestHeterogeneousCluster:
         # pace and per-step time stays in the same regime, far above the
         # pure-A100 single node.
         assert times[2] > times[1]
+
+    @pytest.mark.parametrize("names", [
+        ("epyc-7402-core", "xeon-gold-5318y-core"),
+        ("jetson-orin-nano", "jetson-xavier-nx"),
+    ])
+    def test_traced_step_equals_untraced(self, names):
+        # The straggler is the second node type: its forward layer spans
+        # must tile its own phase total, not the primary device's.
+        devices = tuple(DEVICE_PRESETS[n] for n in names)
+        trainer = DistributedTrainer(
+            ClusterSpec(nodes=2, gpus_per_node=1, device=devices[0],
+                        node_devices=devices),
+            seed=0,
+        )
+        alexnet = zoo_profile("alexnet", 64)
+        untraced = trainer.measure_step(alexnet, 64, enforce_memory=False)
+        tracer = Tracer()
+        traced = trainer.measure_step(
+            alexnet, 64, enforce_memory=False, tracer=tracer
+        )
+        assert traced == untraced
+        spans = {s.name: s.duration for s in tracer.roots}
+        assert spans["forward"] == untraced.forward
+        assert spans["backward"] == untraced.backward
+        assert spans["grad_update"] == untraced.grad_update
 
     def test_mixed_interconnect_all_reduce(self):
         fast = Interconnect(

@@ -6,11 +6,7 @@ import pytest
 from repro.benchdata.records import ConvNetFeatures, Dataset, TimingRecord
 from repro.core.blockwise import blockwise_evaluation
 from repro.core.forward import ForwardModel
-from repro.core.loo import (
-    leave_one_out,
-    loo_table_rows,
-    shared_fit_evaluation,
-)
+from repro.core.loo import leave_one_out, shared_fit_evaluation
 from repro.core.regression import ExtrapolationWarning
 from repro.core.scalability import (
     batch_scaling_curve,
@@ -93,15 +89,6 @@ class TestLeaveOneOut:
         )
         expected = np.mean([m.mape for m in result.per_model.values()])
         assert result.mean_mape() == pytest.approx(float(expected))
-
-    def test_table_rows(self):
-        data = synthetic_dataset(n_models=3)
-        result = leave_one_out(
-            data, lambda: ForwardModel(), lambda r: r.t_fwd
-        )
-        rows = loo_table_rows(result, {"model0": "Model Zero"})
-        assert rows[0]["model"] == "Model Zero"
-        assert set(rows[0]) == {"model", "r2", "rmse", "nrmse", "mape", "n"}
 
 
 class TestSharedFit:
@@ -194,6 +181,17 @@ class TestScalability:
         gain_small = t[1] / t[0]
         gain_large = t[3] / t[2]
         assert gain_large < gain_small
+
+    def test_extrapolation_warning_points_at_the_caller(self):
+        model, features = _fitted_step_model()
+        for call in (
+            lambda: node_scaling_curve(model, features, 2**20, (1, 2)),
+            lambda: strong_scaling_curve(model, features, 2**22, (1, 2)),
+            lambda: batch_scaling_curve(model, features, (2**20,)),
+        ):
+            with pytest.warns(ExtrapolationWarning, match="FIT004") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
 
     def test_batch_curve_beyond_memory_allowed(self):
         model, features = _fitted_step_model()

@@ -4,18 +4,18 @@ qualitative shapes (the DESIGN.md §4 criteria)."""
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    run_fig2,
-    run_fig6,
+from repro.experiments.fig2 import run_fig2
+from repro.experiments.fig6 import run_fig6
+from repro.experiments.fig8 import (
+    alexnet_flattens_first,
+    diminishing_return_nodes,
     run_fig8,
-    run_fig9,
-    run_table1,
-    run_table2,
-    run_table3_distributed,
-    run_table3_single,
-    run_table4,
 )
-from repro.experiments.fig8 import alexnet_flattens_first, diminishing_return_nodes
+from repro.experiments.fig9 import run_fig9
+from repro.experiments.table1 import run_table1
+from repro.experiments.table2 import run_table2
+from repro.experiments.table3 import run_table3_distributed, run_table3_single
+from repro.experiments.table4 import run_table4
 
 
 @pytest.fixture(scope="module")

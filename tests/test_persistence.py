@@ -305,11 +305,11 @@ class TestAtomicWrites:
         self._only(tmp_path, "trace.chrome.json")
 
     def test_report_survives(self, tmp_path, request):
+        from repro.experiments import EXPERIMENTS
         from repro.experiments.report import write_report
-        from repro.experiments.table4 import run_table4
 
         path = tmp_path / "report.md"
-        subset = (("Table 4 — related work", run_table4),)
+        subset = tuple(e for e in EXPERIMENTS if e.id == "table4")
         write_report(path, experiments=subset, include_timings=False)
         before = path.read_bytes()
         request.getfixturevalue("torn_writes")
@@ -317,21 +317,3 @@ class TestAtomicWrites:
             write_report(path, experiments=subset)
         assert path.read_bytes() == before
         self._only(tmp_path, "report.md")
-
-    def test_training_step_timeline_survives(self, tmp_path, request):
-        from repro.distributed import ClusterSpec, DistributedTrainer
-        from repro.distributed.timeline import write_chrome_trace
-        from repro.hardware.roofline import zoo_profile
-
-        trainer = DistributedTrainer(ClusterSpec(nodes=2), seed=2)
-        path = tmp_path / "step.json"
-        write_chrome_trace(trainer.run_step(zoo_profile("alexnet", 64), 8),
-                           path)
-        before = path.read_bytes()
-        request.getfixturevalue("torn_writes")
-        with pytest.raises(OSError, match="disk full"):
-            write_chrome_trace(
-                trainer.run_step(zoo_profile("alexnet", 64), 16), path
-            )
-        assert path.read_bytes() == before
-        self._only(tmp_path, "step.json")

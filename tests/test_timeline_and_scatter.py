@@ -10,60 +10,75 @@ from repro.baselines.neuralpower import NeuralPowerModel, polynomial_row
 from repro.benchdata.records import ConvNetFeatures
 from repro.distributed import ClusterSpec, DistributedTrainer
 from repro.distributed.cluster import single_gpu_cluster
-from repro.distributed.timeline import (
-    trace_to_chrome,
-    trace_to_text,
-    write_chrome_trace,
-)
+from repro.distributed.timeline import trace_to_text
 from repro.hardware.roofline import zoo_profile
+from repro.trace import Tracer, to_chrome, write_chrome
+
+
+def _traced_step(cluster):
+    tracer = Tracer()
+    trace = DistributedTrainer(cluster, seed=2).run_step(
+        zoo_profile("alexnet", 128), 64, tracer=tracer
+    )
+    return trace, tracer
 
 
 @pytest.fixture(scope="module")
-def multi_node_trace():
-    trainer = DistributedTrainer(ClusterSpec(nodes=4), seed=2)
-    return trainer.run_step(zoo_profile("alexnet", 128), 64)
+def multi_node_step():
+    return _traced_step(ClusterSpec(nodes=4))
 
 
 @pytest.fixture(scope="module")
-def single_device_trace():
-    trainer = DistributedTrainer(single_gpu_cluster(), seed=2)
-    return trainer.run_step(zoo_profile("alexnet", 128), 64)
+def multi_node_trace(multi_node_step):
+    return multi_node_step[0]
+
+
+@pytest.fixture(scope="module")
+def single_device_step():
+    return _traced_step(single_gpu_cluster())
+
+
+@pytest.fixture(scope="module")
+def single_device_trace(single_device_step):
+    return single_device_step[0]
 
 
 class TestChromeTrace:
-    def test_event_structure(self, multi_node_trace):
-        events = trace_to_chrome(multi_node_trace)
+    """The traced step exported through the tracer's Chrome exporter."""
+
+    def test_event_structure(self, multi_node_step):
+        events = to_chrome(multi_node_step[1])
         assert all(e["ph"] == "X" for e in events)
         names = [e["name"] for e in events]
         assert any("forward" in n for n in names)
         assert any("allreduce" in n for n in names)
         assert any("optimizer" in n for n in names)
 
-    def test_one_comm_event_per_bucket(self, multi_node_trace):
-        events = trace_to_chrome(multi_node_trace)
-        comm = [e for e in events if e["cat"] == "communication"]
-        assert len(comm) == len(multi_node_trace.buckets)
+    def test_one_comm_event_per_bucket(self, multi_node_step):
+        trace, tracer = multi_node_step
+        comm = [e for e in to_chrome(tracer) if e["tid"] == 1]
+        assert len(comm) == len(trace.buckets)
 
-    def test_events_nonnegative_durations(self, multi_node_trace):
-        for e in trace_to_chrome(multi_node_trace):
+    def test_events_nonnegative_durations(self, multi_node_step):
+        for e in to_chrome(multi_node_step[1]):
             assert e["dur"] >= 0
             assert e["ts"] >= 0
 
-    def test_compute_events_ordered(self, multi_node_trace):
-        events = trace_to_chrome(multi_node_trace)
+    def test_compute_events_ordered(self, multi_node_step):
+        events = to_chrome(multi_node_step[1])
         compute = [e for e in events if e["tid"] == 0]
         starts = [e["ts"] for e in compute]
         assert starts == sorted(starts)
 
-    def test_write_loadable_json(self, multi_node_trace, tmp_path):
+    def test_write_loadable_json(self, multi_node_step, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(multi_node_trace, path)
+        write_chrome(multi_node_step[1], path)
         payload = json.loads(path.read_text())
         assert len(payload["traceEvents"]) >= 3
 
-    def test_single_device_has_no_comm_events(self, single_device_trace):
-        events = trace_to_chrome(single_device_trace)
-        assert not [e for e in events if e["cat"] == "communication"]
+    def test_single_device_has_no_comm_events(self, single_device_step):
+        events = to_chrome(single_device_step[1])
+        assert not [e for e in events if e["tid"] == 1]
 
 
 class TestTextTimeline:
