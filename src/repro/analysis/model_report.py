@@ -102,7 +102,7 @@ def block_report(
     if not names:
         raise ValueError(f"graph {graph.name!r} declares no blocks")
     rows: list[BlockReportRow] = []
-    design_rows: list[np.ndarray] = []
+    design_rows: list[tuple[float, ...]] = []
     for scope in names:
         sub = graph.block_subgraph(scope)
         profile = profile_graph(sub)

@@ -84,8 +84,6 @@ _HOT_ROOT_NAMES: dict[str, str] = {
     "predict": "model prediction",
     "predict_one": "model prediction",
     "predict_configs": "batched model prediction",
-    "predict_forward_batch": "serve batched prediction",
-    "predict_step_batch": "serve batched prediction",
     "answer_request": "serve /predict handler",
     "node_scaling_curve": "scaling-curve evaluator",
     "strong_scaling_curve": "scaling-curve evaluator",

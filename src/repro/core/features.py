@@ -18,6 +18,11 @@ Encodes the paper's performance-model structure:
 F, I, O are batch-size-one metrics; the batch enters as an explicit factor,
 so a single fit covers every batch size — including ones that exceed device
 memory, which is what powers the Figure 9 extrapolation.
+
+Each ``*_row`` builder returns one design row as a tuple of Python floats:
+the ``*_design`` functions stack those rows for fitting, and
+:meth:`~repro.core.regression.LinearModel.predict_row` scores one of them
+per query.
 """
 
 from __future__ import annotations
@@ -52,10 +57,16 @@ def forward_row(
     features: ConvNetFeatures,
     batch: int,
     metric_names: Sequence[str] = FORWARD_FEATURES,
-) -> np.ndarray:
-    """One design row [b·m1, …, b·mk, 1] for the forward model."""
-    values = [batch * _metric(features, m) for m in metric_names]
-    return np.array(values + [1.0])
+) -> tuple[float, ...]:
+    """One design row (b·m1, …, b·mk, 1) for the forward model."""
+    try:
+        return (
+            *[batch * float(getattr(features, m)) for m in metric_names], 1.0
+        )
+    except AttributeError:
+        for m in metric_names:  # the KeyError naming the first unknown one
+            _metric(features, m)
+        raise
 
 
 def forward_design(
@@ -71,14 +82,14 @@ def forward_design(
 
 def grad_update_row(
     features: ConvNetFeatures, devices: int, multi_node: bool
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """One design row of Eq. 4."""
     if multi_node:
-        return np.array(
-            [float(features.layers), float(features.weights), float(devices),
-             1.0]
+        return (
+            float(features.layers), float(features.weights), float(devices),
+            1.0,
         )
-    return np.array([float(features.layers), 1.0])
+    return (float(features.layers), 1.0)
 
 
 def grad_update_design(
@@ -93,18 +104,16 @@ def grad_update_design(
 
 def combined_bwd_grad_row(
     features: ConvNetFeatures, batch: int, devices: int
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """One seven-coefficient row for the overlapped backward+update model."""
-    return np.array(
-        [
-            batch * features.flops,
-            batch * features.inputs,
-            batch * features.outputs,
-            float(features.layers),
-            float(features.weights),
-            float(devices),
-            1.0,
-        ]
+    return (
+        float(batch * features.flops),
+        float(batch * features.inputs),
+        float(batch * features.outputs),
+        float(features.layers),
+        float(features.weights),
+        float(devices),
+        1.0,
     )
 
 
@@ -112,12 +121,10 @@ def combined_bwd_grad_design(
     records: Sequence[TimingRecord],
 ) -> np.ndarray:
     """Design matrix of the combined backward+gradient-update model."""
-    return np.array(
-        [
-            combined_bwd_grad_row(r.features, r.batch, r.devices)
-            for r in records
-        ]
-    )
+    X = np.empty((len(records), len(COMBINED_FEATURES)))
+    for i, r in enumerate(records):
+        X[i] = combined_bwd_grad_row(r.features, r.batch, r.devices)
+    return X
 
 
 def target(records: Sequence[TimingRecord], which: str) -> np.ndarray:

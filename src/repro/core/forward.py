@@ -46,8 +46,9 @@ class ForwardModel:
 
     def predict_one(self, features: ConvNetFeatures, batch: int) -> float:
         """Predicted time for one network at one mini-batch size."""
-        return float(self.model.predict(forward_row(features, batch,
-                                                    self.metric_names))[0])
+        return self.model.predict_row(
+            forward_row(features, batch, self.metric_names)
+        )
 
     def predict_configs(
         self, features: ConvNetFeatures, batches: Sequence[int]

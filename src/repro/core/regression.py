@@ -161,9 +161,16 @@ class LinearModel:
     fit_weight: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
-    #: ``(feature_ranges, factor, domain_band(...))`` of the last FIT004
-    #: check, so a served model derives its band once, not per request.
+    #: ``(feature_ranges, factor, domain_band(...), lower, upper)`` of the
+    #: last FIT004 check, so a served model derives its band once, not
+    #: per request (see :meth:`_kept`).
     _kept_band: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ``(coef, coef.tolist())`` beside it for :meth:`predict_row`,
+    #: renewed whenever ``coef`` is replaced (fit and load assign a new
+    #: array; nothing writes one in place).
+    _kept_coef: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -275,6 +282,12 @@ class LinearModel:
     def band(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """:func:`domain_band` of the recorded ranges, derived once per
         ``(feature_ranges, factor)`` pair and kept for the next call."""
+        return self._kept(factor)[2]
+
+    def _kept(self, factor: float) -> tuple:
+        """The kept ``(feature_ranges, factor, band, lower, upper)``,
+        where ``lower`` and ``upper`` are the band as tuples of Python
+        floats for :meth:`row_out_of_domain`."""
         kept = self._kept_band
         if kept is None or kept[0] is not self.feature_ranges or (
             kept[1] != factor
@@ -282,9 +295,12 @@ class LinearModel:
             band = domain_band(self.feature_ranges, factor)
             for bound in band:  # shared by every later caller and thread
                 bound.flags.writeable = False
-            kept = (self.feature_ranges, factor, band)
+            kept = (
+                self.feature_ranges, factor, band,
+                tuple(band[0].tolist()), tuple(band[1].tolist()),
+            )
             self._kept_band = kept
-        return kept[2]
+        return kept
 
     def out_of_domain(
         self, X: np.ndarray, factor: float = 10.0
@@ -304,6 +320,31 @@ class LinearModel:
         X = np.asarray(X, dtype=np.float64)
         return ((X > upper) | (X < lower)).any(axis=1)
 
+    def row_out_of_domain(
+        self, row: Sequence[float], factor: float = 10.0
+    ) -> bool:
+        """:meth:`out_of_domain` of one design row, in Python floats.
+
+        The same kept band and the same two comparisons per column, so
+        it equals ``out_of_domain([row], factor)[0]`` without building
+        an array per query.
+        """
+        if self.feature_ranges is None:
+            if factor <= 0:
+                raise ValueError("extrapolation factor must be positive")
+            return False
+        _, _, _, lower, upper = self._kept(factor)
+        n = len(upper)
+        if len(row) != n:
+            raise ValueError(
+                f"query has {len(row)} columns, fitted ranges cover {n}"
+            )
+        for j in range(n):
+            value = row[j]
+            if value > upper[j] or value < lower[j]:
+                return True
+        return False
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef is None:
             raise RuntimeError("model is not fitted")
@@ -318,8 +359,9 @@ class LinearModel:
         # Columnwise left-to-right accumulation instead of ``X @ coef``:
         # BLAS picks a different reduction order for an (N, k) matmul than
         # for a single row, so the same query would predict differently
-        # alone vs inside a batch.  This order is shape-invariant, which
-        # the serve layer's batched-vs-sequential equivalence relies on.
+        # alone vs inside a batch.  This order is shape-invariant and is
+        # the order of predict_row, which is what keeps every
+        # predict_configs element equal to its predict_one.
         # The column loop below is a *deliberate* scalarization over the
         # feature axis (k <= 7 columns), not over the data axis — the
         # shape-invariant reduction order is the point.  PERF001 would
@@ -328,6 +370,30 @@ class LinearModel:
         for column in range(1, X.shape[1]):  # repro-lint: disable=PERF001
             total = total + X[:, column] * self.coef[column]
         return total
+
+    def predict_row(self, row: Sequence[float]) -> float:
+        """:meth:`predict` of one design row, in Python floats.
+
+        ``row[0] * coef[0] + row[1] * coef[1] + …`` left to right: the
+        same IEEE operations in the same order as :meth:`predict`'s
+        column loop, so it equals ``predict([row])[0]`` bit for bit
+        without building an array per query.
+        """
+        kept = self._kept_coef
+        if kept is None or kept[0] is not self.coef:
+            if self.coef is None:
+                raise RuntimeError("model is not fitted")
+            kept = self._kept_coef = (self.coef, self.coef.tolist())
+        coef = kept[1]
+        n = len(coef)
+        if len(row) != n:
+            raise ValueError(
+                f"design matrix has {len(row)} columns, model expects {n}"
+            )
+        total = row[0] * coef[0]
+        for j in range(1, n):
+            total = total + row[j] * coef[j]
+        return float(total)
 
     def coefficients(self) -> dict[str, float]:
         """Named coefficients for reporting."""

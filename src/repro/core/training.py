@@ -66,7 +66,7 @@ class GradientUpdateModel:
 
     def predict_one(self, features: ConvNetFeatures, devices: int = 1) -> float:
         row = grad_update_row(features, devices, self.multi_node)
-        return float(self.model.predict(row)[0])
+        return self.model.predict_row(row)
 
     def predict(self, data: Dataset | Sequence[TimingRecord]) -> np.ndarray:
         records = list(data)
@@ -114,15 +114,15 @@ class CombinedBwdGradModel:
         )
 
     @staticmethod
-    def _single_row(features: ConvNetFeatures, batch: int) -> np.ndarray:
-        return np.array(
-            [
-                batch * features.flops,
-                batch * features.inputs,
-                batch * features.outputs,
-                float(features.layers),
-                1.0,
-            ]
+    def _single_row(
+        features: ConvNetFeatures, batch: int
+    ) -> tuple[float, ...]:
+        return (
+            float(batch * features.flops),
+            float(batch * features.inputs),
+            float(batch * features.outputs),
+            float(features.layers),
+            1.0,
         )
 
     def fit(self, data: Dataset | Sequence[TimingRecord]) -> "CombinedBwdGradModel":
@@ -132,15 +132,35 @@ class CombinedBwdGradModel:
         single = [r for r in records if r.nodes == 1]
         multi = [r for r in records if r.nodes > 1]
         if single:
-            X = np.array(
-                [self._single_row(r.features, r.batch) for r in single]
-            )
+            X = np.empty((len(single), len(self.SINGLE_FEATURES)))
+            for i, r in enumerate(single):
+                X[i] = self._single_row(r.features, r.batch)
             self.single.fit(X, target(single, "bwd+grad"))
         if multi:
             self.multi.fit(
                 combined_bwd_grad_design(multi), target(multi, "bwd+grad")
             )
         return self
+
+    def regression_row(
+        self,
+        features: ConvNetFeatures,
+        batch: int,
+        devices: int = 1,
+        nodes: int = 1,
+    ) -> tuple[LinearModel, tuple[float, ...]]:
+        """The regression of the query's regime and its design row."""
+        if nodes > 1:
+            if not self.multi.is_fitted:
+                raise RuntimeError(
+                    "no multi-node records were available at fit time"
+                )
+            return self.multi, combined_bwd_grad_row(features, batch, devices)
+        if not self.single.is_fitted:
+            raise RuntimeError(
+                "no single-node records were available at fit time"
+            )
+        return self.single, self._single_row(features, batch)
 
     def predict_one(
         self,
@@ -149,19 +169,8 @@ class CombinedBwdGradModel:
         devices: int = 1,
         nodes: int = 1,
     ) -> float:
-        if nodes > 1:
-            if not self.multi.is_fitted:
-                raise RuntimeError(
-                    "no multi-node records were available at fit time"
-                )
-            row = combined_bwd_grad_row(features, batch, devices)
-            return float(self.multi.predict(row)[0])
-        if not self.single.is_fitted:
-            raise RuntimeError(
-                "no single-node records were available at fit time"
-            )
-        row = self._single_row(features, batch)
-        return float(self.single.predict(row)[0])
+        regression, row = self.regression_row(features, batch, devices, nodes)
+        return regression.predict_row(row)
 
     def predict_configs(
         self,

@@ -80,7 +80,8 @@ class TrainingStepTrace:
     backward_end: float
     #: Wall time at which the last all-reduce finished.
     comm_end: float
-    #: Local optimizer (Adam) step time.
+    #: Local optimizer (Adam) step time as measured, noise included: the
+    #: part of ``phases.grad_update`` after the exposed communication.
     optimizer_time: float
 
     @property
@@ -258,9 +259,6 @@ class DistributedTrainer:
 
         buckets: list[BucketTrace] = []
         comm_end = bwd_end
-        optimizer_time = max(
-            b.grad_update_time_clean(profile) for b in backends
-        )
 
         if n_ranks > 1 and grad_sizes:
             link = self.cluster.ring_link
@@ -318,7 +316,7 @@ class DistributedTrainer:
             buckets=tuple(buckets),
             backward_end=bwd_end,
             comm_end=comm_end,
-            optimizer_time=optimizer_time,
+            optimizer_time=opt_noisy,
         )
 
     def measure_step(

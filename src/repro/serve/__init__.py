@@ -8,7 +8,7 @@ modules, stdlib-only (``http.server`` threading — no new dependencies):
   artifacts with hot reload on file change and serve-time rejection of
   v1 documents;
 * :mod:`repro.serve.protocol` — the JSON request/response contract and
-  the vectorized batched predict (bit-equal to sequential evaluation);
+  the per-query scalar predict (bit-equal to ``repro predict``);
 * :mod:`repro.serve.server` — the threaded HTTP server with
   ``/predict``, ``/healthz`` and ``/metrics`` (trace-counter backed).
 
@@ -22,8 +22,6 @@ from repro.serve.protocol import (
     PredictRequest,
     ProtocolError,
     answer_request,
-    predict_forward_batch,
-    predict_step_batch,
 )
 from repro.serve.registry import (
     ArtifactEntry,
@@ -47,7 +45,5 @@ __all__ = [
     "UnknownArtifactError",
     "answer_request",
     "make_server",
-    "predict_forward_batch",
-    "predict_step_batch",
     "write_manifest",
 ]

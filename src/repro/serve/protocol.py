@@ -1,4 +1,4 @@
-"""The serve JSON protocol: query validation and vectorized prediction.
+"""The serve JSON protocol: query validation and prediction.
 
 Everything the HTTP layer does besides sockets lives here as pure
 functions, so the request/response contract is testable without a server
@@ -13,11 +13,12 @@ A request is either one query or a batch::
      "queries": [{"network": "alexnet", "batch": 1},
                  {"network": "resnet50", "image": 128, "batch": 64}]}
 
-Batched requests are answered **vectorized**: one design matrix covering
-the whole query list and a single :meth:`LinearModel.predict` call per
-constituent regression, bit-for-bit equal to evaluating the queries one
-at a time (``tests/test_serve.py`` gates this with exact float ``==``,
-the same way the campaign byte-identity suites gate parallel workers).
+Plain forward and training-step queries are answered one at a time from
+Python floats: each regression scores the query's design row with
+:meth:`~repro.core.regression.LinearModel.predict_row`, the path
+``repro predict`` takes through ``predict_one``, so a query's answer is
+bit-for-bit the same alone, inside any batch and from the CLI
+(``tests/test_serve.py`` gates this with exact float ``==``).
 
 Query fields beyond the prediction coordinates:
 
@@ -41,9 +42,8 @@ number that no measurement backs says so, per response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
-import numpy as np
 
 from repro.analysis.audit import (
     artifact_prediction_warnings,
@@ -53,7 +53,6 @@ from repro.baselines.protocol import LearnedPredictor
 from repro.benchdata.records import ConvNetFeatures, TimingRecord
 from repro.core.features import forward_row
 from repro.core.forward import ForwardModel
-from repro.core.regression import LinearModel
 from repro.core.scalability import node_scaling_curve
 from repro.core.training import TrainingStepModel
 from repro.caching import LRUCache
@@ -267,129 +266,76 @@ class FeatureCache:
         return len(self._cache)
 
 
-# -- vectorized prediction ---------------------------------------------------
-
-
-def _forward_batch(
-    model: ForwardModel,
-    features: Sequence[ConvNetFeatures],
-    batches: Sequence[int],
-    factor: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward times for N queries from one stacked design matrix, and
-    the FIT004 screen of that matrix (see :func:`_screen`)."""
-    X = np.empty((len(batches), len(model.metric_names) + 1))
-    for i, (f, b) in enumerate(zip(features, batches)):
-        X[i] = forward_row(f, b, model.metric_names)
-    return model.model.predict(X), _screen(model.model, X, factor)
-
-
-def _step_batch(
-    model: TrainingStepModel,
-    features: Sequence[ConvNetFeatures],
-    batches: Sequence[int],
-    devices: Sequence[int],
-    nodes: Sequence[int],
-    factor: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(forward, backward+update) times for N queries and their FIT004
-    screen over every regression a query's answer touches.
-
-    The combined model is piecewise (single-node vs multi-node rows), so
-    the batch is partitioned by regime, each partition answered with one
-    stacked ``predict`` call, and the results scattered back into query
-    order — exactly equal to N ``predict_one`` calls.
-    """
-    from repro.core.features import combined_bwd_grad_row
-
-    fwd, flagged = _forward_batch(model.forward, features, batches, factor)
-    bwd = np.empty(len(batches), dtype=np.float64)
-    single = [i for i, n in enumerate(nodes) if n == 1]
-    multi = [i for i, n in enumerate(nodes) if n > 1]
-    if single:
-        if not model.bwd_grad.single.is_fitted:
-            raise ProtocolError(
-                "no single-node records were available at fit time"
-            )
-        rows = np.empty(
-            (len(single), len(model.bwd_grad.SINGLE_FEATURES))
-        )
-        for j, i in enumerate(single):
-            rows[j] = model.bwd_grad._single_row(features[i], batches[i])
-        bwd[single] = model.bwd_grad.single.predict(rows)
-        flagged[single] |= _screen(model.bwd_grad.single, rows, factor)
-    if multi:
-        if not model.bwd_grad.multi.is_fitted:
-            raise ProtocolError(
-                "no multi-node records were available at fit time"
-            )
-        rows = np.empty(
-            (len(multi), len(model.bwd_grad.MULTI_FEATURES))
-        )
-        for j, i in enumerate(multi):
-            rows[j] = combined_bwd_grad_row(
-                features[i], batches[i], devices[i]
-            )
-        bwd[multi] = model.bwd_grad.multi.predict(rows)
-        flagged[multi] |= _screen(model.bwd_grad.multi, rows, factor)
-    return fwd, bwd, flagged
-
-
-def _screen(
-    regression: LinearModel, X: np.ndarray, factor: float | None
-) -> np.ndarray:
-    """Rows of a stacked design matrix that carry FIT004 warnings.
-
-    One vectorised bound test per regression (the arithmetic
-    :func:`~repro.core.regression.range_violations` uses), so only the
-    flagged queries pay for :func:`prediction_warnings`, whose rendered
-    text stays the single source of the served warnings.
-    """
-    if factor is None:
-        return np.zeros(len(X), dtype=bool)
-    return regression.out_of_domain(X, factor)
-
-
-def predict_forward_batch(
-    model: ForwardModel,
-    features: Sequence[ConvNetFeatures],
-    batches: Sequence[int],
-) -> np.ndarray:
-    """Forward times for N queries from one stacked design matrix."""
-    return _forward_batch(model, features, batches, None)[0]
-
-
-def predict_step_batch(
-    model: TrainingStepModel,
-    features: Sequence[ConvNetFeatures],
-    batches: Sequence[int],
-    devices: Sequence[int],
-    nodes: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(forward, backward+update) times for N queries, vectorized and
-    exactly equal to N ``predict_one`` calls."""
-    fwd, bwd, _ = _step_batch(model, features, batches, devices, nodes,
-                              None)
-    return fwd, bwd
-
-
 # -- request answering -------------------------------------------------------
 
 
-def _fit004(
-    flagged: bool,
+def _linear_prediction(
+    kind: str,
     model: ForwardModel | TrainingStepModel,
-    features: ConvNetFeatures,
     query: PredictQuery,
+    profile: CostProfile,
+    features: ConvNetFeatures,
+    fused: bool,
     factor: float | None,
-) -> list[str]:
-    """Rendered FIT004 warnings of one screened plain query."""
-    if not flagged:
-        return []
-    return prediction_warnings(
-        model, features, query.batch,
+) -> dict[str, Any]:
+    """One plain forward or training-step query, scored row by row.
+
+    Each regression the answer touches scores the query's design row with
+    :meth:`~repro.core.regression.LinearModel.predict_row`, the path
+    ``predict_one`` takes, and screens it with ``row_out_of_domain``, so
+    only flagged queries pay for :func:`prediction_warnings`, whose text
+    stays the single source of the served warnings.
+    """
+    batch = query.batch
+    training = isinstance(model, TrainingStepModel)
+    forward = model.forward if training else model
+    regression = forward.model
+    row = forward_row(features, batch, forward.metric_names)
+    t = regression.predict_row(row)
+    flagged = factor is not None and regression.row_out_of_domain(row, factor)
+    if training:
+        try:
+            regression, row = model.bwd_grad.regression_row(
+                features, batch, query.devices, query.nodes
+            )
+        except RuntimeError as exc:
+            raise ProtocolError(str(exc))
+        bwd = regression.predict_row(row)
+        if factor is not None and regression.row_out_of_domain(row, factor):
+            flagged = True
+    warnings = prediction_warnings(
+        model, features, batch,
         devices=query.devices, nodes=query.nodes, factor=factor,
-    )
+    ) if flagged else []
+    if query.device or query.backend:  # no note otherwise; skip the call
+        warnings += _memory_note(query, profile, training)
+    if not training:
+        return {
+            "kind": kind,
+            "network": query.network,
+            "image": query.image,
+            "batch": batch,
+            "nodes": query.nodes,
+            "devices": query.devices,
+            "fuse": fused,
+            "t_seconds": t,
+            "throughput": batch / t,
+            "warnings": warnings,
+        }
+    total = t + bwd
+    return {
+        "kind": "training_step",
+        "network": query.network,
+        "image": query.image,
+        "batch": batch,
+        "nodes": query.nodes,
+        "devices": query.devices,
+        "fuse": fused,
+        "t_seconds": total,
+        "phases": {"forward": t, "backward_plus_update": bwd},
+        "throughput": batch * query.devices / total,
+        "warnings": warnings,
+    }
 
 
 def _memory_note(
@@ -483,8 +429,9 @@ def answer_request(
     """Evaluate a validated request against one registry artifact.
 
     Returns the JSON-safe response body.  Scaling queries are answered
-    per query; plain forward/step queries are answered vectorized across
-    the whole list.
+    first, then the plain ones: forward and training-step queries one at
+    a time through their regressions' scalar row path, learned-artifact
+    queries in one ``predict`` call over the whole list.
     """
     model = entry.model
     if entry.kind not in SERVABLE_KINDS:
@@ -527,59 +474,11 @@ def answer_request(
             )
 
     if plain:
-        feats = [resolved[i][2] for i in plain]
-        batches = [resolved[i][0].batch for i in plain]
-        if isinstance(model, TrainingStepModel):
-            devices = [resolved[i][0].devices for i in plain]
-            nodes = [resolved[i][0].nodes for i in plain]
-            fwd, bwd, flagged = _step_batch(
-                model, feats, batches, devices, nodes, factor
-            )
-            fwd_times, bwd_times = fwd.tolist(), bwd.tolist()
-            screened = flagged.tolist()
-            for j, i in enumerate(plain):
-                query, profile, features, fused = resolved[i]
-                total = fwd_times[j] + bwd_times[j]
-                predictions[i] = {
-                    "kind": "training_step",
-                    "network": query.network,
-                    "image": query.image,
-                    "batch": query.batch,
-                    "nodes": query.nodes,
-                    "devices": query.devices,
-                    "fuse": fused,
-                    "t_seconds": total,
-                    "phases": {
-                        "forward": fwd_times[j],
-                        "backward_plus_update": bwd_times[j],
-                    },
-                    "throughput": query.batch * query.devices / total,
-                    "warnings": _fit004(
-                        screened[j], model, features, query, factor
-                    )
-                    + _memory_note(query, profile, True),
-                }
-        elif isinstance(model, ForwardModel):
-            times, flagged = _forward_batch(model, feats, batches, factor)
-            times, screened = times.tolist(), flagged.tolist()
-            for j, i in enumerate(plain):
-                query, profile, features, fused = resolved[i]
-                t = times[j]
-                predictions[i] = {
-                    "kind": entry.kind,
-                    "network": query.network,
-                    "image": query.image,
-                    "batch": query.batch,
-                    "nodes": query.nodes,
-                    "devices": query.devices,
-                    "fuse": fused,
-                    "t_seconds": t,
-                    "throughput": query.batch / t,
-                    "warnings": _fit004(
-                        screened[j], model, features, query, factor
-                    )
-                    + _memory_note(query, profile, False),
-                }
+        if isinstance(model, (ForwardModel, TrainingStepModel)):
+            for i in plain:
+                predictions[i] = _linear_prediction(
+                    entry.kind, model, *resolved[i], factor
+                )
         elif isinstance(model, LearnedPredictor):
             # Learned artifacts predict from timing-record coordinates;
             # the queries become synthetic records (measurements unused —

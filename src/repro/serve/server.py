@@ -78,6 +78,11 @@ BACKGROUND_POLL_S = 0.05
 MAX_LINE_BYTES = 65536
 MAX_HEADER_LINES = 100
 
+#: Encodes every response body.  ``json.dumps(..., sort_keys=True)``
+#: would build a new encoder per call; ``encode`` keeps no state between
+#: calls, so one instance serves every handler thread.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 #: A header field name: an RFC 9110 token, so nothing before the colon
 #: may be whitespace (which is also how a folded line is caught).
 _FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -295,7 +300,7 @@ class PredictionHandler(BaseHTTPRequestHandler):
         close: bool = False,
         **counts: float,
     ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        body = (_ENCODER.encode(payload) + "\n").encode()
         self._send_body(status, body, "application/json", close, **counts)
 
     def _send_body(

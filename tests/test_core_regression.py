@@ -302,6 +302,137 @@ def _rec(batch=2, devices=1, nodes=1, **times) -> TimingRecord:
     )
 
 
+#: Doubles that stress the row path: signed zeros, subnormals, values
+#: near the top of the range and ordinary magnitudes.
+_EDGE_DOUBLES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -2.225073858507201e-308, 1e300, -1e300, 1.7976931348623157e308,
+        -1.7976931348623157e308, 1.0, -1.0,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=1e290, max_value=1e308),
+)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScalarRowPath:
+    """``predict_row``/``row_out_of_domain`` are the one-row twins of
+    ``predict``/``out_of_domain``: bit for bit, on any doubles."""
+
+    @given(
+        data=st.data(),
+        k=st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_predict_row_equals_predict(self, data, k):
+        coef = data.draw(st.lists(_EDGE_DOUBLES, min_size=k, max_size=k))
+        row = data.draw(st.lists(_EDGE_DOUBLES, min_size=k, max_size=k))
+        model = LinearModel(coef=np.array(coef))
+        with np.errstate(all="ignore"):
+            expected = model.predict(np.array([row]))[0]
+        got = model.predict_row(tuple(row))
+        assert type(got) is float
+        assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize("row, coef", [
+        ((-0.0,), (1.0,)),
+        ((-0.0, 0.0), (1.0, -1.0)),
+        ((5e-324, -5e-324), (1.0, 1.0)),
+        ((5e-324,), (0.5,)),
+        ((1e300, 1e300, -1e300), (1e10, -1e10, 1.0)),
+        ((1e300, 1.0), (1e10, -1.0)),
+    ])
+    def test_signed_zeros_subnormals_and_overflow(self, row, coef):
+        model = LinearModel(coef=np.array(coef))
+        with np.errstate(all="ignore"):
+            expected = model.predict(np.array([row]))[0]
+        assert _bits(model.predict_row(row)) == _bits(expected)
+
+    @given(
+        data=st.data(),
+        k=st.integers(min_value=1, max_value=7),
+        factor=st.one_of(
+            st.sampled_from([10.0, 1.5, 1.0, 8.0]),
+            st.floats(min_value=1e-6, max_value=1e6),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_row_out_of_domain_equals_out_of_domain(self, data, k, factor):
+        ranges = tuple(
+            tuple(sorted(data.draw(st.tuples(_EDGE_DOUBLES, _EDGE_DOUBLES))))
+            for _ in range(k)
+        )
+        # Rows near the bounds as well as anywhere.
+        near = st.sampled_from(
+            [v for lo, hi in ranges for v in (lo, hi, lo / factor,
+                                              hi * factor)]
+        )
+        row = tuple(data.draw(
+            st.lists(st.one_of(_EDGE_DOUBLES, near), min_size=k,
+                     max_size=k)
+        ))
+        model = LinearModel(feature_ranges=ranges)
+        with np.errstate(all="ignore"):
+            expected = bool(model.out_of_domain(np.array([row]), factor)[0])
+            got = model.row_out_of_domain(row, factor)
+            reported = bool(model.domain_violations(np.array([row]), factor))
+        assert got is expected is reported
+
+    def test_no_lower_bound_when_min_is_not_positive(self):
+        model = LinearModel(feature_ranges=((0.0, 4.0), (-3.0, 2.0),
+                                            (2.0, 5.0)))
+        for row in ((-1e300, -1e300, 2.0), (0.0, -0.0, 0.2)):
+            assert model.row_out_of_domain(row, 10.0) is False
+            assert not model.out_of_domain(np.array([row]), 10.0)[0]
+        for row in ((41.0, 0.0, 2.0), (0.0, 0.0, 0.19)):
+            assert model.row_out_of_domain(row, 10.0) is True
+            assert model.out_of_domain(np.array([row]), 10.0)[0]
+
+    def test_the_row_path_shares_the_kept_band(self, monkeypatch):
+        derived = []
+        real = regression.domain_band
+        monkeypatch.setattr(
+            regression, "domain_band",
+            lambda ranges, factor: derived.append(factor)
+            or real(ranges, factor),
+        )
+        model = LinearModel(feature_ranges=((1.0, 10.0), (0.0, 5.0)))
+        for _ in range(2):
+            assert model.row_out_of_domain((1.0, 60.0), 8.0) is True
+            assert model.out_of_domain(np.array([[2.0, 3.0]]), 8.0)[0] == 0
+        assert derived == [8.0]
+
+    def test_a_replaced_coef_is_scored(self):
+        model = LinearModel(coef=np.array([1.0, 2.0]))
+        assert model.predict_row((1.0, 1.0)) == 3.0
+        model.coef = np.array([1.0, 4.0])
+        assert model.predict_row((1.0, 1.0)) == 5.0
+        model.coef = None
+        with pytest.raises(RuntimeError, match="not fitted"):
+            model.predict_row((1.0, 1.0))
+
+    def test_errors_match_the_matrix_path(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            LinearModel().predict_row((1.0, 2.0))
+        model = LinearModel(coef=np.array([1.0, 2.0]),
+                            feature_ranges=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="3 columns"):
+            model.predict_row((1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="3 columns"):
+            model.row_out_of_domain((1.0, 2.0, 3.0), 10.0)
+        with pytest.raises(ValueError, match="positive"):
+            model.row_out_of_domain((1.0, 2.0), 0.0)
+        unranged = LinearModel(coef=np.array([1.0]))
+        assert unranged.row_out_of_domain((1e300,), 10.0) is False
+        with pytest.raises(ValueError, match="positive"):
+            unranged.row_out_of_domain((1.0,), -1.0)
+
+
 class TestDesignMatrices:
     def test_forward_row_values(self):
         row = forward_row(_rec().features, batch=2)

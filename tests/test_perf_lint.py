@@ -773,33 +773,70 @@ class TestTriageByteIdentity:
                 ).total
                 assert point.step_time == expected
 
-    def test_serve_forward_batch_vs_scalar(self, forward_model_and_data):
-        from repro.serve.protocol import predict_forward_batch
+    @staticmethod
+    def _served(model, kind, queries):
+        """A batched ``answer_request`` of ``queries`` and the features
+        each query was answered from."""
+        from pathlib import Path
 
-        model, data = forward_model_and_data
-        feats = [r.features for r in list(data)[:6]]
-        batches = [1, 2, 8, 16, 64, 256]
-        batched = predict_forward_batch(model, feats, batches)
-        scalar = [
-            model.predict_one(f, b) for f, b in zip(feats, batches)
+        from repro.serve.protocol import (
+            FeatureCache,
+            PredictQuery,
+            PredictRequest,
+            answer_request,
+        )
+        from repro.serve.registry import ArtifactEntry
+
+        entry = ArtifactEntry(name="m", path=Path("m.json"), kind=kind,
+                              format=2, model=model)
+        request = PredictRequest(
+            model=None, queries=tuple(PredictQuery(**q) for q in queries),
+            batched=True,
+        )
+        cache = FeatureCache()
+        body = answer_request(request, entry, cache)
+        features = [
+            cache.lookup(q.network, q.image, "inference" if q.fuse else "")[1]
+            for q in request.queries
         ]
-        assert batched.tolist() == scalar
+        return body["predictions"], features
+
+    def test_serve_forward_batch_vs_scalar(self, forward_model_and_data):
+        model, _ = forward_model_and_data
+        queries = [
+            {"network": network, "image": image, "batch": batch,
+             "fuse": fuse}
+            for network, image, batch, fuse in (
+                ("alexnet", 64, 1, False), ("resnet18", 128, 2, False),
+                ("alexnet", 128, 8, True), ("resnet18", 64, 16, False),
+                ("resnet18", 128, 64, True), ("alexnet", 64, 256, False),
+            )
+        ]
+        served, features = self._served(model, "forward", queries)
+        scalar = [
+            model.predict_one(f, q["batch"])
+            for f, q in zip(features, queries)
+        ]
+        assert [p["t_seconds"] for p in served] == scalar
 
     def test_serve_step_batch_vs_scalar(self, step_model_and_data):
-        from repro.serve.protocol import predict_step_batch
-
-        model, data = step_model_and_data
-        feats = [data[0].features] * 4
-        batches = [16, 64, 16, 64]
-        devices = [1, 1, 8, 8]
-        nodes = [1, 1, 2, 2]
-        fwd, bwd = predict_step_batch(model, feats, batches, devices, nodes)
-        for i in range(4):
-            pred = model.predict_one(
-                feats[i], batches[i], devices=devices[i], nodes=nodes[i]
+        model, _ = step_model_and_data
+        queries = [
+            {"network": "resnet18", "image": 128, "batch": batch,
+             "devices": devices, "nodes": nodes}
+            for batch, devices, nodes in (
+                (16, 1, 1), (64, 1, 1), (16, 8, 2), (64, 8, 2),
             )
-            assert fwd[i] == pred.forward
-            assert bwd[i] == pred.backward_plus_update
+        ]
+        served, features = self._served(model, "training_step", queries)
+        for prediction, f, q in zip(served, features, queries):
+            pred = model.predict_one(
+                f, q["batch"], devices=q["devices"], nodes=q["nodes"]
+            )
+            assert prediction["phases"]["forward"] == pred.forward
+            assert (prediction["phases"]["backward_plus_update"]
+                    == pred.backward_plus_update)
+            assert prediction["t_seconds"] == pred.total
 
     def test_polynomial_row_vs_scalar_reference(self):
         from repro.baselines.neuralpower import _base_row, polynomial_row

@@ -176,7 +176,7 @@ class TestRegressionProperties:
 
         row1 = forward_row(r.features, 1)
         rowb = forward_row(r.features, batch)
-        np.testing.assert_allclose(rowb[:-1], batch * row1[:-1])
+        np.testing.assert_allclose(rowb[:-1], batch * np.array(row1[:-1]))
         assert rowb[-1] == 1.0
 
 

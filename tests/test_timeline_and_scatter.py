@@ -102,6 +102,26 @@ class TestTextTimeline:
         text = trace_to_text(single_device_trace)
         assert "allreduce" not in text
 
+    @pytest.mark.parametrize("which", ["multi", "single"])
+    def test_timeline_is_the_measured_step(self, which, multi_node_trace,
+                                           single_device_trace):
+        # The drawn optimizer row is the measured (noisy) update, so the
+        # rows add up to the step the phases report.
+        trace = multi_node_trace if which == "multi" else single_device_trace
+        exposed = max(0.0, trace.comm_end - trace.backward_end)
+        assert trace.optimizer_time == pytest.approx(
+            trace.phases.grad_update - exposed, rel=1e-12
+        )
+        drawn = trace.phases.forward + max(
+            trace.comm_end, trace.backward_end
+        ) + trace.optimizer_time
+        assert drawn == pytest.approx(trace.phases.total, rel=1e-12)
+        total_line = trace_to_text(trace).splitlines()[-1]
+        assert f"total {trace.phases.total * 1e3:.2f} ms" in total_line
+        assert f"{trace.optimizer_time * 1e3:8.2f} ms" in trace_to_text(
+            trace
+        ).splitlines()[-2]
+
 
 class TestScatterSummary:
     def test_perfect_prediction_unbiased(self):
