@@ -17,107 +17,80 @@ Typical usage::
 
 See ``examples/`` for complete scenarios and ``benchmarks/`` for the
 harness that regenerates every table and figure of the paper.
+
+The names below resolve on first access (PEP 562): ``import repro`` (and
+so ``import repro.<anything>``) loads no subsystem, and ``from repro
+import X`` imports only the subpackage that defines ``X``.
 """
 
-from repro.benchdata import (
-    ConvNetFeatures,
-    Dataset,
-    TimingRecord,
-    block_campaign,
-    distributed_campaign,
-    inference_campaign,
-    training_campaign,
-)
-from repro.core import (
-    BackwardModel,
-    CombinedBwdGradModel,
-    EvalMetrics,
-    ForwardModel,
-    GradientUpdateModel,
-    TrainingStepModel,
-    accumulated_step_time,
-    batch_scaling_curve,
-    blockwise_evaluation,
-    bootstrap_coefficients,
-    bootstrap_prediction,
-    compare_refinement,
-    epoch_time,
-    evaluate_predictions,
-    leave_one_out,
-    load_model,
-    model_specific_fit,
-    node_scaling_curve,
-    save_model,
-    shared_fit_evaluation,
-    strong_scaling_curve,
-    throughput,
-    total_training_time,
-    turning_point,
-)
-from repro.distributed import ClusterSpec, DistributedTrainer
-from repro.hardware import (
-    A100_80GB,
-    DeviceSpec,
-    SimulatedExecutor,
-    XEON_GOLD_5318Y_CORE,
-)
-from repro.hardware.roofline import zoo_profile
-from repro.trace import NULL_TRACER, Span, Tracer
-from repro.zoo import available_models, build_model
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name -> the subpackage (or module) that defines it.
+_EXPORTS = {
     # campaign data
-    "ConvNetFeatures",
-    "TimingRecord",
-    "Dataset",
-    "inference_campaign",
-    "training_campaign",
-    "distributed_campaign",
-    "block_campaign",
+    "ConvNetFeatures": "benchdata",
+    "TimingRecord": "benchdata",
+    "Dataset": "benchdata",
+    "inference_campaign": "benchdata",
+    "training_campaign": "benchdata",
+    "distributed_campaign": "benchdata",
+    "block_campaign": "benchdata",
     # performance models
-    "ForwardModel",
-    "BackwardModel",
-    "GradientUpdateModel",
-    "CombinedBwdGradModel",
-    "TrainingStepModel",
+    "ForwardModel": "core",
+    "BackwardModel": "core",
+    "GradientUpdateModel": "core",
+    "CombinedBwdGradModel": "core",
+    "TrainingStepModel": "core",
     # evaluation
-    "EvalMetrics",
-    "evaluate_predictions",
-    "leave_one_out",
-    "blockwise_evaluation",
+    "EvalMetrics": "core",
+    "evaluate_predictions": "core",
+    "leave_one_out": "core",
+    "blockwise_evaluation": "core",
     # evaluation extras
-    "shared_fit_evaluation",
-    "bootstrap_coefficients",
-    "bootstrap_prediction",
-    "compare_refinement",
-    "model_specific_fit",
+    "shared_fit_evaluation": "core",
+    "bootstrap_coefficients": "core",
+    "bootstrap_prediction": "core",
+    "compare_refinement": "core",
+    "model_specific_fit": "core",
     # planning
-    "epoch_time",
-    "total_training_time",
-    "throughput",
-    "accumulated_step_time",
-    "node_scaling_curve",
-    "strong_scaling_curve",
-    "batch_scaling_curve",
-    "turning_point",
+    "epoch_time": "core",
+    "total_training_time": "core",
+    "throughput": "core",
+    "accumulated_step_time": "core",
+    "node_scaling_curve": "core",
+    "strong_scaling_curve": "core",
+    "batch_scaling_curve": "core",
+    "turning_point": "core",
     # persistence
-    "save_model",
-    "load_model",
+    "save_model": "core",
+    "load_model": "core",
     # substrates
-    "available_models",
-    "build_model",
-    "zoo_profile",
-    "DeviceSpec",
-    "A100_80GB",
-    "XEON_GOLD_5318Y_CORE",
-    "SimulatedExecutor",
-    "ClusterSpec",
-    "DistributedTrainer",
+    "available_models": "zoo",
+    "build_model": "zoo",
+    "zoo_profile": "hardware.roofline",
+    "DeviceSpec": "hardware",
+    "A100_80GB": "hardware",
+    "XEON_GOLD_5318Y_CORE": "hardware",
+    "SimulatedExecutor": "hardware",
+    "ClusterSpec": "distributed",
+    "DistributedTrainer": "distributed",
     # observability
-    "Tracer",
-    "Span",
-    "NULL_TRACER",
-]
+    "Tracer": "trace",
+    "Span": "trace",
+    "NULL_TRACER": "trace",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

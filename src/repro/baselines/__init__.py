@@ -10,79 +10,75 @@
   above plus three numpy-from-scratch learned competitors (ResPerfNet /
   PerfSeer / PreNeT stand-ins), raced by the leave-one-out leaderboard
   (:mod:`repro.baselines.eval`, ``repro leaderboard``).
+
+The names below resolve on first access (PEP 562), so reading the
+leaderboard's scenario and predictor names (``repro --help``) imports no
+predictor.
 """
 
-from typing import Any
+from __future__ import annotations
 
-from repro.baselines.single_metric import (
-    SINGLE_METRIC_VARIANTS,
-    single_metric_model,
-)
-from repro.baselines.paleo import PaleoModel
-from repro.baselines.dippm import DippmSurrogate, GraphUnsupportedError
-from repro.baselines.adapters import (
-    ConvMeterPredictor,
-    DippmPredictor,
-    NeuralPowerPredictor,
-    PaleoPredictor,
-)
-from repro.baselines.neuralpower import NeuralPowerModel
-from repro.baselines.perfseer import PerfSeer
-from repro.baselines.prenet import PreNeT
-from repro.baselines.protocol import (
-    LearnedPredictor,
-    MLPPredictor,
-    Predictor,
-    canonical_records,
-    record_identity,
-    validation_mask,
-)
-from repro.baselines.resperfnet import ResPerfNet
+import importlib
+from typing import TYPE_CHECKING, Any
 
-#: Artifact kinds owned by the learned predictors (persistence dispatch).
-LEARNED_KINDS: tuple[str, ...] = (
-    ResPerfNet.kind, PerfSeer.kind, PreNeT.kind,
-)
+if TYPE_CHECKING:
+    from repro.baselines.protocol import LearnedPredictor
 
-_KIND_TO_CLASS = {
-    ResPerfNet.kind: ResPerfNet,
-    PerfSeer.kind: PerfSeer,
-    PreNeT.kind: PreNeT,
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "SINGLE_METRIC_VARIANTS": "single_metric",
+    "single_metric_model": "single_metric",
+    "PaleoModel": "paleo",
+    "NeuralPowerModel": "neuralpower",
+    "DippmSurrogate": "dippm",
+    "GraphUnsupportedError": "dippm",
+    "Predictor": "protocol",
+    "LearnedPredictor": "protocol",
+    "MLPPredictor": "protocol",
+    "canonical_records": "protocol",
+    "record_identity": "protocol",
+    "validation_mask": "protocol",
+    "ConvMeterPredictor": "adapters",
+    "PaleoPredictor": "adapters",
+    "NeuralPowerPredictor": "adapters",
+    "DippmPredictor": "adapters",
+    "ResPerfNet": "resperfnet",
+    "PerfSeer": "perfseer",
+    "PreNeT": "prenet",
 }
+
+#: Artifact kind -> the learned predictor class that owns it (persistence
+#: dispatch); each key is its class's ``kind``.
+_LEARNED = {
+    "resperfnet": "ResPerfNet",
+    "perfseer": "PerfSeer",
+    "prenet": "PreNeT",
+}
+
+#: Artifact kinds owned by the learned predictors.
+LEARNED_KINDS: tuple[str, ...] = tuple(_LEARNED)
+
+__all__ = [*_EXPORTS, "LEARNED_KINDS", "predictor_from_state"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def predictor_from_state(kind: str, state: dict[str, Any]) -> LearnedPredictor:
     """Rebuild a learned predictor from its persisted ``"predictor"`` state."""
     try:
-        cls = _KIND_TO_CLASS[kind]
+        name = _LEARNED[kind]
     except KeyError:
         raise ValueError(
             f"unknown learned-predictor kind {kind!r}; "
             f"options: {', '.join(LEARNED_KINDS)}"
         ) from None
-    return cls.from_state(state)
-
-
-__all__ = [
-    "SINGLE_METRIC_VARIANTS",
-    "single_metric_model",
-    "PaleoModel",
-    "NeuralPowerModel",
-    "DippmSurrogate",
-    "GraphUnsupportedError",
-    "Predictor",
-    "LearnedPredictor",
-    "MLPPredictor",
-    "canonical_records",
-    "record_identity",
-    "validation_mask",
-    "ConvMeterPredictor",
-    "PaleoPredictor",
-    "NeuralPowerPredictor",
-    "DippmPredictor",
-    "ResPerfNet",
-    "PerfSeer",
-    "PreNeT",
-    "LEARNED_KINDS",
-    "predictor_from_state",
-]
+    return __getattr__(name).from_state(state)

@@ -20,26 +20,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.baselines.adapters import (
-    ConvMeterPredictor,
-    DippmPredictor,
-    NeuralPowerPredictor,
-    PaleoPredictor,
-)
-from repro.baselines.perfseer import PerfSeer
-from repro.baselines.prenet import PreNeT
-from repro.baselines.protocol import Predictor
-from repro.baselines.resperfnet import ResPerfNet
-from repro.benchdata.campaign import (
-    distributed_campaign,
-    inference_campaign,
-    training_campaign,
-)
-from repro.benchdata.records import Dataset, TimingRecord
-from repro.core.loo import LeaveOneOutResult, leave_one_out
+from repro import baselines
 from repro.fileio import write_text_atomic
+
+if TYPE_CHECKING:
+    from repro.baselines.protocol import Predictor
+    from repro.benchdata.records import Dataset, TimingRecord
+    from repro.core.loo import LeaveOneOutResult
 
 #: Schema identifier stamped into every leaderboard payload.
 LEADERBOARD_SCHEMA = "repro/leaderboard-bench/v1"
@@ -71,6 +60,8 @@ class ScenarioSpec:
 def _inference_data(
     models: Sequence[str], seed: int, fast: bool
 ) -> Dataset:
+    from repro.benchdata.campaign import inference_campaign
+
     return inference_campaign(
         models=models,
         batch_sizes=(1, 8, 64) if fast else (1, 8, 64, 256),
@@ -82,6 +73,8 @@ def _inference_data(
 def _training_data(
     models: Sequence[str], seed: int, fast: bool
 ) -> Dataset:
+    from repro.benchdata.campaign import training_campaign
+
     return training_campaign(
         models=models,
         batch_sizes=(1, 8, 64) if fast else (1, 8, 64, 256),
@@ -93,6 +86,8 @@ def _training_data(
 def _scaling_data(
     models: Sequence[str], seed: int, fast: bool
 ) -> Dataset:
+    from repro.benchdata.campaign import distributed_campaign
+
     return distributed_campaign(
         models=models,
         node_counts=(1, 2) if fast else (1, 2, 4),
@@ -111,6 +106,10 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
 SCENARIO_NAMES: tuple[str, ...] = tuple(s.name for s in SCENARIOS)
 
 
+#: Constructor options of the reduced ``--fast`` learned MLPs.
+_FAST_MLP = {"hidden": 8, "blocks": 1, "epochs": 120, "patience": 30}
+
+
 @dataclass(frozen=True)
 class PredictorSpec:
     """A leaderboard entrant: how to build it, and where it competes."""
@@ -118,57 +117,37 @@ class PredictorSpec:
     name: str
     display: str
     scenarios: tuple[str, ...]
-    make: Callable[[str, int, bool], Predictor]
+    #: Class name in :mod:`repro.baselines`, imported on first use.
+    predictor: str
+    #: Whether ``--fast`` builds it with the reduced :data:`_FAST_MLP`.
+    fast_mlp: bool = False
 
-
-def _make_resperfnet(target: str, seed: int, fast: bool) -> Predictor:
-    if fast:
-        return ResPerfNet(
-            target, seed, hidden=8, blocks=1, epochs=120, patience=30
-        )
-    return ResPerfNet(target, seed)
-
-
-def _make_prenet(target: str, seed: int, fast: bool) -> Predictor:
-    if fast:
-        return PreNeT(
-            target, seed, hidden=8, blocks=1, epochs=120, patience=30
-        )
-    return PreNeT(target, seed)
+    def make(self, target: str, seed: int, fast: bool) -> Predictor:
+        """A fresh entrant predicting ``target`` under ``seed``."""
+        cls = getattr(baselines, self.predictor)
+        if fast and self.fast_mlp:
+            return cls(target, seed, **_FAST_MLP)
+        return cls(target, seed)
 
 
 #: The full suite.  The analytical/polynomial/GNN-surrogate baselines are
 #: forward-pass models (that is all their papers define), so they race the
 #: inference scenario only; the rest compete everywhere.
 PREDICTORS: tuple[PredictorSpec, ...] = (
-    PredictorSpec(
-        "convmeter", "ConvMeter (paper)", SCENARIO_NAMES,
-        lambda target, seed, fast: ConvMeterPredictor(target, seed),
-    ),
-    PredictorSpec(
-        "paleo", "PALEO (analytical)", ("inference",),
-        lambda target, seed, fast: PaleoPredictor(target, seed),
-    ),
-    PredictorSpec(
-        "neuralpower", "NeuralPower (polynomial)", ("inference",),
-        lambda target, seed, fast: NeuralPowerPredictor(target, seed),
-    ),
-    PredictorSpec(
-        "dippm", "DIPPM (GNN surrogate)", ("inference",),
-        lambda target, seed, fast: DippmPredictor(target, seed),
-    ),
-    PredictorSpec(
-        "resperfnet", "ResPerfNet (residual MLP)", SCENARIO_NAMES,
-        _make_resperfnet,
-    ),
-    PredictorSpec(
-        "perfseer", "PerfSeer (graph-structured)", SCENARIO_NAMES,
-        lambda target, seed, fast: PerfSeer(target, seed),
-    ),
-    PredictorSpec(
-        "prenet", "PreNeT (workload-aware MLP)", SCENARIO_NAMES,
-        _make_prenet,
-    ),
+    PredictorSpec("convmeter", "ConvMeter (paper)", SCENARIO_NAMES,
+                  "ConvMeterPredictor"),
+    PredictorSpec("paleo", "PALEO (analytical)", ("inference",),
+                  "PaleoPredictor"),
+    PredictorSpec("neuralpower", "NeuralPower (polynomial)", ("inference",),
+                  "NeuralPowerPredictor"),
+    PredictorSpec("dippm", "DIPPM (GNN surrogate)", ("inference",),
+                  "DippmPredictor"),
+    PredictorSpec("resperfnet", "ResPerfNet (residual MLP)", SCENARIO_NAMES,
+                  "ResPerfNet", fast_mlp=True),
+    PredictorSpec("perfseer", "PerfSeer (graph-structured)", SCENARIO_NAMES,
+                  "PerfSeer"),
+    PredictorSpec("prenet", "PreNeT (workload-aware MLP)", SCENARIO_NAMES,
+                  "PreNeT", fast_mlp=True),
 )
 
 PREDICTOR_NAMES: tuple[str, ...] = tuple(p.name for p in PREDICTORS)
@@ -200,6 +179,8 @@ def evaluate_predictor(
     fast: bool = False,
 ) -> LeaveOneOutResult:
     """Leave-one-out evaluation of one suite member on one dataset."""
+    from repro.core.loo import leave_one_out
+
     return leave_one_out(
         data,
         lambda: spec.make(target, seed, fast),

@@ -29,36 +29,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.baselines.eval import (
     PREDICTOR_NAMES as _LEADERBOARD_PREDICTORS,
     SCENARIO_NAMES as _LEADERBOARD_SCENARIOS,
 )
-from repro.benchdata import (
-    CampaignSpec,
-    CampaignStore,
-    Dataset,
-    run_campaign,
-)
-from repro.benchdata.campaign import (
-    DEFAULT_BATCH_SIZES,
-    DEFAULT_IMAGE_SIZES,
-    DEFAULT_MODELS,
-)
-from repro.core.epoch import epoch_time, total_training_time
-from repro.core.forward import ForwardModel
-from repro.core.persistence import load_model, save_model
-from repro.core.training import TrainingStepModel
 from repro.experiments import EXPERIMENTS
 from repro.fileio import DocumentError
-from repro.hardware.backend import BACKEND_REGISTRY, get_backend
-from repro.hardware.device import DEVICE_PRESETS, get_device
-from repro.hardware.roofline import graph_record
-from repro.zoo import available_models, get_entry
-from repro.zoo.blocks import BLOCK_CATALOGUE
+from repro.hardware.device import BACKEND_REGISTRY, DEVICE_PRESETS, get_device
+
+if TYPE_CHECKING:
+    from repro.benchdata import CampaignSpec
+
 
 def _cmd_models(_args: argparse.Namespace) -> int:
+    from repro.zoo import available_models, get_entry
+
     print(f"{'name':22s}{'display':18s}{'family':12s}{'min image':>9s}")
     for name in available_models():
         entry = get_entry(name)
@@ -70,6 +57,8 @@ def _cmd_models(_args: argparse.Namespace) -> int:
 
 
 def _cmd_blocks(_args: argparse.Namespace) -> int:
+    from repro.zoo.blocks import BLOCK_CATALOGUE
+
     print(f"{'block':22s}{'source model':20s}{'scope'}")
     for spec in BLOCK_CATALOGUE:
         print(f"{spec.name:22s}{spec.model:20s}{spec.scope}")
@@ -77,6 +66,8 @@ def _cmd_blocks(_args: argparse.Namespace) -> int:
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
+    from repro.hardware.backend import get_backend
+
     if args.format == "json":
         import json
 
@@ -139,6 +130,13 @@ def _resolve_device(name: str | None, backend: str):
 def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     """Build the engine spec an invocation describes (defaults mirror the
     paper's per-scenario sweeps)."""
+    from repro.benchdata import CampaignSpec
+    from repro.benchdata.campaign import (
+        DEFAULT_BATCH_SIZES,
+        DEFAULT_IMAGE_SIZES,
+        DEFAULT_MODELS,
+    )
+
     device = _resolve_device(args.device, args.backend)
     if args.models:
         models: tuple[str, ...] = tuple(args.models)
@@ -168,6 +166,7 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.benchdata import CampaignStore, run_campaign
     from repro.trace import Tracer, write_chrome
 
     try:
@@ -207,6 +206,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.hardware.memory import OutOfDeviceMemory
     from repro.trace import chrome_json, render_tree, to_json
     from repro.trace.run import trace_model
+    from repro.zoo import available_models
 
     if args.model not in available_models():
         print(
@@ -248,7 +248,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     from repro.graph.metrics import summarize_costs
     from repro.graph.passes import build_pipeline, default_inference_pipeline
-    from repro.zoo import build_model
+    from repro.zoo import available_models, build_model, get_entry
 
     if args.model not in available_models():
         print(
@@ -303,7 +303,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     from repro.analysis.audit import ModelAuditError
-    from repro.core.persistence import load_audit_block
+    from repro.benchdata import Dataset
+    from repro.core.forward import ForwardModel
+    from repro.core.persistence import load_audit_block, save_model
+    from repro.core.training import TrainingStepModel
 
     data = Dataset.from_json(args.data)
     if args.backend is not None:
@@ -346,6 +349,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.analysis.audit import audit_model
+    from repro.benchdata import Dataset
     from repro.core.persistence import load_audit_block, load_model
     from repro.diagnostics import (
         Diagnostic,
@@ -391,6 +395,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.analysis.audit import audit_prediction_query
+    from repro.core.epoch import epoch_time, total_training_time
+    from repro.core.forward import ForwardModel
+    from repro.core.persistence import load_model
+    from repro.core.training import TrainingStepModel
+    from repro.hardware.backend import get_backend
+    from repro.hardware.roofline import graph_record
 
     model = load_model(args.model)
     pipeline = None
@@ -476,6 +486,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.verify import verify_model
     from repro.diagnostics import has_errors, render_json, render_text
+    from repro.zoo import available_models
 
     if args.all_zoo:
         names = available_models()
@@ -602,6 +613,8 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.model_report import block_report
+    from repro.core.forward import ForwardModel
+    from repro.core.persistence import load_model
     from repro.zoo import build_model
 
     model = load_model(args.model)

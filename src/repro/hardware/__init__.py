@@ -6,53 +6,48 @@ efficiencies, utilisation ramps, per-kernel launch overheads, and seeded
 multiplicative noise produces "measured" runtimes whose relationship to the
 ConvNet metrics is approximately — but deliberately not exactly — linear,
 which is the regime ConvMeter's linear regression is designed for.
+
+The names below resolve on first access (PEP 562), so reading the device
+presets or the backend registry (:mod:`repro.hardware.device`, stdlib
+only) does not import the numpy simulator.
 """
 
-from repro.hardware.device import (
-    A100_80GB,
-    DEVICE_PRESETS,
-    EPYC_7402_CORE,
-    JETSON_ORIN,
-    JETSON_ORIN_NANO,
-    JETSON_XAVIER_NX,
-    XEON_GOLD_5318Y_CORE,
-    DeviceSpec,
-    get_device,
-)
-from repro.hardware.backend import (
-    BACKEND_REGISTRY,
-    BackendSpec,
-    ExecutionBackend,
-    get_backend,
-)
-from repro.hardware.roofline import CostProfile, layer_times, profile_graph
-from repro.hardware.memory import (
-    OutOfDeviceMemory,
-    inference_memory_bytes,
-    training_memory_bytes,
-)
-from repro.hardware.executor import PhaseTimes, SimulatedExecutor
+import importlib
 
-__all__ = [
-    "DeviceSpec",
-    "A100_80GB",
-    "XEON_GOLD_5318Y_CORE",
-    "EPYC_7402_CORE",
-    "JETSON_ORIN",
-    "JETSON_ORIN_NANO",
-    "JETSON_XAVIER_NX",
-    "DEVICE_PRESETS",
-    "get_device",
-    "BackendSpec",
-    "ExecutionBackend",
-    "BACKEND_REGISTRY",
-    "get_backend",
-    "CostProfile",
-    "profile_graph",
-    "layer_times",
-    "OutOfDeviceMemory",
-    "inference_memory_bytes",
-    "training_memory_bytes",
-    "PhaseTimes",
-    "SimulatedExecutor",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DeviceSpec": "device",
+    "A100_80GB": "device",
+    "XEON_GOLD_5318Y_CORE": "device",
+    "EPYC_7402_CORE": "device",
+    "JETSON_ORIN": "device",
+    "JETSON_ORIN_NANO": "device",
+    "JETSON_XAVIER_NX": "device",
+    "DEVICE_PRESETS": "device",
+    "get_device": "device",
+    "BackendSpec": "device",
+    "BACKEND_REGISTRY": "device",
+    "ExecutionBackend": "backend",
+    "get_backend": "backend",
+    "CostProfile": "roofline",
+    "profile_graph": "roofline",
+    "layer_times": "roofline",
+    "OutOfDeviceMemory": "memory",
+    "inference_memory_bytes": "memory",
+    "training_memory_bytes": "memory",
+    "PhaseTimes": "executor",
+    "SimulatedExecutor": "executor",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,8 +5,9 @@ is *policy* rather than graph structure — capability description,
 per-layer phase timing, memory accounting, and measurement noise — so a
 hardware scenario runs the whole pipeline (campaign → fit → predict →
 serve) unchanged.  Backends differ only in a handful of constants, so a
-backend is a :class:`BackendSpec` row of :data:`BACKEND_REGISTRY` bound to
-a device, not a class.  Four rows ship:
+backend is a :class:`~repro.hardware.device.BackendSpec` row of
+:data:`~repro.hardware.device.BACKEND_REGISTRY` (pure data, kept beside the
+device presets) bound to a device, not a class.  Four rows ship:
 
 ``roofline``
     The datacenter-GPU/CPU simulator.  Its noise tag is the bare device
@@ -38,9 +39,9 @@ import numpy as np
 
 from repro.hardware import memory as memory_model
 from repro.hardware.device import (
-    A100_80GB,
+    BACKEND_REGISTRY,
     DEVICE_PRESETS,
-    JETSON_ORIN,
+    BackendSpec,
     DeviceSpec,
 )
 from repro.hardware.noise import lognormal_factor, point_seed, point_seeds
@@ -92,38 +93,6 @@ def phase_work(
         profile.flops * (batch * flops_factor),
         profile.act_bytes * (batch * bytes_factor) + profile.weight_bytes,
     )
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """Registry row: the constants that make one platform differ."""
-
-    name: str
-    #: Backend family reported by :meth:`ExecutionBackend.capabilities`.
-    kind: str
-    summary: str
-    default_device: DeviceSpec
-    #: Working datatype of activations/weights during compute phases.
-    precision: str = "fp32"
-    #: Bytes per element of the working datatype.
-    float_bytes: float = 4.0
-    #: im2col / cuDNN workspace as a fraction of the largest live pair.
-    workspace_fraction: float = 0.1
-    #: Multiplier on the device's measurement-noise sigma.
-    noise_scale: float = 1.0
-    #: Noise-stream tag prefix; ``""`` tags with the bare device name (the
-    #: historical stream), anything else with ``"<prefix>:<device>"`` so
-    #: the backend's draws are decorrelated from the default family's.
-    noise_prefix: str = ""
-    #: ``(flops, bandwidth)`` scale of the device view compute phases run on.
-    compute_scale: tuple[float, float] = (1.0, 1.0)
-    #: Same for the optimizer step, which updates fp32 master state.
-    optimizer_scale: tuple[float, float] = (1.0, 1.0)
-    #: Device memory unavailable to the framework (e.g. unified LPDDR
-    #: shared with the OS).
-    reserved_bytes: float = 0.0
-    #: Device kind the backend requires (``""`` = any).
-    device_kind: str = ""
 
 
 def _view(device: DeviceSpec, scale: tuple[float, float]) -> DeviceSpec:
@@ -372,60 +341,6 @@ class ExecutionBackend:
 
 
 # -- registry ----------------------------------------------------------------
-
-#: Name → platform constants.  ``"roofline"`` is the default everywhere a
-#: backend name is optional; an empty name resolves to it.
-BACKEND_REGISTRY: dict[str, BackendSpec] = {
-    "roofline": BackendSpec(
-        name="roofline",
-        kind="roofline",
-        summary="datacenter roofline simulator (default)",
-        default_device=A100_80GB,
-    ),
-    # perf4sight: ~2 GB of a Jetson's nominal LPDDR is held by the OS,
-    # desktop and CUDA context; memory-tight boards pick workspace-hungry
-    # cuDNN algorithms; sustained clocks under the default power budget
-    # sit at 85 % (compute) / 90 % (LPDDR) of peak, for the optimizer too;
-    # DVFS and thermal throttling add measurement variance.
-    "edge": BackendSpec(
-        name="edge",
-        kind="edge",
-        summary="memory-constrained edge GPU (Jetson class, perf4sight)",
-        default_device=JETSON_ORIN,
-        workspace_fraction=0.25,
-        noise_scale=1.25,
-        noise_prefix="edge",
-        compute_scale=(0.85, 0.90),
-        optimizer_scale=(0.85, 0.90),
-        reserved_bytes=2.0e9,
-        device_kind="gpu",
-    ),
-    # Half-width elements double the compute roofline (vector units retire
-    # twice the elements per cycle) and the effective bandwidth roofline
-    # (half the bytes per element).  The optimizer keeps fp32 master
-    # weights and moments, so it runs at native rates and training-state
-    # memory does not shrink — only activations do.
-    "fp16": BackendSpec(
-        name="fp16",
-        kind="mixed-precision",
-        summary="mixed precision: fp16 compute over fp32 master state",
-        default_device=A100_80GB,
-        precision="fp16",
-        float_bytes=2.0,
-        noise_prefix="fp16",
-        compute_scale=(2.0, 2.0),
-    ),
-    "bf16": BackendSpec(
-        name="bf16",
-        kind="mixed-precision",
-        summary="mixed precision: bf16 compute over fp32 master state",
-        default_device=A100_80GB,
-        precision="bf16",
-        float_bytes=2.0,
-        noise_prefix="bf16",
-        compute_scale=(2.0, 2.0),
-    ),
-}
 
 DEFAULT_BACKEND = "roofline"
 

@@ -7,6 +7,12 @@ datasheet figures; what matters for the reproduction is not their absolute
 accuracy but that the CPU and GPU sit at very different compute/bandwidth
 balances, so the fitted ConvMeter coefficients differ per platform the same
 way they do in the paper.
+
+The execution-backend rows (:class:`BackendSpec`,
+:data:`BACKEND_REGISTRY`) are pure data over these presets and live here
+too, so the CLI parser reads its ``--device``/``--backend`` choices from
+this stdlib-only module; :mod:`repro.hardware.backend` binds a row to a
+device.
 """
 
 from __future__ import annotations
@@ -173,6 +179,95 @@ DEVICE_PRESETS: dict[str, DeviceSpec] = {
     spec.name: spec
     for spec in (A100_80GB, XEON_GOLD_5318Y_CORE, EPYC_7402_CORE,
                  JETSON_ORIN, JETSON_XAVIER_NX, JETSON_ORIN_NANO)
+}
+
+
+@dataclass(frozen=True)
+class BackendSpec:
+    """Execution-backend registry row: the constants that make one
+    platform differ (bound to a device by
+    :func:`repro.hardware.backend.get_backend`)."""
+
+    name: str
+    #: Backend family reported by ``ExecutionBackend.capabilities``.
+    kind: str
+    summary: str
+    default_device: DeviceSpec
+    #: Working datatype of activations/weights during compute phases.
+    precision: str = "fp32"
+    #: Bytes per element of the working datatype.
+    float_bytes: float = 4.0
+    #: im2col / cuDNN workspace as a fraction of the largest live pair.
+    workspace_fraction: float = 0.1
+    #: Multiplier on the device's measurement-noise sigma.
+    noise_scale: float = 1.0
+    #: Noise-stream tag prefix; ``""`` tags with the bare device name (the
+    #: historical stream), anything else with ``"<prefix>:<device>"`` so
+    #: the backend's draws are decorrelated from the default family's.
+    noise_prefix: str = ""
+    #: ``(flops, bandwidth)`` scale of the device view compute phases run on.
+    compute_scale: tuple[float, float] = (1.0, 1.0)
+    #: Same for the optimizer step, which updates fp32 master state.
+    optimizer_scale: tuple[float, float] = (1.0, 1.0)
+    #: Device memory unavailable to the framework (e.g. unified LPDDR
+    #: shared with the OS).
+    reserved_bytes: float = 0.0
+    #: Device kind the backend requires (``""`` = any).
+    device_kind: str = ""
+
+
+#: Name → platform constants.  ``"roofline"`` is the default everywhere a
+#: backend name is optional; an empty name resolves to it.
+BACKEND_REGISTRY: dict[str, BackendSpec] = {
+    "roofline": BackendSpec(
+        name="roofline",
+        kind="roofline",
+        summary="datacenter roofline simulator (default)",
+        default_device=A100_80GB,
+    ),
+    # perf4sight: ~2 GB of a Jetson's nominal LPDDR is held by the OS,
+    # desktop and CUDA context; memory-tight boards pick workspace-hungry
+    # cuDNN algorithms; sustained clocks under the default power budget
+    # sit at 85 % (compute) / 90 % (LPDDR) of peak, for the optimizer too;
+    # DVFS and thermal throttling add measurement variance.
+    "edge": BackendSpec(
+        name="edge",
+        kind="edge",
+        summary="memory-constrained edge GPU (Jetson class, perf4sight)",
+        default_device=JETSON_ORIN,
+        workspace_fraction=0.25,
+        noise_scale=1.25,
+        noise_prefix="edge",
+        compute_scale=(0.85, 0.90),
+        optimizer_scale=(0.85, 0.90),
+        reserved_bytes=2.0e9,
+        device_kind="gpu",
+    ),
+    # Half-width elements double the compute roofline (vector units retire
+    # twice the elements per cycle) and the effective bandwidth roofline
+    # (half the bytes per element).  The optimizer keeps fp32 master
+    # weights and moments, so it runs at native rates and training-state
+    # memory does not shrink — only activations do.
+    "fp16": BackendSpec(
+        name="fp16",
+        kind="mixed-precision",
+        summary="mixed precision: fp16 compute over fp32 master state",
+        default_device=A100_80GB,
+        precision="fp16",
+        float_bytes=2.0,
+        noise_prefix="fp16",
+        compute_scale=(2.0, 2.0),
+    ),
+    "bf16": BackendSpec(
+        name="bf16",
+        kind="mixed-precision",
+        summary="mixed precision: bf16 compute over fp32 master state",
+        default_device=A100_80GB,
+        precision="bf16",
+        float_bytes=2.0,
+        noise_prefix="bf16",
+        compute_scale=(2.0, 2.0),
+    ),
 }
 
 

@@ -12,8 +12,9 @@ used when some Python file under ``src/``, ``benchmarks/``, ``examples/``
 or ``perfbench/`` loads it (a name or an attribute, or a word of a string
 that is not a docstring, such as perfbench's ``module:Class.method`` entry
 points), or when a word of a Markdown file under ``docs/`` names it.
-Imports, ``__all__`` lists and docstrings do not count: a re-export or a
-mention in prose is not a user.  Matching is by bare name, so a name
+Imports, ``__all__`` lists, a package's own PEP 562 name table (its
+``_EXPORTS`` dict of ``name -> submodule``) and docstrings do not count: a
+re-export or a mention in prose is not a user.  Matching is by bare name, so a name
 shared with an unrelated use elsewhere hides it; the list errs towards
 too short.
 
@@ -62,9 +63,14 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
-def _is_all(node: ast.AST) -> bool:
+#: Module-level names whose value re-exports names: ``__all__`` and the
+#: PEP 562 name table a package ``__getattr__`` resolves from.
+REEXPORTS = ("__all__", "_EXPORTS")
+
+
+def _is_reexport(node: ast.AST) -> bool:
     return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
-        isinstance(t, ast.Name) and t.id == "__all__"
+        isinstance(t, ast.Name) and t.id in REEXPORTS
         for t in (node.targets if isinstance(node, ast.Assign)
                   else [node.target])
     )
@@ -76,7 +82,7 @@ def _python_uses(tree: ast.Module) -> set[str]:
     stack: list[ast.AST] = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_reexport(node):
             continue
         if isinstance(node, ast.Name):
             used.add(node.id)
