@@ -305,23 +305,23 @@ def _verify_half(
     kind: str,
     name: str,
     images: tuple[int, ...],
-    raw: Topology,
+    topology: Topology,
     pipeline: PassPipeline | None,
     **kwargs,
 ) -> list[Diagnostic]:
-    """Verify ``raw`` after ``pipeline`` (memoised: the very graph the
-    records are costed from) against the records the sweep measures; an
+    """Verify ``topology`` (raw, or as ``pipeline`` rewrote it) against
+    the records the sweep measures, costed from this very topology; an
     uncostable graph has none, and IR001–IR004 report why."""
     # Imported lazily: repro.analysis pulls in repro.core, which imports
     # this package's records module — a cycle at module-import time.
     from repro.analysis.verify import verify_graph
 
     try:
-        records = topology_records(kind, name, images, raw, pipeline)
+        records = topology_records(kind, name, images, topology, pipeline)
     except (ValueError, KeyError, TypeError):
         records = ()
     return verify_graph(
-        raw if pipeline is None else raw.rewritten(pipeline),
+        topology,
         summary=tuple(r.summary for r in records) or None,
         profile=tuple(r.profile for r in records) or None,
         **kwargs,
@@ -358,9 +358,11 @@ def _verify_topology(
             # well-formed IR, and the rewrite preserved the semantics.
             # IR009 is skipped on the fused half — one edge-memory
             # advisory per graph is enough.
+            fused = raw.rewritten(pipeline)
             found += _verify_half(
-                kind, name, covered, raw, pipeline, ignore=("IR007", "IR009")
-            ) + verify_transform(raw, raw.rewritten(pipeline))
+                kind, name, covered, fused, pipeline,
+                ignore=("IR007", "IR009"),
+            ) + verify_transform(raw, fused)
         for image, graph in zip(covered, raw.names):
             # Each finding is located at its image's graph: graph or
             # graph:<node>.
@@ -388,13 +390,13 @@ def campaign_verdicts(
     the same spec) is not verified again.  The rest are verified once per
     process and cached: each model or block once over its missing images
     (:func:`_verify_topology`).  Verification builds each topology once
-    and leaves its records (the fused ones too, for transformed campaigns)
-    in the record cache the sweep reads, so the measuring loop neither
-    rebuilds nor re-costs them, and IR004 checks the very summaries the
-    records carry; what verification adds on top is the rule work itself.
-    For transformed campaigns each topology is verified twice — raw and
-    after the pipeline — plus the IR008 preservation check across the
-    pair.
+    (and rewrites it once, for transformed campaigns) and leaves its
+    records (the fused ones too) in the record cache the sweep reads, so
+    the measuring loop neither rebuilds nor re-costs them, and IR004
+    checks the very summaries the records carry; what verification adds
+    on top is the rule work itself.  For transformed campaigns each
+    topology is verified twice — raw and after the pipeline — plus the
+    IR008 preservation check across the pair.
     """
     persisted = persisted or {}
     policy = (

@@ -17,11 +17,8 @@ verifying it gives every image's result at once.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
-
-import numpy as np
 
 from repro.graph.layers import Input, Layer
 from repro.graph.tensor import TensorShape
@@ -45,30 +42,6 @@ class Node:
         return self.block == scope or self.block.startswith(scope + ".")
 
 
-def _has_column(shape: TensorShape) -> bool:
-    return (
-        isinstance(shape.channels, np.ndarray)
-        or isinstance(shape.height, np.ndarray)
-        or isinstance(shape.width, np.ndarray)
-    )
-
-
-def _content(value: object) -> str:
-    """``repr(value)``, except that an image-axis column is spelled by its
-    values behind a ``col`` marker — also inside a dataclass — instead of
-    going through numpy's array printing.  A plain-``int`` value gives its
-    ``repr`` exactly, and a one-image column differs from the same int."""
-    if isinstance(value, np.ndarray):
-        return f"col{value.tolist()}"
-    if is_dataclass(value) and not isinstance(value, type):
-        parts = ", ".join(
-            f"{f.name}={_content(getattr(value, f.name))}"
-            for f in fields(value) if f.repr
-        )
-        return f"{type(value).__qualname__}({parts})"
-    return repr(value)
-
-
 class ComputeGraph:
     """An immutable-after-construction DAG of layers in topological order."""
 
@@ -76,7 +49,6 @@ class ComputeGraph:
         self.name = name
         self._nodes: dict[str, Node] = {}
         self._order: list[str] = []
-        self._fingerprint: str | None = None
         self._successors: dict[str, list[Node]] | None = None
 
     # -- construction ------------------------------------------------------
@@ -92,44 +64,7 @@ class ComputeGraph:
                 )
         self._nodes[node.name] = node
         self._order.append(node.name)
-        self._fingerprint = None
         self._successors = None
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the graph: name, node order, layer
-        configurations, wiring, shapes, and block scopes.
-
-        Two graphs with equal fingerprints are structurally identical, so
-        a deterministic pass pipeline rewrites them identically — the
-        cache key :data:`repro.graph.passes.PIPELINE_CACHE` relies on.
-        Layer configurations enter through their dataclass ``repr``, which
-        covers every cost-relevant field; image-axis columns (in shapes
-        and image-dependent layers) enter by their values behind a column
-        marker (:func:`_content`).  Cached until the next
-        :meth:`add_node`.
-        """
-        if self._fingerprint is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(self.name.encode())
-            for name in self._order:
-                node = self._nodes[name]
-                layer, shape = node.layer, node.output_shape
-                h.update(
-                    "\x1f".join(
-                        (
-                            node.name,
-                            _content(layer) if layer.IMAGE_DEPENDENT
-                            else repr(layer),
-                            "\x1e".join(node.inputs),
-                            _content(shape) if _has_column(shape)
-                            else repr(shape),
-                            node.block,
-                        )
-                    ).encode()
-                )
-                h.update(b"\x00")
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
 
     # -- queries -----------------------------------------------------------
 
@@ -188,8 +123,8 @@ class ComputeGraph:
 
         Unlike iterating the graph (which trusts insertion order), this is
         a Kahn walk over the actual edge set, with ties broken by insertion
-        order so the result is deterministic.  It is the one traversal the
-        shape reporter, the verifier, and the pass framework all share.
+        order so the result is deterministic.  Every pass rebuilds its
+        graph in this order.
         Raises :class:`ValueError` when the edges admit no schedule (a
         cycle or an unknown input reference).
         """
@@ -323,16 +258,6 @@ class ComputeGraph:
         return f"ComputeGraph({self.name!r}, {len(self)} nodes)"
 
 
-def sequential_shapes(graph: ComputeGraph) -> list[tuple[str, TensorShape]]:
-    """(name, shape) pairs in topological order — a debugging/report helper.
-
-    Recomputes the order from the edge set via
-    :meth:`ComputeGraph.topological_order`, so the report stays honest even
-    for graphs whose insertion order was corrupted.
-    """
-    return [(n.name, n.output_shape) for n in graph.topological_order()]
-
-
 def _reinfer(
     layer: Layer, inputs: Sequence[TensorShape]
 ) -> TensorShape | Exception:
@@ -408,7 +333,6 @@ class Topology:
 __all__ = [
     "Node",
     "ComputeGraph",
-    "sequential_shapes",
     "shape_mismatches",
     "Topology",
 ]

@@ -34,7 +34,6 @@ import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.caching import LRUCache
 from repro.graph.graph import ComputeGraph, Node
 from repro.graph.layers import (
     Activation,
@@ -389,21 +388,7 @@ class PassPipeline:
             raise ValueError("a PassPipeline needs at least one pass")
 
     def run(self, graph: ComputeGraph) -> PipelineResult:
-        """Apply every pass in order, threading provenance through.
-
-        Memoised in :data:`PIPELINE_CACHE` under the graph and pipeline
-        content fingerprints: passes are pure and deterministic, so equal
-        fingerprints guarantee an identical result, and the shape
-        inference inside each rewrite runs once per distinct
-        ``(graph, pipeline)`` pair instead of once per caller.  The cached
-        :class:`PipelineResult` (graph included) is shared — callers must
-        not mutate it, which the no-mutation pass contract already
-        demands.
-        """
-        key = (graph.fingerprint(), self.fingerprint())
-        return PIPELINE_CACHE.get_or_compute(key, lambda: self._run(graph))
-
-    def _run(self, graph: ComputeGraph) -> PipelineResult:
+        """Apply every pass in order, threading provenance through."""
         origin: dict[str, tuple[str, ...]] = {
             node.name: (node.name,) for node in graph
         }
@@ -439,17 +424,6 @@ class PassPipeline:
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-
-#: Bounded memo of :meth:`PassPipeline.run` results, keyed by
-#: ``(graph fingerprint, pipeline fingerprint)``.  One campaign (or a serve
-#: process answering fused queries) transforms each distinct graph exactly
-#: once; every later profile, verification, or what-if pass over the same
-#: graph reuses the rewritten result instead of re-running shape inference
-#: through the whole pipeline.  Not a graph record: it is a content-keyed
-#: memo for any graph, and it holds the rewritten graph itself.
-PIPELINE_CACHE: LRUCache[tuple[str, str], PipelineResult] = LRUCache(
-    maxsize=256
-)
 
 #: Constructors of every registered pass, keyed by registry name — the
 #: vocabulary of ``repro transform --passes`` and of
@@ -493,38 +467,25 @@ def default_inference_pipeline() -> PassPipeline:
     return build_pipeline(DEFAULT_INFERENCE_PASSES, name="inference")
 
 
-#: Memo of :func:`resolve_transform`: transform strings form a tiny, fixed
-#: vocabulary, and resolving one in a hot loop should cost a lookup, not a
-#: pipeline construction.  An LRUCache (not a bare dict) because serve
-#: threads resolve transforms concurrently.  Safe because pipelines are
-#: frozen and every resolution of the same string is interchangeable.
-_RESOLVED_TRANSFORMS: LRUCache[str, "PassPipeline | None"] = LRUCache(
-    maxsize=64
-)
+#: The pipeline ``transform="inference"`` resolves to, built once: it is
+#: frozen and its passes are pure, so every caller can share it.
+_INFERENCE_PIPELINE = default_inference_pipeline()
 
 
 def resolve_transform(spec: str) -> PassPipeline | None:
     """Resolve a campaign/CLI transform string into a pipeline.
 
-    ``""`` means no transform (``None``); ``"inference"`` is the default
-    fusion pipeline; anything else is a comma-separated list of registered
-    pass names.  The string form is what
-    :class:`~repro.benchdata.engine.CampaignSpec` carries, keeping specs
-    JSON-serialisable and worker-picklable.  Results are memoised per
-    string, and repeated calls return the same pipeline instance — which
-    also keeps its cached fingerprint warm.
+    ``""`` means no transform (``None``); ``"inference"`` is the shared
+    :data:`_INFERENCE_PIPELINE`; anything else is a comma-separated list of
+    registered pass names, built into a fresh pipeline.  The string form is
+    what :class:`~repro.benchdata.engine.CampaignSpec` carries, keeping
+    specs JSON-serialisable and worker-picklable.
     """
-
-    def build() -> PassPipeline | None:
-        if not spec:
-            return None
-        if spec == "inference":
-            return default_inference_pipeline()
-        return build_pipeline(
-            [s.strip() for s in spec.split(",") if s.strip()]
-        )
-
-    return _RESOLVED_TRANSFORMS.get_or_compute(spec, build)
+    if not spec:
+        return None
+    if spec == "inference":
+        return _INFERENCE_PIPELINE
+    return build_pipeline([s.strip() for s in spec.split(",") if s.strip()])
 
 
 __all__ = [
@@ -539,7 +500,6 @@ __all__ = [
     "EliminateDeadLayers",
     "PassPipeline",
     "PASS_REGISTRY",
-    "PIPELINE_CACHE",
     "DEFAULT_INFERENCE_PASSES",
     "build_pipeline",
     "default_inference_pipeline",

@@ -212,24 +212,19 @@ class CostProfile:
 
 
 def profile_graph(
-    graph: ComputeGraph | Topology, pipeline: "PassPipeline | None" = None
+    graph: ComputeGraph | Topology,
 ) -> CostProfile | tuple[CostProfile, ...]:
     """Compile a graph into a :class:`CostProfile`.
 
-    With a ``pipeline`` (see :mod:`repro.graph.passes`), the graph is
-    transformed first and the *optimized* graph is costed — the fused
-    layer names flow into :attr:`CostProfile.layer_names`, so traces show
-    ``conv+bn+relu``-style spans.  The graph's name is preserved across
-    transformation, keeping noise seeding (which keys on the name)
-    comparable between raw and fused measurements of the same model.
-
     A :class:`~repro.graph.graph.Topology` gives one profile per image of
     its axis, from one cost walk; a plain graph is the one-image case of
-    the same code.
+    the same code.  To cost the *optimized* graph, rewrite it first
+    (:meth:`~repro.graph.graph.Topology.rewritten`): the fused layer names
+    then flow into :attr:`CostProfile.layer_names`, so traces show
+    ``conv+bn+relu``-style spans, and the passes keep the graph's name, on
+    which noise seeding keys.
     """
     topology = graph if isinstance(graph, Topology) else Topology.of(graph)
-    if pipeline is not None:
-        topology = topology.rewritten(pipeline)
     profiles = CostProfile.from_costs(
         topology.names, graph_costs(topology.graph)
     )
@@ -393,8 +388,10 @@ def topology_records(
     topology: Topology,
     pipeline: "PassPipeline | None" = None,
 ) -> tuple[GraphRecord, ...]:
-    """Records of ``name`` at ``images``, costed in one walk of its raw
-    ``topology`` over them (from :func:`topologies`) after ``pipeline``.
+    """Records of ``name`` at ``images``, costed in one walk of
+    ``topology`` over them: the raw topology from :func:`topologies`,
+    already rewritten by ``pipeline`` when one is given.  ``pipeline``
+    only names the records.
 
     Each is left in :data:`GRAPH_RECORD_CACHE` under its
     :func:`graph_record` key; a record already cached there is kept and
@@ -406,7 +403,7 @@ def topology_records(
             _record_key(kind, name, image, pipeline),
             replace(GraphRecord.of(profile), axis=images),
         )
-        for image, profile in zip(images, profile_graph(topology, pipeline))
+        for image, profile in zip(images, profile_graph(topology))
     )
 
 
@@ -429,8 +426,9 @@ def graph_record(
     (``"block"``), optionally transformed by ``pipeline``.
 
     ``images`` are the sizes a campaign sweeps ``name`` at (``image_size``
-    among them): a miss costs every image its topology covers in one walk
-    (:func:`topologies`, :func:`topology_records`) and caches each record.
+    among them): a miss rewrites its raw topology by ``pipeline`` once and
+    costs every image the topology covers in one walk (:func:`topologies`,
+    :func:`topology_records`), caching each record.
     ``graph`` is the caller's already-built raw graph for this key, costed
     as its one-image topology.
     """
@@ -443,6 +441,8 @@ def graph_record(
         )
         for covered, topology in pairs:
             if image_size in covered:
+                if pipeline is not None:
+                    topology = topology.rewritten(pipeline)
                 records = topology_records(
                     kind, name, covered, topology, pipeline
                 )

@@ -236,11 +236,11 @@ class FeatureCache:
     """Bounded LRU of (network, image, transform) -> (profile, features).
 
     The key identifies the costed graph completely: zoo builds are
-    deterministic and the transform string resolves to a content-
-    fingerprinted pass pipeline, so two equal keys always denote the same
-    graph fingerprint.  A miss reads (and fills) the shared graph record
-    cache; this layer saves the per-request pipeline resolution and stays
-    separate because its counters are ``/metrics``' ``feature_cache``.
+    deterministic and the transform string resolves to a deterministic
+    pass pipeline, so two equal keys always denote the same costed graph.
+    Only a miss resolves the transform and reads (and fills) the shared
+    graph record cache; this layer stays separate because its counters
+    are ``/metrics``' ``feature_cache``.
     """
 
     def __init__(self, maxsize: int = DEFAULT_FEATURE_CACHE) -> None:
