@@ -35,8 +35,8 @@ sweep into an explicit point list and executes it through one engine:
 * **Verification** — before measuring, :func:`run_campaign` runs the graph
   IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
   sweep will touch — once per model or block topology over its image
-  axis — and leaves each verified graph's record in the cache the sweep
-  reads.  ``verify="strict"`` refuses to measure a graph with
+  axis — and leaves the record of each graph it measures in the cache
+  the sweep reads.  ``verify="strict"`` refuses to measure a graph with
   ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
   warning and records the error count in :class:`CampaignStats`.  A store
   keeps each graph's verdict in its manifest, so a resume verifies only
@@ -70,7 +70,9 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.executor import SimulatedExecutor, trace_measurement
 from repro.hardware.roofline import (
     CostProfile,
+    GraphRecord,
     graph_record,
+    profile_graph,
     topologies,
     topology_records,
 )
@@ -307,17 +309,24 @@ def _verify_half(
     images: tuple[int, ...],
     topology: Topology,
     pipeline: PassPipeline | None,
+    measured: bool = True,
     **kwargs,
 ) -> list[Diagnostic]:
     """Verify ``topology`` (raw, or as ``pipeline`` rewrote it) against
-    the records the sweep measures, costed from this very topology; an
-    uncostable graph has none, and IR001–IR004 report why."""
+    its records, costed from this very topology; an uncostable graph has
+    none, and IR001–IR004 report why.  A ``measured`` half leaves its
+    records in the graph record cache the sweep reads; the raw half of a
+    transformed sweep is never measured, so it caches none."""
     # Imported lazily: repro.analysis pulls in repro.core, which imports
     # this package's records module — a cycle at module-import time.
     from repro.analysis.verify import verify_graph
 
     try:
-        records = topology_records(kind, name, images, topology, pipeline)
+        records = (
+            topology_records(kind, name, images, topology, pipeline)
+            if measured
+            else tuple(map(GraphRecord.of, profile_graph(topology)))
+        )
     except (ValueError, KeyError, TypeError):
         records = ()
     return verify_graph(
@@ -349,7 +358,7 @@ def _verify_topology(
         # inference sweeps; training needs live BatchNorm and a fused
         # sweep already took the advice.
         found = _verify_half(
-            kind, name, covered, raw, None,
+            kind, name, covered, raw, None, measured=pipeline is None,
             ignore=() if advise_fusion else ("IR007",),
             edge_batch=edge_batch,
         )
@@ -390,11 +399,12 @@ def campaign_verdicts(
     the same spec) is not verified again.  The rest are verified once per
     process and cached: each model or block once over its missing images
     (:func:`_verify_topology`).  Verification builds each topology once
-    (and rewrites it once, for transformed campaigns) and leaves its
-    records (the fused ones too) in the record cache the sweep reads, so
-    the measuring loop neither rebuilds nor re-costs them, and IR004
-    checks the very summaries the records carry; what verification adds
-    on top is the rule work itself.  For transformed campaigns each
+    (and rewrites it once, for transformed campaigns) and leaves the
+    records the sweep measures (for a transformed campaign, only the
+    fused ones) in the record cache, so the measuring loop neither
+    rebuilds nor re-costs them, and IR004 checks the very summaries the
+    records carry; what verification adds on top is the rule work
+    itself.  For transformed campaigns each
     topology is verified twice — raw and after the pipeline — plus the
     IR008 preservation check across the pair.
     """

@@ -4,10 +4,12 @@ call graph across DET, CON and PERF, within a run and across the loads of
 an unchanged tree, changes no finding."""
 
 import ast
+import gc
 import itertools
 import json
 import textwrap
 import tokenize
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.cli import main
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.lint import Program, lint_paths, lint_program
 from repro.lint import program as program_module
+from tests.conftest import REPO_SRC
 
 LATIN1_BYTES = b'x = "\xe9"\n'
 
@@ -334,3 +337,75 @@ class TestKeptLoads:
         [record] = Program.load([path]).files
         assert record.error == (
             str(path), f"cannot read file: unknown encoding for {str(path)!r}: nope")
+
+
+#: Ways to build a ``Program`` from ``lint_tree``: a kept load, a load
+#: that meets a missing file, and a snippet that does not parse.
+BUILDS = {
+    "kept": lambda tree: Program.load(tree[:1]),
+    "unreadable": lambda tree: Program.load(tree),
+    "syntax error": lambda tree: Program.from_sources(
+        [("bad.py", "def broken(:\n")]),
+}
+
+
+class TestTenuredBuild:
+    """Each ``Program`` is built with the cyclic collector paused and its
+    objects moved into the oldest generation; the caller's collector
+    state comes back as it was."""
+
+    def test_every_parsed_tree_is_in_the_oldest_generation(
+        self, monkeypatch
+    ):
+        cold_cache(monkeypatch)
+        program = Program.load([REPO_SRC])
+        oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+        trees = [f.tree for f in program.parsed]
+        assert len(trees) > 100
+        assert all(isinstance(tree, ast.Module) for tree in trees)
+        assert all(id(tree) in oldest for tree in trees)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_collector_state_is_restored(self, build, enabled, lint_tree,
+                                         monkeypatch):
+        cold_cache(monkeypatch)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            program = BUILDS[build](lint_tree)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert program.failures("X000")
+        assert len(program_module.PROGRAM_CACHE) == (build == "kept")
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_a_callers_frozen_objects_stay_frozen(self, build, lint_tree,
+                                                  monkeypatch):
+        cold_cache(monkeypatch)
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            BUILDS[build](lint_tree)
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_a_dropped_program_and_its_call_graph_are_collected(
+        self, lint_tree, monkeypatch
+    ):
+        # The call graph's module and class records refer to each other,
+        # and through them to the trees: a cycle only a full collection
+        # frees.  Had a later build frozen it, it would never be freed.
+        cold_cache(monkeypatch)
+        program = Program.load(lint_tree)  # not kept: absent.py
+        assert program.analyzer.modules
+        trees = [weakref.ref(f.tree) for f in program.parsed]
+        del program
+        for build in BUILDS.values():
+            build(lint_tree)
+        gc.collect()
+        assert [tree() for tree in trees] == [None, None]

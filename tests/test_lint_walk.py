@@ -47,12 +47,13 @@ def corpus_sources() -> list[tuple[str, bytes]]:
 
 @pytest.fixture(scope="module")
 def trees(repo_program) -> list[tuple[str, ast.Module]]:
-    """Every file of ``TREES`` and of the corpus, parsed; ``src/repro``
-    comes from the session's parse."""
+    """Every file of ``TREES`` and of the corpus, parsed as the lint
+    domains parse them; ``src/repro`` comes from the session's parse."""
     files = sorted(p for tree in TREES[1:] for p in (REPO / tree).rglob("*.py"))
-    sources = [(str(p), p.read_bytes()) for p in files] + corpus_sources()
-    return [(f.path, f.tree) for f in repo_program.parsed] + [
-        (name, ast.parse(data, filename=name)) for name, data in sources]
+    rest = Program.load(files).files + Program.from_sources(
+        (name, data.decode()) for name, data in corpus_sources()).files
+    assert [f.error for f in rest if f.error] == []
+    return [(f.path, f.tree) for f in repo_program.parsed + list(rest)]
 
 
 def visit_methods(cls: type) -> list[str]:

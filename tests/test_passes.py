@@ -416,6 +416,26 @@ class TestFusedCampaigns:
             ), verify
         assert records["strict"] == records["off"]
 
+    def test_a_cold_fused_campaign_caches_no_raw_record(self, monkeypatch):
+        # The sweep measures only the fused records; verification costs
+        # the raw half without leaving its records behind.
+        from repro.benchdata import engine
+        from repro.caching import LRUCache
+        from repro.hardware import roofline
+
+        spec = dataclasses.replace(FUSED_SPEC, image_sizes=(64, 128))
+        cache = LRUCache(maxsize=512)
+        monkeypatch.setattr(roofline, "GRAPH_RECORD_CACHE", cache)
+        monkeypatch.setattr(engine, "VERIFY_CACHE", LRUCache(maxsize=512))
+        run_campaign(spec, verify="strict")
+        fused = resolve_transform(spec.transform).fingerprint()
+        graphs = [(name, image)
+                  for name in spec.models for image in spec.image_sizes]
+        assert len(cache) == len(graphs)
+        for name, image in graphs:
+            assert ("model", name, image, fused) in cache
+            assert ("model", name, image, "") not in cache
+
 
 class TestTraceFusion:
     def test_fused_trace_emits_fused_span_names(self):
