@@ -1,7 +1,8 @@
 """Concurrency-hazard analyzer: lock-discipline race detection (CON0xx).
 
-PR 6 made the reproduction a genuinely multi-threaded system — a
-``ThreadingHTTPServer`` front end, a hot-reloading ``ModelRegistry`` and
+PR 6 made the reproduction a genuinely multi-threaded system — an HTTP
+front end whose selector loop runs on its own thread beside the threads
+that read its counters, a hot-reloading ``ModelRegistry`` and
 lock-guarded ``LRUCache`` instances — and the serving path's exact-equality
 guarantees (byte-identical predictions, exact ``/metrics`` counters) are
 only as strong as its lock discipline.  This module applies the repo's
@@ -23,9 +24,8 @@ The analysis proceeds in phases:
    call), attribute reads and mutations, ``with <lock>:`` regions, and
    blocking/hostile API uses.  Receivers are typed where the code says so
    (constructor assignments, parameter and class-body annotations), so
-   ``self.server.registry.get(...)`` resolves through
-   ``PredictionHandler.server: PredictionServer`` to
-   ``ModelRegistry.get``.
+   ``self.registry.get(...)`` in ``PredictionServer`` resolves through
+   its ``registry: ModelRegistry`` parameter to ``ModelRegistry.get``.
 4. **Thread roots**: methods of ``BaseHTTPRequestHandler`` /
    ``ThreadingMixIn`` subclasses, ``threading.Thread`` / ``Timer``
    targets, and ``ThreadPoolExecutor`` submissions.  *Process*-pool

@@ -677,9 +677,17 @@ class _PerfScanner(Visitor):
 # --------------------------------------------------------------------------
 
 
-def _hot_roots(
-    analyzer: _Analyzer, markers: dict[str, set[int]]
-) -> dict[str, str]:
+def _hot_roots(program: Program) -> dict[str, str]:
+    """Function key -> why it is a hot root, over ``program``."""
+    analyzer = program.analyzer
+    markers = {
+        f.path: {
+            lineno
+            for lineno, line in enumerate(f.source.splitlines(), start=1)
+            if _HOT_MARKER.search(line)
+        }
+        for f in program.parsed
+    }
     roots: dict[str, str] = {}
     for key, info in analyzer.funcs.items():
         reason = _HOT_ROOT_NAMES.get(info.name)
@@ -703,16 +711,8 @@ def analyze_program(program: Program) -> list[Diagnostic]:
     """Analyze ``program`` as one whole; most severe findings first.
     Files that could not be read or parsed are ``PERF000`` errors."""
     analyzer = program.analyzer
-    markers = {
-        f.path: {
-            lineno
-            for lineno, line in enumerate(f.source.splitlines(), start=1)
-            if _HOT_MARKER.search(line)
-        }
-        for f in program.parsed
-    }
     witness = analyzer._reachability(
-        _hot_roots(analyzer, markers), skip_dunder_callees=True
+        _hot_roots(program), skip_dunder_callees=True
     )
     found = program.failures("PERF000")
     for key, info in analyzer.funcs.items():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.perf import (
     PERF_RULES,
+    _hot_roots,
     analyze_paths,
     analyze_program,
     analyze_source,
@@ -601,6 +602,15 @@ class TestRepositoryIsClean:
         assert repo_program.n_files > 0
         rendered = [d.render() for d in diags]
         assert rendered == []
+
+    def test_serve_request_path_is_hot(self, repo_program):
+        # The server's request method has no http.server base class to
+        # make it a root; its explicit marker does.
+        roots = _hot_roots(repo_program)
+        assert roots[
+            "repro.serve.server.PredictionServer._handle_requests"
+        ] == "explicit hot marker on _handle_requests"
+        assert "repro.serve.protocol.answer_request" in roots
 
     def test_every_perf_suppression_in_repo_is_used(self, repo_program):
         # Covered by the gate above (stale ones surface as SUP001), but

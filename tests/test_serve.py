@@ -18,6 +18,9 @@ and ``http.client`` requests against it.  The suites cover
 * the HTTP edge — one socket send per response, keep-alive hygiene,
   stalled clients, and the header reader: its 431/400/505/411 refusals on
   raw sockets and a differential test against ``http.client``;
+* the selector loop — a stalled head delays no other connection,
+  pipelined requests, partial sends, no thread per connection, shutdown
+  with idle connections and the connection cap's 503;
 * the golden-response snapshot — a fixed query grid against the pinned
   ``tests/data/model_v2_golden.json`` artifact, regenerable via::
 
@@ -35,6 +38,7 @@ import socket
 import sys
 import tempfile
 import threading
+import time
 from http.client import HTTPConnection, HTTPException, parse_headers
 from pathlib import Path
 
@@ -63,13 +67,14 @@ from repro.serve.protocol import (
     ProtocolError,
     answer_request,
 )
+from repro.serve import server as server_module
 from repro.serve.registry import ArtifactEntry
 from repro.serve.server import (
     MAX_BODY_BYTES,
     MAX_HEADER_LINES,
     MAX_LINE_BYTES,
     REQUEST_TIMEOUT_S,
-    PredictionHandler,
+    PredictionServer,
     read_headers,
 )
 
@@ -1337,9 +1342,9 @@ class TestKeepAliveHygiene:
 
 @pytest.fixture
 def stall_server(monkeypatch, registry_dir):
-    """A server with a short socket timeout that records every error its
-    handler threads would print as a traceback."""
-    monkeypatch.setattr(PredictionHandler, "timeout", 0.2)
+    """A server with a short connection deadline that records every
+    error its loop would report through ``handle_error``."""
+    monkeypatch.setattr(PredictionServer, "timeout", 0.2)
     server, thread = _boot(ModelRegistry(registry_dir))
     leaked: list[BaseException] = []
     server.handle_error = lambda request, address: leaked.append(
@@ -1353,7 +1358,7 @@ class TestStalledClients:
     BODY = json.dumps({"network": "alexnet", "batch": 1}).encode()
 
     def test_handler_times_out_by_default(self):
-        assert PredictionHandler.timeout == REQUEST_TIMEOUT_S
+        assert PredictionServer.timeout == REQUEST_TIMEOUT_S
         assert 0 < REQUEST_TIMEOUT_S < float("inf")
 
     @pytest.mark.parametrize("data, status", [
@@ -1390,6 +1395,187 @@ class TestStalledClients:
 
 
 
+# -- the selector loop -------------------------------------------------------
+
+
+def _read_response(sock):
+    """Read one ``Content-Length``-framed response off ``sock``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed after {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(next(
+        line.split(b":", 1)[1] for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    ))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length
+    return head + b"\r\n\r\n" + body
+
+
+def _undated(response):
+    """``response`` without its ``Date`` header value, which ticks."""
+    return b"\r\n".join(
+        b"Date: -" if line.startswith(b"Date: ") else line
+        for line in response.split(b"\r\n")
+    )
+
+
+class TestSelectorLoop:
+    BODY = json.dumps({"network": "alexnet", "batch": 1}).encode()
+
+    def test_stalled_head_does_not_delay_other_connections(self, server):
+        stalled = socket.create_connection(server.server_address[:2],
+                                           timeout=5.0)
+        try:
+            stalled.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                            b"Content-Le")
+            start = time.monotonic()
+            status, _ = _post(server, {"network": "alexnet", "batch": 1})
+            elapsed = time.monotonic() - start
+        finally:
+            stalled.close()
+        assert status == 200
+        assert elapsed < 0.5
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        first = _http("POST", "/predict", self.BODY, [
+            ("Content-Length", len(self.BODY)),
+        ])
+        other = json.dumps({"network": "vgg11", "batch": 8}).encode()
+        second = _http("POST", "/predict", other, [
+            ("Content-Length", len(other)), ("Connection", "close"),
+        ])
+        pipelined = _exchange(server, first + second)
+        alone = [
+            _exchange(server, _http("POST", "/predict", self.BODY, [
+                ("Content-Length", len(self.BODY)), ("Connection", "close"),
+            ])),
+            _exchange(server, second),
+        ]
+        assert pipelined.count(b"HTTP/1.1 200 ") == 2
+        cut = pipelined.index(b"HTTP/1.1 200 ", 1)
+        assert _undated(pipelined[:cut]) == _undated(alone[0])
+        assert _undated(pipelined[cut:]) == _undated(alone[1])
+
+    def test_partial_send_arrives_whole_while_another_is_served(
+        self, server, server_sends, monkeypatch
+    ):
+        accept = socket.socket.accept
+
+        def small_send_buffer(sock):
+            conn, address = accept(sock)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return conn, address
+
+        monkeypatch.setattr(socket.socket, "accept", small_send_buffer)
+        queries = [{"network": "alexnet", "batch": 1 + i % 64}
+                   for i in range(600)]
+        body = json.dumps({"queries": queries}).encode()
+        big = socket.socket()
+        big.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        big.settimeout(10.0)
+        try:
+            big.connect(server.server_address[:2])
+            big.sendall(_http("POST", "/predict", body, [
+                ("Content-Length", len(body)), ("Connection", "close"),
+            ]))
+            # The big response now waits on the unread socket; the loop
+            # still answers another connection.
+            assert _post(server, {"network": "alexnet", "batch": 1})[0] == 200
+            response = _read_response(big)
+        finally:
+            big.close()
+        assert response.startswith(b"HTTP/1.1 200 ")
+        answer = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert answer["count"] == len(queries)
+        # The first send offered the whole response; the socket took it
+        # in parts, each later send offering the rest.
+        sends = [s for s in server_sends if response.endswith(s)]
+        assert sends[0] == response and len(sends) > 1
+
+    def test_keep_alive_connections_start_no_threads(self, server):
+        before = threading.active_count()
+        host, port = server.server_address[:2]
+        conns = [HTTPConnection(host, port, timeout=5.0) for _ in range(32)]
+        try:
+            for conn in conns:
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            assert threading.active_count() == before
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_shutdown_with_idle_connections_then_close(self, registry_dir):
+        server, thread = _boot(ModelRegistry(registry_dir))
+        host, port = server.server_address[:2]
+        conns = [HTTPConnection(host, port, timeout=5.0) for _ in range(3)]
+        try:
+            for conn in conns:
+                conn.request("POST", "/predict", body=self.BODY)
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            start = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - start < 1.0
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            server.server_close()
+            for conn in conns:
+                assert conn.sock.recv(1) == b""
+        finally:
+            for conn in conns:
+                conn.close()
+
+
+def test_connection_past_the_cap_is_refused(monkeypatch, registry_dir):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    server, thread = _boot(ModelRegistry(registry_dir))
+    host, port = server.server_address[:2]
+    kept = [HTTPConnection(host, port, timeout=5.0) for _ in range(2)]
+    body = json.dumps({"network": "alexnet", "batch": 1}).encode()
+    try:
+        for conn in kept:
+            conn.request("POST", "/predict", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+        before = _counters(server)
+        refused = socket.create_connection((host, port), timeout=5.0)
+        try:
+            chunks = []
+            while chunk := refused.recv(65536):
+                chunks.append(chunk)
+        finally:
+            refused.close()
+        response = b"".join(chunks)
+        assert response.startswith(b"HTTP/1.1 503 ")
+        assert b"\r\nConnection: close\r\n" in response
+        assert json.loads(response.partition(b"\r\n\r\n")[2])[
+            "status"] == 503
+        assert _deltas(before, _counters(server)) == {
+            "http_503_total": 1.0, "errors_total": 1.0,
+        }
+        for conn in kept:  # the open connections are unaffected
+            conn.request("POST", "/predict", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+    finally:
+        for conn in kept:
+            conn.close()
+        _shutdown(server, thread)
+
+
 # -- request parsing ---------------------------------------------------------
 
 
@@ -1399,7 +1585,7 @@ def _raw(request_line, header_lines, body=b""):
             + body)
 
 
-#: Headers ``PredictionHandler`` reads; the differential test compares
+#: Headers the server's routes read; the differential test compares
 #: each of them (in three casings) with ``http.client.parse_headers``.
 HANDLER_READS = ("Content-Length", "Transfer-Encoding", "Connection",
                  "Expect", "Accept")
