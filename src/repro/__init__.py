@@ -79,7 +79,6 @@ _EXPORTS = {
     # observability
     "Tracer": "trace",
     "Span": "trace",
-    "NULL_TRACER": "trace",
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -1,8 +1,8 @@
-"""Reporting utilities: tables, scatter summaries, coefficient
-interpretation, the related-work matrix — and the static-analysis fronts:
-the graph IR verifier (:mod:`repro.analysis.verify`), the fitted-model
-auditor (:mod:`repro.analysis.audit`), and the concurrency-hazard
-analyzer (:mod:`repro.analysis.concurrency`).
+"""Reporting utilities: tables, coefficient interpretation, the
+related-work matrix — and the static-analysis fronts: the graph IR
+verifier (:mod:`repro.analysis.verify`), the fitted-model auditor
+(:mod:`repro.analysis.audit`), and the concurrency-hazard analyzer
+(:mod:`repro.analysis.concurrency`).
 
 The names below resolve on first access (PEP 562), so importing one front
 — a campaign resume needs only the verifier's rule ids — does not import
@@ -27,8 +27,6 @@ _EXPORTS = {
     "audit_prediction_query": "audit",
     "format_table": "tables",
     "format_series": "tables",
-    "format_scatter": "scatter",
-    "scatter_bins": "scatter",
     "CoefficientInterpretation": "coefficients",
     "interpret_forward_model": "coefficients",
     "sanity_check": "coefficients",

@@ -45,7 +45,6 @@ from repro.analysis.audit.models import (
     audit_model,
     audit_prediction_query,
     prediction_warnings,
-    require_clean,
 )
 from repro.analysis.audit.rules import (
     DEFAULT_DOMAIN_FACTOR,
@@ -79,5 +78,4 @@ __all__ = [
     "audit_queries",
     "audit_residual_bias",
     "prediction_warnings",
-    "require_clean",
 ]

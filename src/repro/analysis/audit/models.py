@@ -23,7 +23,6 @@ from repro.analysis.audit.artifacts import (
 )
 from repro.analysis.audit.rules import (
     DEFAULT_DOMAIN_FACTOR,
-    ModelAuditError,
     _keep,
     audit_linear,
     audit_queries,
@@ -42,7 +41,7 @@ from repro.core.training import (
     GradientUpdateModel,
     TrainingStepModel,
 )
-from repro.diagnostics import Diagnostic, has_errors, sort_diagnostics
+from repro.diagnostics import Diagnostic, sort_diagnostics
 
 
 def _records(data) -> list:
@@ -240,10 +239,4 @@ def prediction_warnings(
     ]
 
 
-def require_clean(diagnostics: Sequence[Diagnostic]) -> None:
-    """Raise :class:`ModelAuditError` when ERROR findings are present."""
-    if has_errors(diagnostics):
-        raise ModelAuditError(diagnostics)
-
-
-__all__ = ["audit_model", "audit_prediction_query", "require_clean"]
+__all__ = ["audit_model", "audit_prediction_query"]

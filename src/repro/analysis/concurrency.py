@@ -225,7 +225,10 @@ def _module_name(path: str) -> str:
 @dataclass
 class _ClassInfo:
     key: str                       # "repro.caching.LRUCache"
-    module: "_ModuleInfo"
+    #: The name of its module in ``_Analyzer.modules``.  Not the
+    #: ``_ModuleInfo`` itself: that holds this record, and the cycle would
+    #: leave a dropped call graph, trees included, to the cyclic collector.
+    module: str
     name: str
     node: ast.ClassDef
     bases: list[str] = field(default_factory=list)
@@ -814,7 +817,7 @@ class _Analyzer:
         self, module: _ModuleInfo, node: ast.ClassDef
     ) -> None:
         cls = _ClassInfo(
-            key=f"{module.name}.{node.name}", module=module,
+            key=f"{module.name}.{node.name}", module=module.name,
             name=node.name, node=node,
         )
         for base in node.bases:
@@ -878,6 +881,7 @@ class _Analyzer:
 
     def _collect_class_attrs(self) -> None:
         for cls in self.class_index.values():
+            module = self.modules[cls.module]
             for stmt in cls.node.body:
                 if not isinstance(
                     stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -914,17 +918,18 @@ class _Analyzer:
                             target = t
                             value = sub.value
                             akey = self.annotation_canonical(
-                                sub.annotation, cls.module)
+                                sub.annotation, module)
                             if akey:
                                 cls.attr_types.setdefault(t.attr, akey)
                     if target is None:
                         continue
                     self._classify_attr(
-                        cls, target.attr, value, annotations)
+                        cls, module, target.attr, value, annotations)
 
     def _classify_attr(
         self,
         cls: _ClassInfo,
+        module: _ModuleInfo,
         attr: str,
         value: ast.expr | None,
         annotations: dict[str, ast.expr],
@@ -933,11 +938,11 @@ class _Analyzer:
         if isinstance(value, ast.Call):
             parts = _dotted_name(value.func)
             canonical = (
-                self.canonical(parts, cls.module) if parts else None
+                self.canonical(parts, module) if parts else None
             )
         elif isinstance(value, ast.Name) and value.id in annotations:
             canonical = self.annotation_canonical(
-                annotations[value.id], cls.module)
+                annotations[value.id], module)
         if canonical is None:
             return
         if canonical in _LOCK_CTORS:

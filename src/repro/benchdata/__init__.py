@@ -10,9 +10,7 @@ from repro.benchdata.records import (
     ConvNetFeatures,
     Dataset,
     TimingRecord,
-    aggregate_reps,
 )
-from repro.benchdata.cost import CampaignCost, campaign_cost
 from repro.benchdata.engine import (
     VERIFY_MODES,
     CampaignResult,
@@ -23,7 +21,6 @@ from repro.benchdata.engine import (
     point_counters,
     run_campaign,
     trace_campaign,
-    verify_campaign_graphs,
 )
 from repro.benchdata.store import CampaignStore, StoreCorrupt, StoreMismatch
 from repro.benchdata.campaign import (
@@ -40,9 +37,6 @@ __all__ = [
     "ConvNetFeatures",
     "TimingRecord",
     "Dataset",
-    "aggregate_reps",
-    "CampaignCost",
-    "campaign_cost",
     "CampaignResult",
     "CampaignSpec",
     "CampaignStats",
@@ -55,7 +49,6 @@ __all__ = [
     "point_counters",
     "run_campaign",
     "trace_campaign",
-    "verify_campaign_graphs",
     "DEFAULT_BATCH_SIZES",
     "DEFAULT_IMAGE_SIZES",
     "DEFAULT_MODELS",

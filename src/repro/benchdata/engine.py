@@ -436,13 +436,6 @@ def campaign_verdicts(
     return verdicts
 
 
-def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
-    """Verify every unique graph a campaign will measure; see
-    :func:`campaign_verdicts`."""
-    verdicts = campaign_verdicts(spec, enumerate_points(spec))
-    return sort_diagnostics(d for diags in verdicts.values() for d in diags)
-
-
 def _run_verification(
     spec: CampaignSpec,
     points: list[SweepPoint],
@@ -639,7 +632,7 @@ def _measure_grid(
     """
     first = points[0]
     profile = record.profile
-    tracing = tracer is not None and tracer.enabled
+    tracing = tracer is not None
     clean = times = noise = None
     if grid.clean is not None:
         clean = grid.clean.tolist()
@@ -987,7 +980,7 @@ def run_campaign(
         records = restored.get(key)
         dataset.extend(results[i] if records is None else records)
 
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         trace_campaign(spec, tracer, points)
 
     merge_counters(counters, cache_delta.as_counters())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -307,36 +307,3 @@ class Dataset:
             f"devices={sorted({r.device for r in self.records})}, "
             f"nodes={self.node_counts()}"
         )
-
-
-def rescale_record(record: TimingRecord, **changes) -> TimingRecord:
-    """Dataclass ``replace`` re-export for campaign post-processing."""
-    return replace(record, **changes)
-
-
-def aggregate_reps(data: Dataset) -> Dataset:
-    """Collapse repeated measurements of one configuration into their mean.
-
-    Records sharing (model, device, image, batch, nodes, devices, scenario)
-    are averaged per phase; the result has ``rep = 0`` and one record per
-    configuration — the aggregation real campaigns apply before fitting.
-    """
-    groups: dict[tuple, list[TimingRecord]] = {}
-    for r in data:
-        key = (r.model, r.device, r.image_size, r.batch, r.nodes,
-               r.devices, r.scenario, r.backend)
-        groups.setdefault(key, []).append(r)
-    out = Dataset()
-    for members in groups.values():
-        n = len(members)
-        first = members[0]
-        out.append(
-            replace(
-                first,
-                t_fwd=sum(m.t_fwd for m in members) / n,
-                t_bwd=sum(m.t_bwd for m in members) / n,
-                t_grad=sum(m.t_grad for m in members) / n,
-                rep=0,
-            )
-        )
-    return out

@@ -469,7 +469,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         fuse=args.fuse,
         domain_factor=domain_factor,
-        feature_cache_size=args.feature_cache,
     )
     names = ", ".join(registry.names())
     print(f"serving {names} from {args.registry} on {server.url}")
@@ -912,9 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flag query features beyond this multiple of "
                             "the fitted range per response (FIT004); "
                             "<= 0 disables")
-    serve.add_argument("--feature-cache", type=int, default=512,
-                       help="max entries of the (network, image, "
-                            "transform) feature-vector LRU cache")
     serve.set_defaults(func=_cmd_serve)
 
     leaderboard = sub.add_parser(

@@ -185,7 +185,7 @@ class DistributedTrainer:
                 b.check_fits(profile, per_device_batch, training=True)
         n_ranks = self.cluster.total_devices
         name = profile.graph_name
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer is not None
         # Offset of this step within the enclosing span — comm spans are
         # placed at explicit offsets and must not assume they start at 0.
         origin = tracer.elapsed() if tracing else 0.0

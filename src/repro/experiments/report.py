@@ -8,11 +8,9 @@ document — the executable counterpart of EXPERIMENTS.md.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro.experiments import EXPERIMENTS, Experiment
-from repro.fileio import write_text_atomic
 
 
 def generate_markdown(
@@ -40,10 +38,6 @@ def generate_markdown(
         if include_timings:
             sections.append(f"*(regenerated in {elapsed:.1f} s)*")
     return "\n".join(sections) + "\n"
-
-
-def write_report(path: str | Path, **kwargs) -> None:
-    write_text_atomic(path, generate_markdown(**kwargs))
 
 
 if __name__ == "__main__":  # pragma: no cover

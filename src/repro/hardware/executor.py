@@ -160,7 +160,7 @@ class SimulatedExecutor:
             self.backend.check_fits(profile, batch, training=False)
         noise = self._noise(profile.graph_name, batch, _INFERENCE_TAG, rep)
         total = self.backend.forward_time_clean(profile, batch) * noise
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             trace_measurement(
                 tracer, self.backend, profile, batch, (noise,), (total,)
             )
@@ -194,7 +194,7 @@ class SimulatedExecutor:
             for tag in _STEP_TAGS
         )
         times = tuple(c * n for c, n in zip(clean, noise))
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             trace_measurement(tracer, backend, profile, batch, noise, times)
         return PhaseTimes(*times)
 

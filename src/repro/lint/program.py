@@ -103,11 +103,10 @@ def _tenured():
     everything allocated into the oldest generation without traversing it.
 
     ``gc.freeze()`` then ``gc.unfreeze()`` is that move, and it does not
-    count towards the next full collection.  The parsed trees hold no
-    cycles, so refcounting frees them with their :class:`Program`; any
-    cycle anywhere, such as the call graph's module and class records
-    that refer to each other and to the trees, is still found by the next
-    full collection.  Two simpler designs were measured and rejected:
+    count towards the next full collection.  The parsed trees and the
+    call graph hold no cycles, so refcounting frees them with their
+    :class:`Program`; a cycle elsewhere is still found by the next full
+    collection.  Two simpler designs were measured and rejected:
     pausing alone leaves the backlog to the next young collections (one
     gen0 over every tree, 46 ms, then one gen1, 115 ms), and
     ``gc.freeze()`` alone never traverses what it froze again, so once a

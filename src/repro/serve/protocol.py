@@ -66,7 +66,7 @@ from repro.zoo import get_entry
 #: Protocol version echoed in every response.
 PROTOCOL_VERSION = 1
 
-#: Default size of a server's (network, image, transform) feature cache.
+#: Size of a server's (network, image, transform) feature cache.
 DEFAULT_FEATURE_CACHE = 512
 
 _QUERY_KEYS = frozenset({
@@ -243,10 +243,10 @@ class FeatureCache:
     are ``/metrics``' ``feature_cache``.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_FEATURE_CACHE) -> None:
+    def __init__(self) -> None:
         self._cache: LRUCache[
             tuple[str, int, str], tuple[CostProfile, ConvNetFeatures]
-        ] = LRUCache(maxsize=maxsize)
+        ] = LRUCache(maxsize=DEFAULT_FEATURE_CACHE)
 
     def lookup(
         self, network: str, image: int, transform: str

@@ -60,7 +60,6 @@ from typing import Any, BinaryIO
 
 from repro.caching import CacheStats
 from repro.serve.protocol import (
-    DEFAULT_FEATURE_CACHE,
     PROTOCOL_VERSION,
     FeatureCache,
     PredictRequest,
@@ -261,12 +260,11 @@ class PredictionServer:
         *,
         default_transform: str = "",
         domain_factor: float | None = 10.0,
-        feature_cache_size: int = DEFAULT_FEATURE_CACHE,
     ) -> None:
         self.registry = registry
         self.default_transform = default_transform
         self.domain_factor = domain_factor
-        self.features = FeatureCache(maxsize=feature_cache_size)
+        self.features = FeatureCache()
         self.tracer = Tracer()
         self._counter_lock = threading.Lock()
         self.socket = socket.create_server(address)
@@ -825,7 +823,6 @@ def make_server(
     *,
     fuse: bool = False,
     domain_factor: float | None = 10.0,
-    feature_cache_size: int = DEFAULT_FEATURE_CACHE,
 ) -> PredictionServer:
     """Construct (but do not start) a server; ``port=0`` picks a free one."""
     return PredictionServer(
@@ -833,5 +830,4 @@ def make_server(
         registry,
         default_transform="inference" if fuse else "",
         domain_factor=domain_factor,
-        feature_cache_size=feature_cache_size,
     )

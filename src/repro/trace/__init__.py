@@ -15,8 +15,6 @@ hardware stacks into this package's import).  See
 """
 
 from repro.trace.tracer import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TraceError,
     Tracer,
@@ -36,8 +34,6 @@ from repro.trace.export import (
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "TraceError",
     "merge_counters",
     "record_layer_phase",

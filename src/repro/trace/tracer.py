@@ -25,9 +25,8 @@ invariants therefore hold with exact float equality, not approximately:
   exact).
 
 Tracing is opt-in: the instrumented hot paths take ``tracer=None`` and a
-single predicate guard (`tracer is not None and tracer.enabled`) keeps the
-disabled path free of any per-layer Python work.  :data:`NULL_TRACER` is a
-shared no-op instance for callers that prefer unconditional calls.
+single guard (`tracer is not None`) keeps the disabled path free of any
+per-layer Python work.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ class Tracer:
         tracer.end()            # duration = sum of children
         tracer.end(total)       # or pin an explicit measured total
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         # Sentinel root: never exported, its children are the trace roots.
@@ -240,38 +237,6 @@ class Tracer:
     def counters(self) -> dict[str, float]:
         """Cumulative counter totals recorded so far."""
         return dict(self._counters)
-
-
-class NullTracer(Tracer):
-    """The default, zero-overhead tracer: every operation is a no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def begin(self, name, category, track="compute", attrs=None):  # noqa: D102
-        return self._root
-
-    def end(self, duration=None):
-        return self._root
-
-    def advance(self, seconds):
-        return None
-
-    def add(self, name, duration, category, track="compute", attrs=None):
-        return self._root
-
-    def add_at(self, name, start, duration, category, track="compute",
-               attrs=None):
-        return self._root
-
-    def count(self, name, value):
-        return None
-
-
-#: Shared no-op tracer for call sites that prefer unconditional calls.
-NULL_TRACER = NullTracer()
 
 
 def _within_ulps(a: float, b: float, ulps: int = 4) -> bool:

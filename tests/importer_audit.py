@@ -14,9 +14,16 @@ that is not a docstring, such as perfbench's ``module:Class.method`` entry
 points), or when a word of a Markdown file under ``docs/`` names it.
 Imports, ``__all__`` lists, a package's own PEP 562 name table (its
 ``_EXPORTS`` dict of ``name -> submodule``) and docstrings do not count: a
-re-export or a mention in prose is not a user.  Matching is by bare name, so a name
-shared with an unrelated use elsewhere hides it; the list errs towards
-too short.
+re-export or a mention in prose is not a user.
+
+The audit is transitive: a load inside the top-level definition of a
+listed name does not count either, so a name whose only users are the
+bodies of listed names (a helper class of a dead function) is listed too.
+A load in any other top-level statement of ``src/repro``, including the
+body of a private (``_``) definition, always counts.  A definition that
+names itself (a recursive call, an assignment's own target) is never
+listed.  Matching is by bare name, so a name shared with an unrelated use
+elsewhere hides it; the list errs towards too short.
 
 Prints one ``module:name`` line per unused name, then their count.
 """
@@ -34,18 +41,18 @@ DOC_DIRS = ("docs",)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _public_names(tree: ast.Module) -> list[str]:
-    names: list[str] = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+def _public_names(node: ast.stmt) -> list[str]:
+    """Public names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
     return [n for n in names if not n.startswith("_")]
 
 
@@ -76,10 +83,9 @@ def _is_reexport(node: ast.AST) -> bool:
     )
 
 
-def _python_uses(tree: ast.Module) -> set[str]:
-    docstrings = _docstrings(tree)
+def _loads(node: ast.AST, docstrings: set[int]) -> set[str]:
     used: set[str] = set()
-    stack: list[ast.AST] = [tree]
+    stack = [node]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_reexport(node):
@@ -95,24 +101,48 @@ def _python_uses(tree: ast.Module) -> set[str]:
     return used
 
 
+def _module(root: Path, path: Path) -> str | None:
+    """Dotted name of a module under ``src/repro``, else ``None``."""
+    relative = path.relative_to(root)
+    if relative.parts[:2] != ("src", "repro"):
+        return None
+    return ".".join(relative.with_suffix("").parts[1:])
+
+
 def audit(root: Path = ROOT) -> list[str]:
     """``module:name`` of each unused public name, sorted."""
-    package = root / "src" / "repro"
-    used: set[str] = set()
+    # Bare name -> the owners of its loads.  An owner is the set of
+    # ``module:name`` a top-level statement defines; an empty owner (a
+    # file outside the package, a doc, any other statement) always counts.
+    users: dict[str, set[frozenset[str]]] = {}
+    defined: list[str] = []
     for directory in PYTHON_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
-            used |= _python_uses(ast.parse(path.read_text(), str(path)))
+            module = _module(root, path)
+            tree = ast.parse(path.read_text(), str(path))
+            docstrings = _docstrings(tree)
+            for node in tree.body:
+                names = _public_names(node) if module else []
+                owner = frozenset(f"{module}:{name}" for name in names)
+                defined += owner
+                for used in _loads(node, docstrings):
+                    users.setdefault(used, set()).add(owner)
     for directory in DOC_DIRS:
         for path in sorted((root / directory).rglob("*.md")):
-            used.update(WORD.findall(path.read_text()))
-    unused = []
-    for path in sorted(package.rglob("*.py")):
-        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
-        tree = ast.parse(path.read_text(), str(path))
-        unused += [
-            f"{module}:{name}" for name in _public_names(tree)
-            if name not in used
-        ]
+            for used in WORD.findall(path.read_text()):
+                users.setdefault(used, set()).add(frozenset())
+    unused: set[str] = set()
+    grown = True
+    while grown:
+        grown = False
+        for qualified in defined:
+            name = qualified.partition(":")[2]
+            if qualified not in unused and all(
+                owner and owner <= unused
+                for owner in users.get(name, ())
+            ):
+                unused.add(qualified)
+                grown = True
     return sorted(unused)
 
 

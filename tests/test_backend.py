@@ -482,14 +482,16 @@ class TestIR009:
         assert not [d for d in diags if d.rule == "IR009"]
 
     def test_campaign_verification_uses_smallest_batch(self, capsys):
-        from repro.benchdata.engine import verify_campaign_graphs
+        from repro.benchdata.engine import campaign_verdicts, enumerate_points
 
         spec = CampaignSpec(
             scenario="training", models=("vgg16",), device=JETSON_ORIN,
             batch_sizes=(2048,), image_sizes=(224,), backend="edge",
         )
-        diags = verify_campaign_graphs(spec)
-        assert any(d.rule == "IR009" for d in diags)
+        verdicts = campaign_verdicts(spec, enumerate_points(spec))
+        assert any(
+            d.rule == "IR009" for diags in verdicts.values() for d in diags
+        )
 
 
 # -- serve protocol ------------------------------------------------------------

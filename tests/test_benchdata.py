@@ -12,7 +12,6 @@ from repro.benchdata import (
     block_campaign,
     inference_campaign,
 )
-from repro.benchdata.records import rescale_record
 from repro.hardware.device import A100_80GB, XEON_GOLD_5318Y_CORE
 from repro.hardware.roofline import zoo_profile
 
@@ -108,10 +107,6 @@ class TestDataset:
     def test_summary_string(self):
         text = self._dataset().summary()
         assert "3 records" in text and "2 models" in text
-
-    def test_rescale_record(self):
-        r = rescale_record(_record(), t_fwd=1.0)
-        assert r.t_fwd == 1.0
 
 
 class TestInferenceCampaign:

@@ -867,7 +867,7 @@ class TestPersistedVerdicts:
         self, tmp_path, monkeypatch
     ):
         from repro.analysis.verify import GraphVerificationError
-        from repro.benchdata.engine import verify_campaign_graphs
+        from repro.benchdata.engine import campaign_verdicts
         from repro.diagnostics import Diagnostic, has_errors, sort_diagnostics
 
         spec = VERDICT_SPEC
@@ -888,7 +888,8 @@ class TestPersistedVerdicts:
         assert has_errors(persisted)
         # The graphs themselves are clean now: only the store holds errors.
         _fresh_profile_caches(monkeypatch)
-        assert not has_errors(verify_campaign_graphs(spec))
+        verdicts = campaign_verdicts(spec, enumerate_points(spec))
+        assert not any(has_errors(diags) for diags in verdicts.values())
         _fresh_profile_caches(monkeypatch)
         with CampaignStore.open(directory, spec, resume=True) as store:
             with pytest.raises(GraphVerificationError) as err:

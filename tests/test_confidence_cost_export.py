@@ -1,9 +1,8 @@
-"""Bootstrap confidence intervals and campaign cost accounting."""
+"""Bootstrap confidence intervals."""
 
 import numpy as np
 import pytest
 
-from repro.benchdata.cost import campaign_cost
 from repro.benchdata.records import ConvNetFeatures
 from repro.core.confidence import (
     bootstrap_coefficients,
@@ -81,36 +80,3 @@ class TestBootstrapPrediction:
         )
         # Far extrapolation cannot be more certain than interpolation.
         assert outside.relative_width >= 0.5 * inside.relative_width
-
-
-class TestCampaignCost:
-    def test_counts_and_time(self, small_inference_data):
-        cost = campaign_cost(small_inference_data, warmup_factor=1.0)
-        assert cost.n_points == len(small_inference_data)
-        assert cost.benchmark_seconds == pytest.approx(
-            sum(r.t_total for r in small_inference_data)
-        )
-        assert cost.n_models == len(small_inference_data.models())
-
-    def test_warmup_scales(self, small_inference_data):
-        base = campaign_cost(small_inference_data, warmup_factor=1.0)
-        double = campaign_cost(small_inference_data, warmup_factor=2.0)
-        assert double.benchmark_seconds == pytest.approx(
-            2 * base.benchmark_seconds
-        )
-
-    def test_invalid_warmup(self, small_inference_data):
-        with pytest.raises(ValueError):
-            campaign_cost(small_inference_data, warmup_factor=0.5)
-
-    def test_paper_scale_effort(self):
-        """The full GPU campaign stays within the paper's effort envelope:
-        < 5000 points and hours, not days, of benchmark time."""
-        from repro.experiments.common import gpu_inference_data
-
-        cost = campaign_cost(gpu_inference_data())
-        assert cost.n_points < 5000
-        assert cost.benchmark_hours < 24.0
-
-    def test_summary_text(self, small_inference_data):
-        assert "data points" in campaign_cost(small_inference_data).summary()

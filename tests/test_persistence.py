@@ -303,17 +303,3 @@ class TestAtomicWrites:
             write_chrome(trace_model("resnet18", A100_80GB), path)
         assert path.read_bytes() == before
         self._only(tmp_path, "trace.chrome.json")
-
-    def test_report_survives(self, tmp_path, request):
-        from repro.experiments import EXPERIMENTS
-        from repro.experiments.report import write_report
-
-        path = tmp_path / "report.md"
-        subset = tuple(e for e in EXPERIMENTS if e.id == "table4")
-        write_report(path, experiments=subset, include_timings=False)
-        before = path.read_bytes()
-        request.getfixturevalue("torn_writes")
-        with pytest.raises(OSError, match="disk full"):
-            write_report(path, experiments=subset)
-        assert path.read_bytes() == before
-        self._only(tmp_path, "report.md")

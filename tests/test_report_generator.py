@@ -1,7 +1,7 @@
 """Markdown report generator."""
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.report import generate_markdown, write_report
+from repro.experiments.report import generate_markdown
 
 
 class TestReportGenerator:
@@ -24,8 +24,3 @@ class TestReportGenerator:
     def test_timings_included_by_default(self):
         md = generate_markdown(self.SUBSET)
         assert "regenerated in" in md
-
-    def test_write_report(self, tmp_path):
-        path = tmp_path / "report.md"
-        write_report(path, experiments=self.SUBSET, include_timings=False)
-        assert path.read_text().startswith("# ConvMeter evaluation report")

@@ -1,11 +1,9 @@
-"""Timeline export, scatter summaries, and the NeuralPower baseline."""
+"""Timeline export and the NeuralPower baseline."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis.scatter import format_scatter, scatter_bins
 from repro.baselines.neuralpower import NeuralPowerModel, polynomial_row
 from repro.benchdata.records import ConvNetFeatures
 from repro.distributed import ClusterSpec, DistributedTrainer
@@ -121,38 +119,6 @@ class TestTextTimeline:
         assert f"{trace.optimizer_time * 1e3:8.2f} ms" in trace_to_text(
             trace
         ).splitlines()[-2]
-
-
-class TestScatterSummary:
-    def test_perfect_prediction_unbiased(self):
-        measured = np.logspace(-3, 0, 100)
-        bins = scatter_bins(measured, measured)
-        assert all(b.ratio_gmean == pytest.approx(1.0) for b in bins)
-        assert all(b.ratio_gsd == pytest.approx(1.0) for b in bins)
-
-    def test_counts_cover_all_points(self):
-        measured = np.logspace(-3, 0, 100)
-        bins = scatter_bins(measured, measured * 1.1)
-        assert sum(b.count for b in bins) == 100
-
-    def test_bias_detected(self):
-        measured = np.logspace(-2, 0, 50)
-        bins = scatter_bins(measured, measured * 2.0)
-        assert all(b.ratio_gmean == pytest.approx(2.0) for b in bins)
-
-    def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            scatter_bins([0.0, 1.0], [1.0, 1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            scatter_bins([1.0], [1.0, 2.0])
-
-    def test_format_renders(self):
-        measured = np.logspace(-3, 0, 40)
-        text = format_scatter(measured, measured * 1.2, title="Scatter")
-        assert "Scatter" in text
-        assert "1.20" in text
 
 
 class TestNeuralPower:

@@ -26,8 +26,6 @@ from repro.hardware.executor import SimulatedExecutor
 from repro.hardware.memory import OutOfDeviceMemory
 from repro.hardware.roofline import profile_graph
 from repro.trace import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TraceError,
     Tracer,
@@ -247,19 +245,6 @@ class TestTracerCore:
         totals = {"flops": 1.0}
         merge_counters(totals, tracer.counters)
         assert totals == {"flops": 6.0, "bytes": 1.0}
-
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        NULL_TRACER.begin("x", category="phase")
-        NULL_TRACER.advance(1.0)
-        NULL_TRACER.add("y", 1.0, category="layer")
-        NULL_TRACER.add_at("z", 0.0, 1.0, category="comm")
-        NULL_TRACER.count("flops", 1.0)
-        NULL_TRACER.end()
-        assert NULL_TRACER.roots == []
-        assert NULL_TRACER.counters == {}
-        NULL_TRACER.require_closed()
 
     def test_span_find_and_walk(self):
         tracer = Tracer()

@@ -1,11 +1,9 @@
-"""Hypothetical-device derivation, rep aggregation, layer breakdown, and
-cross-scenario consistency."""
+"""Hypothetical-device derivation, layer breakdown, and cross-scenario
+consistency."""
 
-import numpy as np
 import pytest
 
 from repro.benchdata import inference_campaign, training_campaign
-from repro.benchdata.records import aggregate_reps
 from repro.core.forward import ForwardModel
 from repro.hardware.device import A100_80GB
 from repro.hardware.executor import SimulatedExecutor
@@ -70,46 +68,6 @@ class TestScaledDevice:
         )
         model = ForwardModel().fit(data)
         assert model.evaluate(data).r2 > 0.9
-
-
-class TestRepAggregation:
-    def test_collapses_reps(self):
-        data = inference_campaign(
-            models=("alexnet",), batch_sizes=(1, 8), image_sizes=(64,),
-            seed=5, reps=4,
-        )
-        merged = aggregate_reps(data)
-        assert len(merged) == len(data) // 4
-        assert all(r.rep == 0 for r in merged)
-
-    def test_mean_is_exact(self):
-        data = inference_campaign(
-            models=("alexnet",), batch_sizes=(8,), image_sizes=(64,),
-            seed=5, reps=3,
-        )
-        merged = aggregate_reps(data)
-        expected = np.mean([r.t_fwd for r in data])
-        assert merged[0].t_fwd == pytest.approx(float(expected))
-
-    def test_aggregation_reduces_noise(self):
-        """Fitting on rep-averaged data must not be worse than on raw."""
-        raw = training_campaign(
-            models=("alexnet", "resnet18", "resnet50", "vgg11"),
-            batch_sizes=(1, 8, 64), image_sizes=(64, 128),
-            seed=6, reps=5,
-        )
-        merged = aggregate_reps(raw)
-        from repro.core.training import TrainingStepModel
-
-        m = TrainingStepModel().fit(merged)
-        raw_m = TrainingStepModel().fit(raw)
-        assert m.evaluate(merged).mape <= raw_m.evaluate(raw).mape + 0.02
-
-    def test_noop_without_reps(self):
-        data = inference_campaign(
-            models=("alexnet",), batch_sizes=(1,), image_sizes=(64,), seed=5,
-        )
-        assert len(aggregate_reps(data)) == len(data)
 
 
 class TestLayerBreakdown:
