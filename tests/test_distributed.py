@@ -20,6 +20,7 @@ from repro.distributed import (
 from repro.distributed.cluster import single_gpu_cluster
 from repro.hardware.device import A100_80GB
 from repro.hardware.roofline import zoo_profile
+from repro.trace import Tracer
 
 
 class TestInterconnects:
@@ -252,6 +253,19 @@ class TestDistributedTrainer:
         trace = trainer.run_step(profile, 16)
         for prev, nxt in zip(trace.buckets, trace.buckets[1:]):
             assert nxt.start >= prev.end - 1e-12
+
+    def test_tracing_never_perturbs_the_step(self, profile):
+        plain = DistributedTrainer(ClusterSpec(nodes=2), seed=1).run_step(
+            profile, 16
+        )
+        tracer = Tracer()
+        tracer.begin(profile.graph_name, category="model")
+        traced = DistributedTrainer(ClusterSpec(nodes=2), seed=1).run_step(
+            profile, 16, tracer=tracer
+        )
+        tracer.end()
+        assert plain == traced
+        assert any(s.track == "comm" for s in tracer.roots[0].children)
 
     def test_bucket_waits_for_gradients(self, profile):
         trainer = DistributedTrainer(ClusterSpec(nodes=2), seed=1)

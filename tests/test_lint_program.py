@@ -409,6 +409,13 @@ class TestTenuredBuild:
         gc.collect()
         assert [tree() for tree in trees] == [None, None]
 
+    def test_each_class_record_is_found_through_its_module_name(self):
+        analyzer = Program.load([REPO_SRC]).analyzer
+        assert len(analyzer.class_index) > 50
+        for cls in analyzer.class_index.values():
+            assert isinstance(cls.module, str)
+            assert analyzer.modules[cls.module].classes[cls.name] is cls
+
     def test_an_evicted_analyzed_program_leaves_no_cyclic_garbage(
         self, monkeypatch
     ):

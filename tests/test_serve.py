@@ -41,6 +41,7 @@ import threading
 import time
 from http.client import HTTPConnection, HTTPException, parse_headers
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,9 @@ from repro.serve import (
     make_server,
     write_manifest,
 )
+from repro.serve import protocol as protocol_module
 from repro.serve.protocol import (
+    DEFAULT_FEATURE_CACHE,
     FeatureCache,
     PredictQuery,
     PredictRequest,
@@ -255,6 +258,37 @@ class TestRegistry:
             cli_main(["serve", "--registry", str(registry_dir), "--bench"])
         assert info.value.code == 2
         assert "unrecognized arguments: --bench" in capsys.readouterr().err
+
+    def test_feature_cache_flag_is_gone(self, registry_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["serve", "--registry", str(registry_dir),
+                      "--feature-cache", "8"])
+        assert info.value.code == 2
+        assert ("unrecognized arguments: --feature-cache 8"
+                in capsys.readouterr().err)
+
+
+class TestFeatureCache:
+    def test_holds_the_constant_number_of_graphs(self, monkeypatch):
+        built = []
+
+        def fake_record(kind, network, image, pipeline):
+            built.append(network)
+            return SimpleNamespace(profile=network, features=image)
+
+        monkeypatch.setattr(protocol_module, "graph_record", fake_record)
+        cache = FeatureCache()
+        names = [f"net{i}" for i in range(DEFAULT_FEATURE_CACHE + 1)]
+        for name in names:
+            assert cache.lookup(name, 64, "") == (name, 64)
+        assert DEFAULT_FEATURE_CACHE == 512
+        assert len(cache) == DEFAULT_FEATURE_CACHE
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            0, DEFAULT_FEATURE_CACHE + 1, 1)
+        cache.lookup(names[-1], 64, "")  # the newest stays
+        cache.lookup(names[0], 64, "")   # the oldest was evicted
+        assert built == names + [names[0]]
 
 
 # -- predict: happy paths ----------------------------------------------------

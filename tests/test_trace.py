@@ -85,6 +85,19 @@ class TestSpanTreeInvariants:
         tracer.require_closed()
         return graph, tracer, total
 
+    def test_tracing_never_perturbs_the_measurement(self, graph, device):
+        profile = profile_graph(graph)
+        plain = SimulatedExecutor(device, seed=0).measure_inference(
+            profile, batch=8
+        )
+        tracer = Tracer()
+        tracer.begin(graph.name, category="model")
+        traced = SimulatedExecutor(device, seed=0).measure_inference(
+            profile, batch=8, tracer=tracer
+        )
+        tracer.end()
+        assert plain == traced
+
     def test_durations_and_starts_are_non_negative(self, traced):
         _, tracer, _ = traced
         for root in tracer.roots:
